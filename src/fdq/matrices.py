@@ -123,7 +123,7 @@ class SeriesMatrix:
                 acc = FormalSeries.zero(K)
                 for k in range(self.ncols):
                     a = self.rows[i][k]
-                    if a.is_zero() and not a.tail_lost:
+                    if a.is_exact_zero():
                         continue
                     acc = acc + a * other.rows[k][j]
                 row.append(acc)
@@ -286,7 +286,7 @@ def _echelonize(rows, ncols, certify_rank=True):
             if i in used_rows or i == pi:
                 continue
             e = row[pj]
-            if e.is_zero() and not e.tail_lost:
+            if e.is_exact_zero():
                 continue
             factor = _divide(e, pivot)
             rows[i] = [x - factor * y for x, y in zip(row, rows[pi])]
@@ -303,39 +303,60 @@ def echelon(mat: SeriesMatrix) -> Echelon:
     return Echelon(rows, pivots, free_cols, mat.ncols, mat.order)
 
 
-def nullspace(mat: SeriesMatrix):
-    """Basis of the kernel over the series ring, one vector per free column,
-    normalized to 1 at that column.
+def _residual(row, x, pj, ncols):
+    """Sum of row[c] x[c] over the columns c < ncols other than pj."""
+    s = FormalSeries.zero(row[pj].order)
+    for c in range(ncols):
+        if c != pj and not (row[c].is_exact_zero() or x[c].is_exact_zero()):
+            s = s + row[c] * x[c]
+    return s
 
-    Min-valuation pivoting guarantees the quotients stay in the ring: every
-    entry of a pivot row at a column that was still available when the pivot
-    was chosen has valuation at least the pivot's, and solved components have
-    valuation >= 0 inductively.
+
+def radical_quotient(mat: SeriesMatrix):
+    """``(kept, kernel)`` of ``mat`` from a single elimination: the sorted
+    pivot columns, and one ``(free_col, vec)`` pair per free column (in
+    ascending order) with ``mat @ vec = 0``, vec 1 at free_col and 0 at the
+    other free columns.  For a Gram matrix, ``kept`` indexes representatives
+    of the quotient by its radical (see ``reduce_coords``).
+
+    Pivot rows have zeros at earlier pivot columns, so back-substitution in
+    reverse pivot order only consumes known components.  Min-valuation
+    pivoting keeps the quotients in the ring: every entry of a pivot row at a
+    column still available when the pivot was chosen has valuation at least
+    the pivot's, and solved components have valuation >= 0 inductively.
     """
     ech = echelon(mat)
     K = mat.order
-    basis = []
+    kernel = []
     for f in ech.free_cols:
         vec = [FormalSeries.zero(K)] * ech.ncols
         vec[f] = FormalSeries.one(K)
-        # Pivot rows have zeros at earlier pivot columns, so solving in
-        # reverse chronological order only consumes already-known components.
         for pi, pj in reversed(ech.pivots):
-            row = ech.rows[pi]
-            s = FormalSeries.zero(K)
-            for c in range(ech.ncols):
-                if c == pj:
-                    continue
-                e = row[c]
-                if (e.is_zero() and not e.tail_lost) or \
-                        (vec[c].is_zero() and not vec[c].tail_lost):
-                    continue
-                s = s + e * vec[c]
-            if s.is_zero() and not s.tail_lost:
-                continue
-            vec[pj] = -_divide(s, row[pj])
-        basis.append(vec)
-    return basis
+            s = _residual(ech.rows[pi], vec, pj, ech.ncols)
+            if not s.is_exact_zero():
+                vec[pj] = -_divide(s, ech.rows[pi][pj])
+        kernel.append((f, vec))
+    return sorted(pj for _, pj in ech.pivots), kernel
+
+
+def reduce_coords(coords, kept, kernel):
+    """Coordinates on ``kept`` of the class of ``coords`` modulo the kernel
+    of ``radical_quotient``: subtracting coords[f] vec for each (f, vec)
+    clears every free coordinate without a division."""
+    out = [coords[t] for t in kept]
+    for f, vec in kernel:
+        cf = coords[f]
+        if cf.is_exact_zero():
+            continue
+        for s, t in enumerate(kept):
+            out[s] = out[s] - cf * vec[t]
+    return out
+
+
+def nullspace(mat: SeriesMatrix):
+    """Basis of the kernel over the series ring, one vector per free column,
+    normalized to 1 at that column: the kernel of ``radical_quotient``."""
+    return [v for _, v in radical_quotient(mat)[1]]
 
 
 def solve_in_ring(mat: SeriesMatrix, rhs):
@@ -365,23 +386,17 @@ def solve_in_ring(mat: SeriesMatrix, rhs):
     x = [FormalSeries.zero(K)] * ncols
     for pi, pj in reversed(pivots):
         row = rows[pi]
-        s = row[ncols]
-        for c in range(ncols):
-            if c == pj:
-                continue
-            e = row[c]
-            if (e.is_zero() and not e.tail_lost) or \
-                    (x[c].is_zero() and not x[c].tail_lost):
-                continue
-            s = s - e * x[c]
-        if s.is_zero() and not s.tail_lost:
+        s = row[ncols] - _residual(row, x, pj, ncols)
+        if s.is_exact_zero():
             continue
         piv = row[pj]
         sv = s.valuation()
-        if sv is None:
+        if sv is None and piv.valuation() > 0:
+            # s is zero only up to l^K; over a unit pivot s/piv is still
+            # determined mod l^K (zero with a lost tail), here it is not.
             raise PrecisionExhausted(
                 "solution component undecidable at this truncation")
-        if sv < piv.valuation():
+        if sv is not None and sv < piv.valuation():
             return None  # field solution exists but leaves the ring
         x[pj] = _divide(s, piv)
     return x

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from .errors import (AlgebraMismatch, DefectNotSmall, NotHermitian,
                      PrecisionExhausted, RankMismatch, ShapeMismatch)
-from .matrices import (MatrixStarAlgebra, SeriesMatrix, echelon, nullspace,
-                       solve_in_ring)
+from .matrices import (MatrixStarAlgebra, SeriesMatrix, nullspace,
+                       radical_quotient, reduce_coords, solve_in_ring)
 from .reps import ClassicalLimit, classical_limit_rep
 from .series import FormalSeries, GaussianRational, Sign
 
@@ -33,7 +33,7 @@ def _determinant(mat: SeriesMatrix, rows, cols):
     rest = rows[1:]
     for k, c in enumerate(cols):
         e = mat.rows[r0][c]
-        if e.is_zero() and not e.tail_lost:
+        if e.is_exact_zero():
             continue
         sub = _determinant(mat, rest, cols[:k] + cols[k + 1:])
         term = e * sub
@@ -232,17 +232,6 @@ def rank_one(psi, phi, module: PreHilbertModule) -> AdjointableOp:
 # -- Rieffel induction ------------------------------------------------------------------
 
 
-def _reduce_coords(coords, kernel, kept):
-    out = [coords[t] for t in kept]
-    for f, vec in kernel:
-        cf = coords[f]
-        if cf.is_zero() and not cf.tail_lost:
-            continue
-        for s, t in enumerate(kept):
-            out[s] = out[s] - cf * vec[t]
-    return out
-
-
 def rieffel_tensor(F: PreHilbertModule, E: PreHilbertModule) -> PreHilbertModule:
     """Internal tensor product F (x)_B E with the degeneracy space removed.
 
@@ -277,34 +266,30 @@ def rieffel_tensor(F: PreHilbertModule, E: PreHilbertModule) -> PreHilbertModule
     if dF * dE == 0:
         return PreHilbertModule(A, 0, [], left_algebra=F.left_algebra)
 
-    # Degeneracy space at scalar level: unknowns (pair, algebra basis unit).
-    abasis = A.basis()
-    cols = [(pair, u) for pair in pairs for u in range(len(abasis))]
-    rows = []
-    for (ip) in pairs:
-        for r in range(mA):
-            for c in range(mA):
-                row = []
-                for (jq, u) in cols:
-                    block = A.product(ghat[(ip, jq)], abasis[u])
-                    row.append(block.rows[r][c])
-                rows.append(row)
-    system = SeriesMatrix(rows, K)
-    kern = nullspace(system)
-
     if mA == 1:
-        # Scalar base: full elimination on the pair-indexed Gram.
+        # Scalar base: the degeneracy space is the radical of the
+        # pair-indexed Gram.
         flat = SeriesMatrix([[ghat[(ip, jq)].rows[0][0] for jq in pairs]
                              for ip in pairs], K)
-        ech = echelon(flat)
-        pivot_cols = sorted(pj for _, pj in ech.pivots)
-        free_cols = [j for j in range(len(pairs)) if j not in pivot_cols]
-        kernel = list(zip(free_cols, nullspace(flat)))
+        pivot_cols, kernel = radical_quotient(flat)
         kept_pairs = [pairs[t] for t in pivot_cols]
         gram = [[ghat[(pi, pj)] for pj in kept_pairs] for pi in kept_pairs]
         reducer = ("scalar", kernel, pivot_cols)
     else:
-        # Matrix base: only block-supported degeneracy is presentable.
+        # Degeneracy space at scalar level: unknowns (pair, algebra basis
+        # unit).  Matrix base: only block-supported degeneracy is presentable.
+        abasis = A.basis()
+        cols = [(pair, u) for pair in pairs for u in range(len(abasis))]
+        rows = []
+        for ip in pairs:
+            for r in range(mA):
+                for c in range(mA):
+                    row = []
+                    for (jq, u) in cols:
+                        block = A.product(ghat[(ip, jq)], abasis[u])
+                        row.append(block.rows[r][c])
+                    rows.append(row)
+        kern = nullspace(SeriesMatrix(rows, K))
         dead = [jq for jq in pairs
                 if all(ghat[(ip, jq)].is_zero()
                        and all(e.is_exact_zero()
@@ -346,7 +331,7 @@ def rieffel_tensor(F: PreHilbertModule, E: PreHilbertModule) -> PreHilbertModule
                 if mode == "scalar":
                     coords = [col.get(pair,
                                       zero).rows[0][0] for pair in pairs]
-                    reduced = _reduce_coords(coords, kernel, kept)
+                    reduced = reduce_coords(coords, kept, kernel)
                     for ridx, val in enumerate(reduced):
                         one = SeriesMatrix([[val]], K)
                         out[ridx][cidx] = one
@@ -412,12 +397,11 @@ def idempotent_equivalence_verify(p, q, u, v, algebra) -> bool:
     return p == algebra.product(u, v) and q == algebra.product(v, u)
 
 
-def fullness_check(module: PreHilbertModule, sample_degree=None) -> bool:
+def fullness_check(module: PreHilbertModule) -> bool:
     """Does the scalar span of {<e_i . a, e_j . b>} contain the unit?
 
-    For matrix bases the algebra basis already exhausts the bilinear span, so
-    the degree bound is moot; the membership is an exact linear system over
-    the series ring.
+    For matrix bases the algebra basis already exhausts the bilinear span;
+    the membership is an exact linear system over the series ring.
     """
     if module.rank == 0:
         return False

@@ -10,7 +10,8 @@ from math import factorial
 
 from .diffops import DiffOperator
 from .errors import NotCyclic, PositivityRefuted, SignatureMismatch
-from .matrices import MatrixStarAlgebra, SeriesMatrix, echelon, nullspace
+from .matrices import (MatrixStarAlgebra, SeriesMatrix, nullspace,
+                       radical_quotient, rank_certified, reduce_coords)
 from .observables import PhaseSpaceSignature, PolyObservable
 from .series import FormalSeries, GaussianRational, Sign
 from .star import apply_equiv, op_n
@@ -132,7 +133,7 @@ class MatrixFunctional:
         for i in range(a.nrows):
             for j in range(a.ncols):
                 w = self.weights.rows[i][j]
-                if w.is_zero() and not w.tail_lost:
+                if w.is_exact_zero():
                     continue
                 total = total + w * a.rows[i][j]
         return total
@@ -149,30 +150,41 @@ class MatrixFunctional:
         return f"<matrix functional {self.weights!r}>"
 
 
-def matrix_positivity_scan(algebra: MatrixStarAlgebra, omega) -> list:
-    """omega(b* x b) over matrix units and two-term unit combinations.
-
-    Returns the list of negative/imaginary witnesses (empty when the scan
-    passes).
-    """
+def _gram_and_witnesses(algebra: MatrixStarAlgebra, omega):
+    """The Gram G_st = omega(e_s* x e_t) on the matrix-unit basis, and the
+    positivity-scan witnesses read off it (see ``matrix_positivity_scan``)."""
     units = (GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
              GaussianRational(0, -1))
     basis = algebra.basis()
     labels = algebra.basis_labels()
-    samples = [(labels[t], b) for t, b in enumerate(basis)]
+    g = [[omega(algebra.product(algebra.involution(bs), bt)) for bt in basis]
+         for bs in basis]
+    samples = [(labels[t], g[t][t]) for t in range(len(basis))]
     for s in range(len(basis)):
         for t in range(s + 1, len(basis)):
-            for u in units:
+            for u in units:  # |u| = 1
                 samples.append((f"{labels[s]}+({u.re}+{u.im}i){labels[t]}",
-                                basis[s] + basis[t].scale_scalar(u)))
+                                g[s][s] + g[s][t].scalar_mul(u)
+                                + g[t][s].scalar_mul(u.conjugate()) + g[t][t]))
     witnesses = []
-    for label, b in samples:
-        val = omega(algebra.product(algebra.involution(b), b))
+    for label, val in samples:
         if not all(c.is_real() for c in val.coeffs):
             witnesses.append((label, val))
         elif val.sign() is Sign.NEGATIVE:
             witnesses.append((label, val))
-    return witnesses
+    return SeriesMatrix(g, algebra.order), witnesses
+
+
+def matrix_positivity_scan(algebra: MatrixStarAlgebra, omega) -> list:
+    """omega(b* x b) over matrix units and two-term unit combinations.
+
+    Returns the list of negative/imaginary witnesses (empty when the scan
+    passes).  Each sample is read off the Gram G_st = omega(e_s* x e_t):
+    omega is linear, the product (plain or ab + l aEb) bilinear and the
+    involution antilinear, so omega((e_s + u e_t)* x (e_s + u e_t)) =
+    G_ss + u G_st + conj(u) G_ts + |u|^2 G_tt exactly.
+    """
+    return _gram_and_witnesses(algebra, omega)[1]
 
 
 class GNSResult:
@@ -207,21 +219,14 @@ class GNSResult:
     def reduce_coords(self, coords):
         """Quotient coordinates of an algebra element given by full basis
         coordinates, via the normalized kernel vectors."""
-        out = [coords[t] for t in self.basis_indices]
-        for (f, vec) in self.kernel:
-            cf = coords[f]
-            if cf.is_zero() and not cf.tail_lost:
-                continue
-            for s, t in enumerate(self.basis_indices):
-                out[s] = out[s] - cf * vec[t]
-        return out
+        return reduce_coords(coords, self.basis_indices, self.kernel)
 
     def represent(self, element: SeriesMatrix) -> SeriesMatrix:
         """pi(element) on the quotient basis."""
+        basis = self.algebra.basis()
         cols = []
         for t in self.basis_indices:
-            b = self.algebra.basis()[t]
-            prod = self.algebra.product(element, b)
+            prod = self.algebra.product(element, basis[t])
             cols.append(self.reduce_coords(self.algebra.to_coords(prod)))
         return SeriesMatrix([[cols[j][i] for j in range(len(cols))]
                              for i in range(len(cols))], self.algebra.order)
@@ -276,7 +281,7 @@ def _inner(gram: SeriesMatrix, x, y):
     total = FormalSeries.zero(gram.order)
     for i in range(gram.nrows):
         xi = x[i]
-        if xi.is_zero() and not xi.tail_lost:
+        if xi.is_exact_zero():
             continue
         for j in range(gram.ncols):
             total = total + (xi.conjugate() * gram.rows[i][j]) * y[j]
@@ -287,32 +292,24 @@ def gns_build(algebra: MatrixStarAlgebra, omega, generators=None) -> GNSResult:
     """GNS data of a positive functional on a (possibly deformed) matrix
     algebra over truncated series.
 
-    The Gram matrix on the full matrix-unit basis is reduced by
-    valuation-pivoted elimination; its certified kernel is the ideal of
-    null vectors, and the surviving pivot columns become the quotient basis.
+    The Gram on the full matrix-unit basis is built once; the positivity
+    scan reads its samples off it and raises PositivityRefuted before any
+    elimination.  One valuation-pivoted elimination (``radical_quotient``)
+    then certifies the kernel, the ideal of null vectors, or raises
+    PrecisionExhausted; the surviving pivot columns become the quotient
+    basis.
     """
-    witnesses = matrix_positivity_scan(algebra, omega)
+    gram_full, witnesses = _gram_and_witnesses(algebra, omega)
     if witnesses:
         label, value = witnesses[0]
         from .exprio import series_text
         raise PositivityRefuted(
             f"omega({label}* x {label}) = {series_text(value)} is negative")
-    basis = algebra.basis()
-    n = len(basis)
-    gram_full = SeriesMatrix(
-        [[omega(algebra.product(algebra.involution(basis[s]), basis[t]))
-          for t in range(n)] for s in range(n)], algebra.order)
-    kern = nullspace(gram_full)
-    ech = echelon(gram_full)
-    pivot_cols = sorted(pj for _, pj in ech.pivots)
-    # Kernel vectors carry a 1 at their free column, so every class reduces
-    # onto the pivot representatives without divisions.
-    free_iter = [j for j in range(n) if j not in pivot_cols]
-    kernel = list(zip(free_iter, kern))
+    pivot_cols, kernel = radical_quotient(gram_full)
     gram = SeriesMatrix([[gram_full.rows[s][t] for t in pivot_cols]
                          for s in pivot_cols], algebra.order)
     if generators is None:
-        generators = basis
+        generators = algebra.basis()
     result = GNSResult(algebra, omega, pivot_cols, kernel, gram,
                        list(generators), [], None)
     result.pi = [result.represent(g) for g in generators]
@@ -378,7 +375,7 @@ def gns_uniqueness_check(result: GNSResult, candidate: CandidateRep) -> bool:
         span_cols.append(_mat_vec(candidate.pi(b), candidate.cyclic))
     span = SeriesMatrix([[span_cols[j][i] for j in range(len(span_cols))]
                          for i in range(d)], algebra.order)
-    if len(echelon(span).pivots) < d:
+    if rank_certified(span) < d:
         raise NotCyclic("candidate vector does not generate the module")
 
     basis = algebra.basis()
@@ -451,14 +448,7 @@ class ClassicalLimit:
 
     def reduce_vector(self, vec0):
         """Classical coordinates of a vector given at l = 0."""
-        out = [vec0[t] for t in self.kept_indices]
-        for (f, kvec) in self.kernel:
-            cf = vec0[f]
-            if cf.is_zero():
-                continue
-            for s, t in enumerate(self.kept_indices):
-                out[s] = out[s] - cf * kvec[t]
-        return out
+        return reduce_coords(vec0, self.kept_indices, self.kernel)
 
 
 def classical_limit_rep(gram: SeriesMatrix, rep_matrices) -> ClassicalLimit:
@@ -466,11 +456,7 @@ def classical_limit_rep(gram: SeriesMatrix, rep_matrices) -> ClassicalLimit:
     operators; functorial in compositions and adjoints."""
     g0 = gram.classical_limit()
     d = g0.nrows
-    kern = nullspace(g0)
-    ech = echelon(g0)
-    pivot_cols = sorted(pj for _, pj in ech.pivots)
-    free_cols = [j for j in range(d) if j not in pivot_cols]
-    kernel = list(zip(free_cols, kern))
+    pivot_cols, kernel = radical_quotient(g0)
     if not pivot_cols:
         return ClassicalLimit([], kernel, None,
                               [None for _ in rep_matrices])

@@ -317,7 +317,7 @@ class FormalSeries:
         for k in range(1, K):
             coeff = coeff * (exponent - (k - 1)) / k
             power = power * u
-            if power.is_zero() and not power.tail_lost:
+            if power.is_exact_zero():
                 break
             result = result + power.scalar_mul(coeff)
         if any(self.coeffs[1:]):
@@ -328,15 +328,3 @@ class FormalSeries:
         """Coefficient at lambda^0."""
         return self.coeffs[0]
 
-
-def arith(op, a, b):
-    """Dispatch form of the ring operations, as exposed to the CLI layer."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scalar_mul":
-        return b.scalar_mul(a)
-    raise ValueError(f"unknown arith op {op!r}")

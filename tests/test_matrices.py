@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from fdq.errors import (NotUnit, PrecisionExhausted, ShapeMismatch,
                         TruncationMismatch)
 from fdq.matrices import (MatrixStarAlgebra, SeriesMatrix, echelon,
                           matrix_from_json, nullspace,
                           one_plus_adjoint_times_self_invertible,
-                          series_matrix_inverse, solve_in_ring)
+                          radical_quotient, series_matrix_inverse,
+                          solve_in_ring)
 from fdq.series import FormalSeries, GaussianRational
 
 K = 4
@@ -88,6 +90,43 @@ def test_nullspace_pivoting_avoids_denominators():
     assert vec == [LAM, ONE, -LAM]
 
 
+@st.composite
+def low_rank_matrices(draw):
+    """rows x cols products A B of random A (rows x r), B (r x cols), with
+    exact zeros and l-divisible entries, so kernels are common."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    nrows, ncols, r = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def entry():
+        if draw(st.booleans()):
+            return FormalSeries.zero(k)
+        cs = [GaussianRational(draw(st.integers(-2, 2)),
+                               draw(st.integers(-1, 1))) for _ in range(k)]
+        return FormalSeries(cs, k)
+
+    a = SeriesMatrix([[entry() for _ in range(r)] for _ in range(nrows)], k)
+    b = SeriesMatrix([[entry() for _ in range(ncols)] for _ in range(r)], k)
+    return a @ b
+
+
+@given(low_rank_matrices())
+def test_radical_quotient_partition_and_kernel(mat):
+    try:
+        kept, kernel = radical_quotient(mat)
+    except PrecisionExhausted:
+        assume(False)
+    free = [f for f, _ in kernel]
+    assert kept == sorted(kept) and free == sorted(free)
+    assert sorted(kept + free) == list(range(mat.ncols))
+    for f, vec in kernel:
+        for g in free:
+            assert vec[g] == (FormalSeries.one(mat.order) if g == f
+                              else FormalSeries.zero(mat.order))
+        col = SeriesMatrix([[c] for c in vec], mat.order)
+        assert (mat @ col).is_zero()
+    assert nullspace(mat) == [vec for _, vec in kernel]
+
+
 def test_divide_lossy_zero_dividend():
     from fdq.matrices import _divide
     with pytest.raises(PrecisionExhausted):
@@ -145,6 +184,27 @@ def test_matrix_inverse():
     inv = series_matrix_inverse(a)
     assert a @ inv == SeriesMatrix.identity(2, K)
     assert inv @ a == SeriesMatrix.identity(2, K)
+
+
+def test_matrix_inverse_with_lossy_zero_over_unit_pivot():
+    # Back-substitution meets a component that is zero only up to l^4 over a
+    # unit pivot; the quotient is still determined mod l^4, so the inverse
+    # exists and has that entry zero.
+    def s(*c):
+        return FormalSeries([GaussianRational(x) for x in c], K)
+
+    m = SeriesMatrix([[s(4, -1, -2, 2), s(-1, 2, -1, 2), s(1, 2, 2, -2)],
+                      [ZERO, s(4, -2, -1, 2), s(0, 2, -1, 1)],
+                      [ZERO, s(0, 2, 1, -2), s(4, 2, 1)]], K)
+    inv = series_matrix_inverse(m)
+    assert m @ inv == SeriesMatrix.identity(3, K)
+    assert inv @ m == SeriesMatrix.identity(3, K)
+
+
+def test_solve_lossy_zero_over_non_unit_pivot_raises():
+    a = SeriesMatrix([[LAM]], K)
+    with pytest.raises(PrecisionExhausted):
+        solve_in_ring(a, [lossy_zero()])
 
 
 def test_matrix_inverse_requires_unit_leading_term():

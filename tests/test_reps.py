@@ -1,16 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fdq.errors import NotCyclic, PositivityRefuted, PrecisionExhausted
-from fdq.exprio import parse
+from fdq.exprio import parse, series_text
 from fdq.matrices import MatrixStarAlgebra, SeriesMatrix
 from fdq.observables import (PhaseSpaceSignature, PolyObservable, involution,
                              monomials_up_to)
 from fdq.reps import (CandidateRep, MatrixFunctional, classical_limit_rep,
                       commutant, fock_inner, gns_build, gns_uniqueness_check,
                       matrix_positivity_scan, schroedinger_rep, wickrep)
-from fdq.series import FormalSeries, GaussianRational
+from fdq.series import FormalSeries, GaussianRational, Sign
 from fdq.star import star_multiply, weyl, wick
 
 K = 6
@@ -195,6 +196,92 @@ def test_positivity_scan_witnesses():
     assert matrix_positivity_scan(alg, w_of([[1, 0], [0, 0]])) == []
     bad = matrix_positivity_scan(alg, w_of([[-1, 0], [0, 0]]))
     assert bad and bad[0][0] == "E11"
+
+
+def reference_positivity_scan(algebra, omega):
+    """Sample by sample: one algebra product omega(b* x b) per sample b."""
+    units = (GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+             GaussianRational(0, -1))
+    basis = algebra.basis()
+    labels = algebra.basis_labels()
+    samples = [(labels[t], b) for t, b in enumerate(basis)]
+    for s in range(len(basis)):
+        for t in range(s + 1, len(basis)):
+            for u in units:
+                samples.append((f"{labels[s]}+({u.re}+{u.im}i){labels[t]}",
+                                basis[s] + basis[t].scale_scalar(u)))
+    witnesses = []
+    for label, b in samples:
+        val = omega(algebra.product(algebra.involution(b), b))
+        if not all(c.is_real() for c in val.coeffs):
+            witnesses.append((label, val))
+        elif val.sign() is Sign.NEGATIVE:
+            witnesses.append((label, val))
+    return witnesses
+
+
+@st.composite
+def scan_cases(draw):
+    """A matrix algebra (plain, Hermitian-deformed or non-Hermitian-deformed)
+    and a weight matrix (positive diagonal, Hermitian or arbitrary)."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    k = draw(st.sampled_from([2, 3, 4]))
+    small = st.integers(-2, 2)
+
+    def series(real=False, lead=None):
+        if draw(st.integers(0, 3)) == 0 and lead is None:
+            return FormalSeries.zero(k)
+        cs = [GaussianRational(draw(small), 0 if real else draw(small))
+              for _ in range(k)]
+        if lead is not None:
+            cs[0] = GaussianRational(lead)
+        return FormalSeries(cs, k)
+
+    def hermitian(diag_lead=None):
+        rows = [[None] * m for _ in range(m)]
+        for i in range(m):
+            rows[i][i] = series(real=True, lead=diag_lead)
+            for j in range(i + 1, m):
+                rows[i][j] = series()
+                rows[j][i] = rows[i][j].conjugate()
+        return SeriesMatrix(rows, k)
+
+    kind = draw(st.sampled_from(["positive", "hermitian", "general"]))
+    if kind == "positive":
+        z = FormalSeries.zero(k)
+        weights = SeriesMatrix(
+            [[series(real=True, lead=draw(st.integers(1, 3))) if i == j
+              else z for j in range(m)] for i in range(m)], k)
+    elif kind == "hermitian":
+        weights = hermitian()
+    else:
+        weights = SeriesMatrix([[series() for _ in range(m)]
+                                for _ in range(m)], k)
+    deform = draw(st.sampled_from([None, "hermitian", "general"]))
+    if deform == "hermitian":
+        e = hermitian()
+    elif deform == "general":
+        e = SeriesMatrix([[series() for _ in range(m)] for _ in range(m)], k)
+    else:
+        e = None
+    return MatrixStarAlgebra(m, k, deform=e), MatrixFunctional(weights)
+
+
+@given(scan_cases())
+@example((MatrixStarAlgebra(2, 3), w_of([[-1, 0], [0, 1]], 3)))
+@example((MatrixStarAlgebra(3, 4), w_of([[1, 0, 0], [0, 2, 0], [0, 0, 0]], 4)))
+@example((MatrixStarAlgebra(
+    3, 4, deform=SeriesMatrix.from_scalar_rows(
+        [[0, 1, 0], [2, 0, 0], [0, 0, 1]], 4)),
+    w_of([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 4)))
+def test_gram_scan_matches_sample_products(case):
+    algebra, omega = case
+    want = reference_positivity_scan(algebra, omega)
+    got = matrix_positivity_scan(algebra, omega)
+    assert [label for label, _ in got] == [label for label, _ in want]
+    assert got == want
+    assert [series_text(v) for _, v in got] == \
+        [series_text(v) for _, v in want]
 
 
 # -- uniqueness ---------------------------------------------------------------------------
