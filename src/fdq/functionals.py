@@ -113,34 +113,46 @@ class PositivityReport:
         }
 
 
-def _scan_samples(signature, max_degree, order):
-    """Monomials plus two-term unit combinations m_a + s m_b, s in {1,-1,i,-i}."""
-    from .exprio import observable_text
+_UNITS = (GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+          GaussianRational(0, -1))
 
-    monos = monomials_up_to(signature, max_degree, order)
-    samples = [(observable_text(m), m) for m in monos]
-    units = (GaussianRational(1), GaussianRational(-1),
-             GaussianRational(0, 1), GaussianRational(0, -1))
-    for a in range(len(monos)):
-        for b in range(a + 1, len(monos)):
-            for s in units:
-                f = monos[a] + monos[b].scale_scalar(s)
-                samples.append((observable_text(f), f))
-    return samples
+
+def two_term_scan(gram, label, pair_label) -> list:
+    """Scan rows (text, value, verdict) read off G_st = omega(b_s* x b_t).
+
+    The samples are each b_t, labelled ``label(t)``, then b_s + u b_t for
+    s < t and u in (1, -1, i, -i), labelled ``pair_label(s, t, u)``.  omega
+    is linear, the product bilinear and the involution antilinear, so
+    omega((b_s + u b_t)* x (b_s + u b_t)) = G_ss + u G_st + conj(u) G_ts
+    + |u|^2 G_tt exactly.  omega(b* x b) is real for a Hermitian product; a
+    residual imaginary part would itself refute positivity, so it is
+    reported NEGATIVE.
+    """
+    samples = [(label(t), gram[t][t]) for t in range(len(gram))]
+    for s in range(len(gram)):
+        for t in range(s + 1, len(gram)):
+            for u in _UNITS:  # |u| = 1
+                samples.append((pair_label(s, t, u),
+                                gram[s][s] + gram[s][t].scalar_mul(u)
+                                + gram[t][s].scalar_mul(u.conjugate())
+                                + gram[t][t]))
+    return [(text, value, value.sign()
+             if all(c.is_real() for c in value.coeffs) else Sign.NEGATIVE)
+            for text, value in samples]
 
 
 def positivity_scan(w: Functional, spec, max_degree) -> PositivityReport:
-    """Evaluate omega(conj(f) * f) over the sample family and report verdicts."""
-    rows = []
-    for text, f in _scan_samples(spec.signature, max_degree, spec.order):
-        value = evaluate(w, star_multiply(spec, involution(f), f))
-        # conj(f) * f has a real value for a Hermitian product; a residual
-        # imaginary part would itself refute positivity, so report NEGATIVE.
-        if all(c.is_real() for c in value.coeffs):
-            verdict = value.sign()
-        else:
-            verdict = Sign.NEGATIVE
-        rows.append((text, value, verdict))
+    """omega(conj(f) * f) over the monomials m of degree <= max_degree and
+    the two-term combinations m_a + u m_b, read off the monomial Gram."""
+    from .exprio import observable_text
+
+    monos = monomials_up_to(spec.signature, max_degree, spec.order)
+    conj = [involution(m) for m in monos]
+    gram = [[evaluate(w, star_multiply(spec, ma, mb)) for mb in monos]
+            for ma in conj]
+    rows = two_term_scan(
+        gram, lambda t: observable_text(monos[t]),
+        lambda s, t, u: observable_text(monos[s] + monos[t].scale_scalar(u)))
     return PositivityReport(spec.name, repr(w), max_degree, rows)
 
 

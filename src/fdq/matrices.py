@@ -155,6 +155,9 @@ class SeriesMatrix:
     def is_zero(self):
         return all(e.is_zero() for r in self.rows for e in r)
 
+    def is_exact_zero(self):
+        return all(e.is_exact_zero() for r in self.rows for e in r)
+
     def trace(self):
         acc = FormalSeries.zero(self.order)
         for i in range(min(self.nrows, self.ncols)):

@@ -276,25 +276,17 @@ def rieffel_tensor(F: PreHilbertModule, E: PreHilbertModule) -> PreHilbertModule
         gram = [[ghat[(pi, pj)] for pj in kept_pairs] for pi in kept_pairs]
         reducer = ("scalar", kernel, pivot_cols)
     else:
-        # Degeneracy space at scalar level: unknowns (pair, algebra basis
-        # unit).  Matrix base: only block-supported degeneracy is presentable.
-        abasis = A.basis()
-        cols = [(pair, u) for pair in pairs for u in range(len(abasis))]
-        rows = []
-        for ip in pairs:
-            for r in range(mA):
-                for c in range(mA):
-                    row = []
-                    for (jq, u) in cols:
-                        block = A.product(ghat[(ip, jq)], abasis[u])
-                        row.append(block.rows[r][c])
-                    rows.append(row)
+        # Degeneracy space at scalar level: unknowns (pair, matrix unit
+        # E_ab), rows (pair, entry r c) of ghat E_ab, which is column a of
+        # ghat moved to column b.  Matrix base: only block-supported
+        # degeneracy is presentable.
+        zero = FormalSeries.zero(K)
+        rows = [[ghat[(ip, jq)].rows[r][a] if c == b else zero
+                 for jq in pairs for a in range(mA) for b in range(mA)]
+                for ip in pairs for r in range(mA) for c in range(mA)]
         kern = nullspace(SeriesMatrix(rows, K))
         dead = [jq for jq in pairs
-                if all(ghat[(ip, jq)].is_zero()
-                       and all(e.is_exact_zero()
-                               for r2 in ghat[(ip, jq)].rows for e in r2)
-                       for ip in pairs)]
+                if all(ghat[(ip, jq)].is_exact_zero() for ip in pairs)]
         if len(kern) != len(dead) * mA * mA:
             raise PrecisionExhausted(
                 "degeneracy space not presentable on the product basis at "
@@ -381,8 +373,7 @@ def fedosov_project(p0: SeriesMatrix, algebra: MatrixStarAlgebra) -> SeriesMatri
     for k in range(1, K):
         coeff = coeff * (Fraction(-1, 2) - (k - 1)) / k
         power = a if power is None else algebra.product(power, a)
-        if power.is_zero() and all(e.is_exact_zero()
-                                   for r in power.rows for e in r):
+        if power.is_exact_zero():
             break
         root = root + power.scale_scalar(coeff)
     half = algebra.unit().scale_scalar(Fraction(1, 2))
@@ -411,8 +402,7 @@ def fullness_check(module: PreHilbertModule) -> bool:
     for i in range(module.rank):
         for j in range(module.rank):
             g = module.gram[i][j]
-            if g.is_zero() and all(e.is_exact_zero() for r in g.rows
-                                   for e in r):
+            if g.is_exact_zero():
                 continue
             for a in abasis:
                 left = alg.product(alg.involution(a), g)

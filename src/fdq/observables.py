@@ -280,54 +280,48 @@ def poisson_bracket(f: PolyObservable, g: PolyObservable) -> PolyObservable:
     return out
 
 
-def to_holomorphic(f: PolyObservable) -> PolyObservable:
-    """Substitute q = (z + zb)/2, p = (z - zb)/(2i) into a real-chart observable."""
-    sig = f.signature
-    if sig.chart != "real":
-        raise SignatureMismatch("expected a real-chart observable")
-    n = sig.n
-    hsig = PhaseSpaceSignature(n, "holo")
-    half = GaussianRational(Fraction(1, 2))
-    minus_half_i = GaussianRational(0, Fraction(-1, 2))
-    # q_k = (z_k + zb_k)/2, p_k = (z_k - zb_k)/(2i) = -i/2 z_k + i/2 zb_k
-    out = PolyObservable.zero(hsig, f.order)
-    z = [PolyObservable.variable(hsig, k, f.order) for k in range(n)]
-    zb = [PolyObservable.variable(hsig, n + k, f.order) for k in range(n)]
-    qs = [(z[k] + zb[k]).scale_scalar(half) for k in range(n)]
-    ps = [(z[k] - zb[k]).scale_scalar(minus_half_i) for k in range(n)]
+def _substitute(f: PolyObservable, target, images) -> PolyObservable:
+    """f with variable k replaced by images[k], an observable on ``target``."""
+    n = target.n
+    out = PolyObservable.zero(target, f.order)
     for exp, c in f.terms.items():
-        term = PolyObservable.constant(hsig, c)
+        term = PolyObservable.constant(target, c)
         for k in range(n):
             for _ in range(exp[k]):
-                term = term * qs[k]
+                term = term * images[k]
             for _ in range(exp[n + k]):
-                term = term * ps[k]
+                term = term * images[n + k]
         out = out + term
     return out
+
+
+def to_holomorphic(f: PolyObservable) -> PolyObservable:
+    """Substitute q = (z + zb)/2, p = (z - zb)/(2i) into a real-chart observable."""
+    if f.signature.chart != "real":
+        raise SignatureMismatch("expected a real-chart observable")
+    n = f.signature.n
+    hsig = PhaseSpaceSignature(n, "holo")
+    z = [PolyObservable.variable(hsig, k, f.order) for k in range(n)]
+    zb = [PolyObservable.variable(hsig, n + k, f.order) for k in range(n)]
+    # q_k = (z_k + zb_k)/2, p_k = (z_k - zb_k)/(2i) = -i/2 z_k + i/2 zb_k
+    half = GaussianRational(Fraction(1, 2))
+    minus_half_i = GaussianRational(0, Fraction(-1, 2))
+    return _substitute(
+        f, hsig, [(z[k] + zb[k]).scale_scalar(half) for k in range(n)]
+        + [(z[k] - zb[k]).scale_scalar(minus_half_i) for k in range(n)])
 
 
 def to_real(f: PolyObservable) -> PolyObservable:
     """Substitute z = q + ip, zb = q - ip into a holomorphic-chart observable."""
-    sig = f.signature
-    if sig.chart != "holo":
+    if f.signature.chart != "holo":
         raise SignatureMismatch("expected a holomorphic-chart observable")
-    n = sig.n
+    n = f.signature.n
     rsig = PhaseSpaceSignature(n, "real")
-    i_one = GaussianRational(0, 1)
-    out = PolyObservable.zero(rsig, f.order)
     q = [PolyObservable.variable(rsig, k, f.order) for k in range(n)]
-    p = [PolyObservable.variable(rsig, n + k, f.order) for k in range(n)]
-    zs = [q[k] + p[k].scale_scalar(i_one) for k in range(n)]
-    zbs = [q[k] - p[k].scale_scalar(i_one) for k in range(n)]
-    for exp, c in f.terms.items():
-        term = PolyObservable.constant(rsig, c)
-        for k in range(n):
-            for _ in range(exp[k]):
-                term = term * zs[k]
-            for _ in range(exp[n + k]):
-                term = term * zbs[k]
-        out = out + term
-    return out
+    ip = [PolyObservable.variable(rsig, n + k, f.order).scale_scalar(
+        GaussianRational(0, 1)) for k in range(n)]
+    return _substitute(f, rsig, [q[k] + ip[k] for k in range(n)]
+                       + [q[k] - ip[k] for k in range(n)])
 
 
 def eval_at_point(f: PolyObservable, point) -> FormalSeries:

@@ -10,6 +10,7 @@ from math import factorial
 
 from .diffops import DiffOperator
 from .errors import NotCyclic, PositivityRefuted, SignatureMismatch
+from .functionals import two_term_scan
 from .matrices import (MatrixStarAlgebra, SeriesMatrix, nullspace,
                        radical_quotient, rank_certified, reduce_coords)
 from .observables import PhaseSpaceSignature, PolyObservable
@@ -153,25 +154,15 @@ class MatrixFunctional:
 def _gram_and_witnesses(algebra: MatrixStarAlgebra, omega):
     """The Gram G_st = omega(e_s* x e_t) on the matrix-unit basis, and the
     positivity-scan witnesses read off it (see ``matrix_positivity_scan``)."""
-    units = (GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
-             GaussianRational(0, -1))
     basis = algebra.basis()
     labels = algebra.basis_labels()
     g = [[omega(algebra.product(algebra.involution(bs), bt)) for bt in basis]
          for bs in basis]
-    samples = [(labels[t], g[t][t]) for t in range(len(basis))]
-    for s in range(len(basis)):
-        for t in range(s + 1, len(basis)):
-            for u in units:  # |u| = 1
-                samples.append((f"{labels[s]}+({u.re}+{u.im}i){labels[t]}",
-                                g[s][s] + g[s][t].scalar_mul(u)
-                                + g[t][s].scalar_mul(u.conjugate()) + g[t][t]))
-    witnesses = []
-    for label, val in samples:
-        if not all(c.is_real() for c in val.coeffs):
-            witnesses.append((label, val))
-        elif val.sign() is Sign.NEGATIVE:
-            witnesses.append((label, val))
+    rows = two_term_scan(
+        g, lambda t: labels[t],
+        lambda s, t, u: f"{labels[s]}+({u.re}+{u.im}i){labels[t]}")
+    witnesses = [(label, value) for label, value, verdict in rows
+                 if verdict is Sign.NEGATIVE]
     return SeriesMatrix(g, algebra.order), witnesses
 
 
@@ -179,10 +170,9 @@ def matrix_positivity_scan(algebra: MatrixStarAlgebra, omega) -> list:
     """omega(b* x b) over matrix units and two-term unit combinations.
 
     Returns the list of negative/imaginary witnesses (empty when the scan
-    passes).  Each sample is read off the Gram G_st = omega(e_s* x e_t):
-    omega is linear, the product (plain or ab + l aEb) bilinear and the
-    involution antilinear, so omega((e_s + u e_t)* x (e_s + u e_t)) =
-    G_ss + u G_st + conj(u) G_ts + |u|^2 G_tt exactly.
+    passes).  Each sample is read off the Gram G_st = omega(e_s* x e_t) by
+    ``two_term_scan``, exactly: the product, plain or ab + l aEb, is
+    bilinear.
     """
     return _gram_and_witnesses(algebra, omega)[1]
 

@@ -152,6 +152,18 @@ def test_suite_failures_exit_1(monkeypatch):
     assert "FAIL always fails" in out
 
 
+def test_roundtrip_summary_fails_with_wrong_parser(monkeypatch):
+    from fdq import suites as suites_mod
+    from fdq.exprio import parse
+
+    def wrong_parse(text, n, order, chart):
+        return parse(text, n, order, chart) + parse("1", n, order, chart)
+
+    monkeypatch.setattr(suites_mod, "parse", wrong_parse)
+    [report] = property_suite("roundtrip", RunConfig(K=2))
+    assert "parse/print identity on 1000 generated values" in report.failures
+
+
 def test_error_mapping_golden(tmp_path):
     bad_spec = tmp_path / "bad_spec.json"
     bad_spec.write_text('{"type": "nonsense"}')

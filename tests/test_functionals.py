@@ -1,17 +1,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fdq.errors import InvalidWeights, PositivityRefuted
-from fdq.exprio import parse
-from fdq.functionals import (PositivityCertificate, cauchy_schwarz_check,
-                             deform_delta, delta, evaluate, positivity_scan,
-                             verify_certificate, wick_value_oracle)
+from fdq.exprio import observable_text, parse, series_text
+from fdq.functionals import (PositivityCertificate, PositivityReport,
+                             cauchy_schwarz_check, deform_delta, delta,
+                             evaluate, positivity_scan, verify_certificate,
+                             wick_value_oracle)
 from fdq.observables import (PhaseSpaceSignature, PolyObservable,
                              eval_at_point, involution, monomials_up_to,
                              to_holomorphic)
 from fdq.series import FormalSeries, GaussianRational, Sign
-from fdq.star import star_multiply, weyl, wick
+from fdq.star import StarProductSpec, star_multiply, std, weyl, wick
 
 K = 6
 SIG = PhaseSpaceSignature(1, "real")
@@ -108,6 +111,91 @@ def test_positive_functional_is_hermitian_on_samples():
             fi = f.scale_scalar(GaussianRational(Fraction(1, 2),
                                                  Fraction(1, 3)))
             assert evaluate(w, involution(fi)) == evaluate(w, fi).conjugate()
+
+
+def reference_positivity_scan(w, spec, max_degree):
+    """Sample by sample: one star product omega(conj(f) * f) per sample f."""
+    units = (GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+             GaussianRational(0, -1))
+    monos = monomials_up_to(spec.signature, max_degree, spec.order)
+    samples = list(monos)
+    for a in range(len(monos)):
+        for b in range(a + 1, len(monos)):
+            for u in units:
+                samples.append(monos[a] + monos[b].scale_scalar(u))
+    rows = []
+    for f in samples:
+        value = evaluate(w, star_multiply(spec, involution(f), f))
+        if all(c.is_real() for c in value.coeffs):
+            verdict = value.sign()
+        else:
+            verdict = Sign.NEGATIVE
+        rows.append((observable_text(f), value, verdict))
+    return PositivityReport(spec.name, repr(w), max_degree, rows)
+
+
+@st.composite
+def scan_cases(draw):
+    """A star product (weyl, wick on either chart, std or a random custom
+    pairing), a delta, a delta at a point or a deformed delta, and a degree."""
+    n = draw(st.sampled_from([1, 2]))
+    k = draw(st.sampled_from([2, 3, 4]))
+    degree = draw(st.integers(1, 3 if n == 1 else 2))
+    small = st.integers(-2, 2)
+
+    def gaussian():
+        return GaussianRational(Fraction(draw(small), draw(st.integers(1, 3))),
+                                draw(small))
+
+    kind = draw(st.sampled_from(["weyl", "wick", "wick-holo", "std",
+                                 "custom"]))
+    if kind == "weyl":
+        spec = weyl(n, k)
+    elif kind == "wick":
+        spec = wick(n, k)
+    elif kind == "wick-holo":
+        spec = wick(n, k, chart="holo")
+    elif kind == "std":
+        spec = std(n, k)
+    else:
+        sig = PhaseSpaceSignature(n, draw(st.sampled_from(["real", "holo"])))
+        spec = StarProductSpec(
+            sig, [[FormalSeries([0] + [gaussian() for _ in range(k - 1)], k)
+                   for _ in range(sig.width)] for _ in range(sig.width)], k)
+    sig = spec.signature
+    functional = draw(st.sampled_from(
+        ["delta", "point", "deformed"] if sig.chart == "real"
+        else ["delta", "point"]))
+    if functional == "delta":
+        w = delta(sig)
+    elif functional == "point":
+        w = delta(sig, [gaussian() for _ in range(sig.width)])
+    else:
+        w = deform_delta(sig, order=k)
+    return w, spec, degree
+
+
+CUSTOM_HOLO = StarProductSpec(
+    PhaseSpaceSignature(1, "holo"),
+    [[FormalSeries.lam(1, 3).scalar_mul(GaussianRational(r - c, r + c))
+      for c in range(2)] for r in range(2)], 3)
+
+
+@given(scan_cases())
+@example((delta(SIG), weyl(1, 4), 2))  # has witnesses
+@example((delta(SIG), wick(1, 4), 3))  # has none
+@example((delta(PhaseSpaceSignature(2, "holo"),
+                (1, GaussianRational(0, 1), -1, 2)),
+          wick(2, 3, chart="holo"), 2))
+@example((deform_delta(PhaseSpaceSignature(2, "real"), order=3), std(2, 3), 2))
+@example((delta(CUSTOM_HOLO.signature), CUSTOM_HOLO, 3))
+def test_gram_scan_matches_sample_products(case):
+    w, spec, degree = case
+    want = reference_positivity_scan(w, spec, degree)
+    got = positivity_scan(w, spec, degree)
+    assert [(text, series_text(v), verdict) for text, v, verdict in got.rows] \
+        == [(text, series_text(v), verdict) for text, v, verdict in want.rows]
+    assert got.to_json() == want.to_json()
 
 
 # -- cauchy schwarz ------------------------------------------------------------------------------

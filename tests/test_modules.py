@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fdq.errors import (AlgebraMismatch, DefectNotSmall, NotHermitian,
-                        RankMismatch, ShapeMismatch)
+                        PrecisionExhausted, RankMismatch, ShapeMismatch)
 from fdq.exprio import parse_series
 from fdq.matrices import MatrixStarAlgebra, SeriesMatrix
 from fdq.modules import (GramVerdict, MoritaClassData, MoritaVerdict,
@@ -209,6 +209,48 @@ def test_induction_associativity_gram_congruence():
     right = rieffel_tensor(g, rieffel_tensor(f, e))
     assert left.rank == right.rank
     assert left.gram == right.gram
+
+
+M2 = MatrixStarAlgebra(2, K)
+
+
+def scalar_on_m2(b):
+    """A scalar b acting on M2 as b times the unit."""
+    return M2.unit().scale(b.rows[0][0])
+
+
+def test_m2_over_itself_induces_itself():
+    f = PreHilbertModule(M2, 1, [[M2.unit()]], left_algebra=M2,
+                         left_action=lambda c: [[c]])
+    e = PreHilbertModule(M2, 1, [[M2.unit()]], left_algebra=M2,
+                         left_action=lambda c: [[c]])
+    ind = rieffel_tensor(f, e)
+    assert ind.rank == 1
+    assert ind.gram == [[M2.unit()]]
+    x = SeriesMatrix.from_scalar_rows([[1, 2], [3, 4]], K)
+    assert ind.left_action(x) == [[x]]
+
+
+def test_block_degeneracy_over_m2_is_removed():
+    zero = SeriesMatrix.zero(2, 2, K)
+    e = PreHilbertModule(
+        M2, 2, [[M2.unit(), zero], [zero, zero]], left_algebra=SCALARS,
+        left_action=lambda b: [[scalar_on_m2(b), zero],
+                               [zero, scalar_on_m2(b)]])
+    f = scalar_module([[ONE + LAM]], left_algebra=SCALARS,
+                      left_action=lambda b: [[b]])
+    ind = rieffel_tensor(f, e)
+    assert ind.rank == 1
+    assert ind.gram == [[M2.unit().scale(ONE + LAM)]]
+    assert ind.left_action(smat(ONE + LAM)) == [[M2.unit().scale(ONE + LAM)]]
+
+
+def test_non_block_degeneracy_over_m2_raises():
+    e11 = SeriesMatrix.from_scalar_rows([[1, 0], [0, 0]], K)
+    e = PreHilbertModule(M2, 1, [[e11]], left_algebra=SCALARS,
+                         left_action=lambda b: [[scalar_on_m2(b)]])
+    with pytest.raises(PrecisionExhausted):
+        rieffel_tensor(PreHilbertModule(SCALARS, 1, [[smat(ONE)]]), e)
 
 
 def test_induced_gram_psd():
