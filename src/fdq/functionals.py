@@ -15,7 +15,8 @@ from math import factorial
 from .errors import InvalidWeights, PositivityRefuted, SignatureMismatch
 from .observables import (PolyObservable, eval_at_point, involution,
                           monomials_up_to)
-from .series import DEFAULT_ORDER, FormalSeries, GaussianRational, Sign
+from .series import (DEFAULT_ORDER, GR_I, FormalSeries, GaussianRational,
+                     Sign)
 from .star import apply_equiv, op_s, star_multiply
 
 
@@ -126,16 +127,21 @@ def two_term_scan(gram, label, pair_label) -> list:
     omega((b_s + u b_t)* x (b_s + u b_t)) = G_ss + u G_st + conj(u) G_ts
     + |u|^2 G_tt exactly.  omega(b* x b) is real for a Hermitian product; a
     residual imaginary part would itself refute positivity, so it is
-    reported NEGATIVE.
+    reported NEGATIVE.  For u = 1, -1, i, -i the value is diag + herm,
+    diag - herm, diag + anti and diag - anti with diag = G_ss + G_tt,
+    herm = G_st + G_ts and anti = i (G_st - G_ts), each computed once per
+    pair; the arithmetic is exact and every value carries the flags of the
+    same four entries.
     """
     samples = [(label(t), gram[t][t]) for t in range(len(gram))]
     for s in range(len(gram)):
         for t in range(s + 1, len(gram)):
-            for u in _UNITS:  # |u| = 1
-                samples.append((pair_label(s, t, u),
-                                gram[s][s] + gram[s][t].scalar_mul(u)
-                                + gram[t][s].scalar_mul(u.conjugate())
-                                + gram[t][t]))
+            diag = gram[s][s] + gram[t][t]
+            herm = gram[s][t] + gram[t][s]
+            anti = (gram[s][t] - gram[t][s]).scalar_mul(GR_I)
+            for u, value in zip(_UNITS, (diag + herm, diag - herm,
+                                         diag + anti, diag - anti)):
+                samples.append((pair_label(s, t, u), value))
     return [(text, value, value.sign()
              if all(c.is_real() for c in value.coeffs) else Sign.NEGATIVE)
             for text, value in samples]

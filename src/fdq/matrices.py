@@ -116,18 +116,25 @@ class SeriesMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
         K = self.order
+        zero = FormalSeries.zero(K)
         out = []
-        for i in range(self.nrows):
-            row = []
+        for row in self.rows:
+            terms = [(a, other.rows[k]) for k, a in enumerate(row)
+                     if not a.is_exact_zero()]
+            out_row = []
             for j in range(other.ncols):
-                acc = FormalSeries.zero(K)
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    if a.is_exact_zero():
-                        continue
-                    acc = acc + a * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
+                acc, lost = zero, False
+                for a, b_row in terms:
+                    b = b_row[j]
+                    if b.is_exact_zero():
+                        # a * b is a zero carrying a's flag, nothing else.
+                        lost = lost or a.tail_lost
+                    else:
+                        acc = acc + a * b
+                if lost and not acc.tail_lost:
+                    acc = FormalSeries(acc.coeffs, K, True)
+                out_row.append(acc)
+            out.append(out_row)
         return SeriesMatrix(out, K)
 
     def scale(self, series):
@@ -362,34 +369,26 @@ def nullspace(mat: SeriesMatrix):
     return [v for _, v in radical_quotient(mat)[1]]
 
 
-def solve_in_ring(mat: SeriesMatrix, rhs):
-    """A particular solution x of mat @ x = rhs with in-ring entries, or None.
-
-    Free variables are set to zero; valuation-minimal pivoting makes this
-    decision correct over the series ring.  Raises PrecisionExhausted when
-    the answer cannot be certified at this truncation.
-    """
-    if len(rhs) != mat.nrows:
-        raise ShapeMismatch("rhs length does not match row count")
-    K = mat.order
-    ncols = mat.ncols
-    rows = [list(r) + [rhs[i]] for i, r in enumerate(mat.rows)]
-    pivots = _echelonize(rows, ncols, certify_rank=False)
+def _back_substitute(rows, pivots, ncols, col):
+    """The solution for the right-hand side in column ``col`` of the
+    echelonized augmented ``rows``: a consistency check on the rows without
+    a pivot, then back-substitution in reverse pivot order with free
+    variables set to zero.  None when no in-ring solution exists."""
     used_rows = {pi for pi, _ in pivots}
     for i, row in enumerate(rows):
         if i in used_rows:
             continue
-        r = row[ncols]
+        r = row[col]
         if r.is_zero():
             if not r.is_exact_zero():
                 raise PrecisionExhausted(
                     "consistency of the system undecidable at this truncation")
             continue
         return None
-    x = [FormalSeries.zero(K)] * ncols
+    x = [FormalSeries.zero(rows[0][col].order)] * ncols
     for pi, pj in reversed(pivots):
         row = rows[pi]
-        s = row[ncols] - _residual(row, x, pj, ncols)
+        s = row[col] - _residual(row, x, pj, ncols)
         if s.is_exact_zero():
             continue
         piv = row[pj]
@@ -405,27 +404,61 @@ def solve_in_ring(mat: SeriesMatrix, rhs):
     return x
 
 
+def _solve_columns(mat: SeriesMatrix, rhs_cols):
+    """Particular solutions of mat @ x = rhs, one per rhs in ``rhs_cols``,
+    from a single elimination of [mat | rhs_1 ... rhs_r]; None as soon as one
+    of them has no in-ring solution.
+
+    Pivots are chosen among the columns of ``mat`` only and row operations
+    act column by column, so the elimination and every solution are what a
+    separate elimination of [mat | rhs] gives.  Elimination raises only from
+    divisions in pivot columns, and the right-hand sides are settled in
+    order, so the first error is the one a loop over the columns would meet.
+    """
+    if any(len(rhs) != mat.nrows for rhs in rhs_cols):
+        raise ShapeMismatch("rhs length does not match row count")
+    ncols = mat.ncols
+    rows = [list(r) + [rhs[i] for rhs in rhs_cols]
+            for i, r in enumerate(mat.rows)]
+    pivots = _echelonize(rows, ncols, certify_rank=False)
+    solutions = []
+    for c in range(len(rhs_cols)):
+        x = _back_substitute(rows, pivots, ncols, ncols + c)
+        if x is None:
+            return None
+        solutions.append(x)
+    return solutions
+
+
+def solve_in_ring(mat: SeriesMatrix, rhs):
+    """A particular solution x of mat @ x = rhs with in-ring entries, or None.
+
+    Free variables are set to zero; valuation-minimal pivoting makes this
+    decision correct over the series ring.  Raises PrecisionExhausted when
+    the answer cannot be certified at this truncation.  The one-column case
+    of ``_solve_columns``.
+    """
+    solutions = _solve_columns(mat, [rhs])
+    return None if solutions is None else solutions[0]
+
+
 def rank_certified(mat: SeriesMatrix) -> int:
     return len(echelon(mat).pivots)
 
 
 def series_matrix_inverse(m: SeriesMatrix) -> SeriesMatrix:
     """Inverse over the series ring; exists iff the lambda^0 matrix is
-    invertible over Q(i)."""
+    invertible over Q(i).  One elimination of [m | 1] solves for every
+    column of the inverse (``_solve_columns``)."""
     if m.nrows != m.ncols:
         raise ShapeMismatch("only square matrices invert")
     n = m.nrows
-    K = m.order
-    cols = []
-    ident = SeriesMatrix.identity(n, K)
-    for j in range(n):
-        rhs = [ident.rows[i][j] for i in range(n)]
-        x = solve_in_ring(m, rhs)
-        if x is None:
-            raise NotUnit("matrix is not invertible over the series ring")
-        # An in-ring solution of M x = e_j with valuation-0 pivots required:
-        cols.append(x)
-    return SeriesMatrix([[cols[j][i] for j in range(n)] for i in range(n)], K)
+    # The identity is symmetric: its rows are its columns.
+    cols = _solve_columns(m, SeriesMatrix.identity(n, m.order).rows)
+    if cols is None:
+        raise NotUnit("matrix is not invertible over the series ring")
+    return SeriesMatrix([[cols[j][i] for j in range(n)] for i in range(n)],
+                        m.order)
 
 
 # -- matrix star-algebras -----------------------------------------------------------

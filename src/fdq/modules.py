@@ -24,8 +24,20 @@ class GramVerdict(enum.Enum):
     NOT_PSD = "not-psd"
 
 
-def _determinant(mat: SeriesMatrix, rows, cols):
-    """Exact determinant of the submatrix (cofactor expansion; d <= 6)."""
+def _minor(mat: SeriesMatrix, rows, cols, minors):
+    """det of the submatrix rows x cols, read from or stored to ``minors``."""
+    key = (rows, cols)
+    det = minors.get(key)
+    if det is None:
+        det = minors[key] = _determinant(mat, rows, cols, minors)
+    return det
+
+
+def _determinant(mat: SeriesMatrix, rows, cols, minors):
+    """Exact determinant of the submatrix rows x cols (tuples) by cofactor
+    expansion along its first row.  Its minors go through ``minors``, a dict
+    keyed by (rows, cols) that one caller shares across determinants, so
+    each minor is expanded once."""
     if len(rows) == 1:
         return mat.rows[rows[0]][cols[0]]
     total = FormalSeries.zero(mat.order)
@@ -35,7 +47,7 @@ def _determinant(mat: SeriesMatrix, rows, cols):
         e = mat.rows[r0][c]
         if e.is_exact_zero():
             continue
-        sub = _determinant(mat, rest, cols[:k] + cols[k + 1:])
+        sub = _minor(mat, rest, cols[:k] + cols[k + 1:], minors)
         term = e * sub
         total = total + term if k % 2 == 0 else total - term
     return total
@@ -46,19 +58,21 @@ def gram_psd_check(h: SeriesMatrix) -> GramVerdict:
 
     Positive semidefinite iff every principal minor has sign in {positive,
     zero-up-to-K}; positive definite iff all leading principal minors are
-    positive.  Cost is exponential in the size, fine for d <= 6.
+    positive.  The 2^d - 1 principal minors share one memo of sub-minors, so
+    each minor of one call is expanded once; the cost is still exponential
+    in d, and no limit on d is enforced.
     """
     if not h.is_hermitian():
         raise NotHermitian("Gram positivity needs a Hermitian matrix")
     d = h.nrows
     pd = True
+    minors = {}
     for mask in range(1, 1 << d):
-        idx = [i for i in range(d) if mask & (1 << i)]
-        det = _determinant(h, idx, idx)
-        verdict = det.sign()
+        idx = tuple(i for i in range(d) if mask & (1 << i))
+        verdict = _minor(h, idx, idx, minors).sign()
         if verdict is Sign.NEGATIVE:
             return GramVerdict.NOT_PSD
-        leading = idx == list(range(len(idx)))
+        leading = idx == tuple(range(len(idx)))
         if leading and verdict is not Sign.POSITIVE:
             pd = False
     return GramVerdict.POSITIVE_DEFINITE if pd \

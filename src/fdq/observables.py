@@ -283,7 +283,7 @@ def poisson_bracket(f: PolyObservable, g: PolyObservable) -> PolyObservable:
 def _substitute(f: PolyObservable, target, images) -> PolyObservable:
     """f with variable k replaced by images[k], an observable on ``target``."""
     n = target.n
-    out = PolyObservable.zero(target, f.order)
+    out = PolyObservable(target, {}, f.order, f.tail_lost)
     for exp, c in f.terms.items():
         term = PolyObservable.constant(target, c)
         for k in range(n):

@@ -215,6 +215,12 @@ class FormalSeries:
         if not isinstance(other, FormalSeries):
             return NotImplemented
         self._check(other)
+        # Values are immutable, so adding an exact zero returns the other
+        # operand itself: same coefficients, same flag.
+        if other.is_exact_zero():
+            return self
+        if self.is_exact_zero():
+            return other
         return FormalSeries(
             tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
             self.order, self.tail_lost or other.tail_lost)
@@ -223,6 +229,8 @@ class FormalSeries:
         if not isinstance(other, FormalSeries):
             return NotImplemented
         self._check(other)
+        if other.is_exact_zero():
+            return self
         return FormalSeries(
             tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
             self.order, self.tail_lost or other.tail_lost)
@@ -236,9 +244,12 @@ class FormalSeries:
             return NotImplemented
         self._check(other)
         K = self.order
+        lost = self.tail_lost or other.tail_lost
+        if self.is_zero() or other.is_zero():
+            # What the loop below gives: no product term, the operands' flags.
+            return FormalSeries((), K, lost)
         a, b = self.coeffs, other.coeffs
         out = [GR_ZERO] * K
-        lost = self.tail_lost or other.tail_lost
         for i, ai in enumerate(a):
             if not ai:
                 continue

@@ -8,8 +8,8 @@ from fdq.errors import InvalidWeights, PositivityRefuted
 from fdq.exprio import observable_text, parse, series_text
 from fdq.functionals import (PositivityCertificate, PositivityReport,
                              cauchy_schwarz_check, deform_delta, delta,
-                             evaluate, positivity_scan, verify_certificate,
-                             wick_value_oracle)
+                             evaluate, positivity_scan, two_term_scan,
+                             verify_certificate, wick_value_oracle)
 from fdq.observables import (PhaseSpaceSignature, PolyObservable,
                              eval_at_point, involution, monomials_up_to,
                              to_holomorphic)
@@ -196,6 +196,47 @@ def test_gram_scan_matches_sample_products(case):
     assert [(text, series_text(v), verdict) for text, v, verdict in got.rows] \
         == [(text, series_text(v), verdict) for text, v, verdict in want.rows]
     assert got.to_json() == want.to_json()
+
+
+def reference_two_term_values(gram):
+    """Each sample value term by term, G_ss + u G_st + conj(u) G_ts + G_tt,
+    with the flags that sum carries."""
+    units = (GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+             GaussianRational(0, -1))
+    values = [gram[t][t] for t in range(len(gram))]
+    for s in range(len(gram)):
+        for t in range(s + 1, len(gram)):
+            for u in units:
+                values.append(gram[s][s] + gram[s][t].scalar_mul(u)
+                              + gram[t][s].scalar_mul(u.conjugate())
+                              + gram[t][t])
+    return values
+
+
+@st.composite
+def lossy_grams(draw):
+    """Square arrays of series (d <= 4) mixing exact zeros, zeros with a lost
+    tail and nonzeros with or without one."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    d = draw(st.integers(1, 4))
+
+    def entry():
+        lost = draw(st.booleans())
+        if draw(st.integers(0, 2)) == 0:
+            return FormalSeries((), k, tail_lost=lost)
+        cs = [GaussianRational(draw(st.integers(-2, 2)),
+                               draw(st.integers(-1, 1))) for _ in range(k)]
+        return FormalSeries(cs, k, tail_lost=lost)
+
+    return [[entry() for _ in range(d)] for _ in range(d)]
+
+
+@given(lossy_grams())
+def test_two_term_scan_values_and_flags(gram):
+    rows = two_term_scan(gram, str, lambda s, t, u: (s, t, u))
+    want = reference_two_term_values(gram)
+    assert [v for _, v, _ in rows] == want
+    assert [v.tail_lost for _, v, _ in rows] == [v.tail_lost for v in want]
 
 
 # -- cauchy schwarz ------------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fdq.errors import (NotUnit, PrecisionExhausted, ShapeMismatch,
                         TruncationMismatch)
@@ -275,3 +275,128 @@ def test_one_plus_adjoint_self_invertible():
         assert one_plus_adjoint_times_self_invertible(a)
     with_lam = SeriesMatrix([[LAM, ONE + LAM], [ONE, LAM * LAM]], K)
     assert one_plus_adjoint_times_self_invertible(with_lam)
+
+
+# -- fast paths against slow references ----------------------------------------------
+
+
+def entry_kinds(draw, k):
+    """A series of order k: an exact zero, a zero with a lost tail, a nonzero
+    with a lost tail, or a plain nonzero."""
+    kind = draw(st.sampled_from(["exact-zero", "lossy-zero", "lossy",
+                                 "plain"]))
+    if kind == "exact-zero":
+        return FormalSeries.zero(k)
+    if kind == "lossy-zero":
+        return FormalSeries((), k, tail_lost=True)
+    cs = [GaussianRational(draw(st.integers(-2, 2)), draw(st.integers(-1, 1)))
+          for _ in range(k)]
+    cs[draw(st.integers(0, k - 1))] = GaussianRational(1)
+    return FormalSeries(cs, k, tail_lost=kind == "lossy")
+
+
+@st.composite
+def matmul_pairs(draw):
+    k = draw(st.sampled_from([1, 2, 3, 4]))
+    n, m, p = (draw(st.integers(1, 3)) for _ in range(3))
+    a = SeriesMatrix([[entry_kinds(draw, k) for _ in range(m)]
+                      for _ in range(n)], k)
+    b = SeriesMatrix([[entry_kinds(draw, k) for _ in range(p)]
+                      for _ in range(m)], k)
+    return a, b
+
+
+def reference_matmul(a, b):
+    """Triple loop: entry (i, j) is 0 + sum of a_ik * b_kj over the k whose
+    a_ik is not an exact zero (``@`` has always skipped those terms, so
+    their b_kj flags do not reach the entry)."""
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = FormalSeries.zero(a.order)
+            for k in range(a.ncols):
+                if not a.rows[i][k].is_exact_zero():
+                    acc = acc + a.rows[i][k] * b.rows[k][j]
+            row.append(acc)
+        out.append(row)
+    return SeriesMatrix(out, a.order)
+
+
+@settings(max_examples=150)
+@given(matmul_pairs())
+def test_matmul_matches_triple_loop(pair):
+    a, b = pair
+    got, want = a @ b, reference_matmul(a, b)
+    assert got == want
+    assert [[e.tail_lost for e in r] for r in got.rows] == \
+        [[e.tail_lost for e in r] for r in want.rows]
+
+
+def reference_inverse(m):
+    """One ``solve_in_ring`` per column of the identity, in order."""
+    n = m.nrows
+    cols = []
+    for j in range(n):
+        x = solve_in_ring(m, [FormalSeries.one(m.order) if i == j
+                              else FormalSeries.zero(m.order)
+                              for i in range(n)])
+        if x is None:
+            raise NotUnit("matrix is not invertible over the series ring")
+        cols.append(x)
+    return SeriesMatrix([[cols[j][i] for j in range(n)] for i in range(n)],
+                        m.order)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices with exact zeros, lossy zeros, lossy nonzeros and
+    l-divisible entries, so singular and undecidable cases are common."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 4))
+
+    def entry(diagonal):
+        e = entry_kinds(draw, k).shift(draw(st.sampled_from([0, 0, 1, 2])))
+        if diagonal and draw(st.booleans()):
+            e = e + FormalSeries.one(k)
+        return e
+
+    return SeriesMatrix([[entry(i == j) for j in range(n)] for i in range(n)],
+                        k)
+
+
+def outcome(f, m):
+    try:
+        inv = f(m)
+    except (NotUnit, PrecisionExhausted) as exc:
+        return type(exc), str(exc)
+    return inv.rows, [[e.tail_lost for e in r] for r in inv.rows]
+
+
+@settings(max_examples=300)
+@given(square_matrices())
+@example(SeriesMatrix([[ONE, LAM], [ZERO, ONE]], K))
+@example(SeriesMatrix([[LAM, ZERO], [ZERO, ONE]], K))  # singular at l^0
+@example(SeriesMatrix([[LAM, ZERO], [lossy_zero(), LAM]], K))  # elimination
+@example(SeriesMatrix([[ONE, LAM], [LAM, FormalSeries((1, 0, 0, 1), K, True)]],
+                      K))
+def test_inverse_matches_per_column_solves(m):
+    assert outcome(series_matrix_inverse, m) == outcome(reference_inverse, m)
+
+
+def test_inverse_eliminates_once(monkeypatch):
+    import fdq.matrices as matrices
+
+    calls = []
+    real = matrices._echelonize
+
+    def counting(*args, **kw):
+        calls.append(args[1])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(matrices, "_echelonize", counting)
+    m = SeriesMatrix([[ONE + LAM if i == j else LAM.shift(i) for j in range(4)]
+                      for i in range(4)], K)
+    inv = series_matrix_inverse(m)
+    assert calls == [4]
+    assert m @ inv == SeriesMatrix.identity(4, K)

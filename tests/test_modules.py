@@ -1,6 +1,8 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdq.errors import (AlgebraMismatch, DefectNotSmall, NotHermitian,
                         PrecisionExhausted, RankMismatch, ShapeMismatch)
@@ -11,7 +13,7 @@ from fdq.modules import (GramVerdict, MoritaClassData, MoritaVerdict,
                          fedosov_project, fullness_check, gram_psd_check,
                          hermitian_class_check, idempotent_equivalence_verify,
                          morita_class_check, rank_one, rieffel_tensor)
-from fdq.series import FormalSeries, GaussianRational
+from fdq.series import FormalSeries, GaussianRational, Sign
 
 K = 6
 LAM = FormalSeries.lam(1, K)
@@ -52,6 +54,86 @@ def test_psd_complex_offdiagonal():
     h = SeriesMatrix([[ONE, il], [-il, ONE]], K)
     assert h.is_hermitian()
     assert gram_psd_check(h) is GramVerdict.POSITIVE_DEFINITE
+
+
+def reference_determinant(mat, rows, cols):
+    """Unmemoised cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return mat.rows[rows[0]][cols[0]]
+    total = FormalSeries.zero(mat.order)
+    for k, c in enumerate(cols):
+        term = mat.rows[rows[0]][c] * reference_determinant(
+            mat, rows[1:], cols[:k] + cols[k + 1:])
+        total = total + term if k % 2 == 0 else total - term
+    return total
+
+
+def reference_psd_check(h):
+    """Every principal minor's sign, every minor expanded anew."""
+    d = h.nrows
+    pd = True
+    for mask in range(1, 1 << d):
+        idx = [i for i in range(d) if mask & (1 << i)]
+        verdict = reference_determinant(h, idx, idx).sign()
+        if verdict is Sign.NEGATIVE:
+            return GramVerdict.NOT_PSD
+        if idx == list(range(len(idx))) and verdict is not Sign.POSITIVE:
+            pd = False
+    return GramVerdict.POSITIVE_DEFINITE if pd \
+        else GramVerdict.POSITIVE_SEMIDEFINITE
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """A^H A for a random A (d <= 5) with exact zeros and l-divisible
+    entries; as it is, plus a Hermitian perturbation, or minus l^r at one
+    diagonal entry, so all three verdicts occur."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    d = draw(st.sampled_from([1, 2, 3, 4, 5, 5]))
+
+    def entry():
+        if draw(st.integers(0, 3)) == 0:
+            return FormalSeries.zero(k)
+        cs = [GaussianRational(draw(st.integers(-2, 2)),
+                               draw(st.integers(-1, 1))) for _ in range(k)]
+        return FormalSeries(cs, k).shift(draw(st.sampled_from([0, 0, 1])))
+
+    a = SeriesMatrix([[entry() for _ in range(d)] for _ in range(d)], k)
+    h = a.adjoint() @ a
+    mode = draw(st.sampled_from(["psd", "perturb", "negative"]))
+    lam_r = FormalSeries.lam(draw(st.integers(0, k - 1)), k)
+    if mode == "perturb":
+        p = SeriesMatrix([[entry() for _ in range(d)] for _ in range(d)], k)
+        h = h + (p + p.adjoint()).scale(lam_r)
+    elif mode == "negative":
+        i = draw(st.integers(0, d - 1))
+        h = h - SeriesMatrix.unit(d, i, i, k).scale(lam_r)
+    return h
+
+
+@settings(max_examples=150)
+@given(hermitian_matrices())
+def test_psd_check_matches_unmemoised_minors(h):
+    assert gram_psd_check(h) is reference_psd_check(h)
+
+
+def test_psd_check_expands_each_minor_once(monkeypatch):
+    import fdq.modules as modules
+
+    keys = Counter()
+    real = modules._determinant
+
+    def counting(mat, rows, cols, minors):
+        keys[rows, cols] += 1
+        return real(mat, rows, cols, minors)
+
+    monkeypatch.setattr(modules, "_determinant", counting)
+    d = 5
+    h = SeriesMatrix([[ONE.scalar_mul(d + 1) if i == j else LAM
+                       for j in range(d)] for i in range(d)], K)
+    assert gram_psd_check(h) is GramVerdict.POSITIVE_DEFINITE
+    assert len(keys) > (1 << d) - 1  # the shared sub-minors are counted
+    assert max(keys.values()) == 1
 
 
 # -- modules and rank-one operators ---------------------------------------------------

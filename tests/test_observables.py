@@ -128,6 +128,18 @@ def test_convert_intertwines_involution(f):
     assert to_holomorphic(involution(f)) == involution(to_holomorphic(f))
 
 
+def test_convert_keeps_observable_level_lost_tail():
+    # The flag sits on the observable, not on any coefficient.
+    one = FormalSeries.one(K)
+    f = PolyObservable(SIG, {(2, 0): one, (0, 1): one}, K, tail_lost=True)
+    assert not any(c.tail_lost for c in f.terms.values())
+    assert to_holomorphic(f).tail_lost
+    g = PolyObservable(PhaseSpaceSignature(1, "holo"),
+                       {(2, 0): one, (0, 1): one}, K, tail_lost=True)
+    assert to_real(g).tail_lost
+    assert not to_holomorphic(obs("q1^2 + p1")).tail_lost
+
+
 # -- evaluation ---------------------------------------------------------------------------------
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fdq.errors import BadLeadingTerm, NotReal, NotUnit, TruncationMismatch
 from fdq.series import FormalSeries, GaussianRational, Sign
@@ -182,3 +182,66 @@ def test_tail_lost_is_not_part_of_equality():
     lossy = FormalSeries.lam(2, 3) * FormalSeries.lam(2, 3)
     assert clean == lossy
     assert clean.is_exact_zero() and not lossy.is_exact_zero()
+
+
+# -- exact-zero fast paths against the full loops ----------------------------------
+
+
+def reference_add(a, b):
+    """Coefficient by coefficient, flags or-ed: no operand is special."""
+    return FormalSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)),
+                        a.order, a.tail_lost or b.tail_lost)
+
+
+def reference_sub(a, b):
+    return FormalSeries(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)),
+                        a.order, a.tail_lost or b.tail_lost)
+
+
+def reference_mul(a, b):
+    """The full K x K convolution; a nonzero product term beyond l^K marks
+    the tail lost."""
+    K = a.order
+    out = [GaussianRational(0)] * K
+    lost = a.tail_lost or b.tail_lost
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            if i + j < K:
+                out[i + j] = out[i + j] + ai * bj
+            elif ai * bj:
+                lost = True
+    return FormalSeries(tuple(out), K, lost)
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series of one order K in {1, .., 4}, each an exact zero, a zero
+    with a lost tail, or arbitrary coefficients with or without one."""
+    K = draw(st.integers(1, 4))
+
+    def one():
+        kind = draw(st.sampled_from(["exact-zero", "lossy-zero", "plain",
+                                     "lossy"]))
+        if kind == "exact-zero":
+            return FormalSeries.zero(K)
+        if kind == "lossy-zero":
+            return FormalSeries((), K, tail_lost=True)
+        cs = draw(st.lists(st.builds(GaussianRational, st.integers(-3, 3),
+                                     st.integers(-2, 2)),
+                           min_size=K, max_size=K))
+        return FormalSeries(cs, K, tail_lost=kind == "lossy")
+
+    return one(), one()
+
+
+@settings(max_examples=200)
+@given(series_pairs())
+def test_add_sub_mul_match_full_loops(pair):
+    a, b = pair
+    for op, ref in ((lambda x, y: x + y, reference_add),
+                    (lambda x, y: x - y, reference_sub),
+                    (lambda x, y: x * y, reference_mul)):
+        for x, y in ((a, b), (b, a)):
+            got, want = op(x, y), ref(x, y)
+            assert got.coeffs == want.coeffs and got.order == want.order
+            assert got.tail_lost == want.tail_lost
