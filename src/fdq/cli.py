@@ -9,6 +9,7 @@ or JSON; identical argv + config + seed produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -471,16 +472,31 @@ def _build_parser():
     return parser
 
 
+# The parser of this process and the suite names it was built for: those
+# names are the only input of _build_parser that can change at run time.
+_parser_cache = (None, None)
+
+
+def _parser():
+    global _parser_cache
+    key = tuple(suite_names())
+    if _parser_cache[0] != key:
+        _parser_cache = (key, _build_parser())
+    return _parser_cache[1]
+
+
 def run_command(argv, out=None, err=None):
     """Execute one CLI invocation; returns the exit status.
 
     ``out`` and ``err`` default to the process streams; tests pass buffers.
+    Help (exit 0) goes to ``out`` and usage errors (exit 2) to ``err``.
     """
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse writes to sys.stdout/sys.stderr as it finds them.
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -8,19 +8,26 @@ The text grammar (l is the deformation parameter, i the imaginary unit):
     atom   := rational | 'i' | 'l' | var | '(' expr ')'
 
 Division appears only inside rational literals (``3/4``), never between
-expressions.  Canonical printing emits terms in descending graded-lex order
-with ascending powers of l inside each term; ``parse(print(x)) == x`` holds
-for every value.
+expressions.  The parser builds terms directly: a product of atoms is one
+monomial (scalar, power of l, exponent vector) until it meets ``+``, ``-``
+or a factor with several terms, and a sum gathers its terms in one dict.
+The result, term order and ``tail_lost`` flags included, is what
+PolyObservable arithmetic gives on the same text.
+
+Canonical printing emits terms in descending graded-lex order with ascending
+powers of l inside each term; ``parse(print(x)) == x`` holds for every value.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import MixedChart, ParseError, SchemaError, UnknownVariable
 from .observables import PhaseSpaceSignature, PolyObservable
-from .series import FormalSeries, GaussianRational
+from .series import (DEFAULT_ORDER, GR_I, GR_ONE, GR_ZERO, FormalSeries,
+                     GaussianRational)
 
 # -- canonical printing ---------------------------------------------------------
 
@@ -239,20 +246,121 @@ def _variable_index(signature, name, tok):
                           tok.line, tok.column)
 
 
+def _scalar_power(c, k):
+    """c^k by repeated squaring: exact, so equal to k sequential products."""
+    result = GR_ONE
+    while k:
+        if k & 1:
+            result = result * c
+        k >>= 1
+        if k:
+            c = c * c
+    return result
+
+
+class _Monomial:
+    """A product of atoms, c*l^lpow*x^exp, held as the one term that
+    PolyObservable arithmetic would hold for it.
+
+    ``scalar`` None is the empty product (an observable with no terms).
+    ``lost`` is the observable's tail_lost flag, ``coeff_lost`` that of the
+    coefficient.  Every method gives what the PolyObservable operation of the
+    same name gives on ``observable()``, flags included.
+    """
+
+    __slots__ = ("scalar", "lpow", "exp", "coeff_lost", "lost")
+
+    def __init__(self, scalar, lpow, exp, coeff_lost=False, lost=False):
+        self.scalar = scalar
+        self.lpow = lpow
+        self.exp = exp
+        self.coeff_lost = coeff_lost
+        self.lost = lost
+
+    @classmethod
+    def of(cls, f):
+        """f as a monomial, or None when f has two terms or a coefficient
+        with two nonzero powers of l."""
+        if not f.terms:
+            return cls(None, 0, (0,) * f.signature.width, False, f.tail_lost)
+        if len(f.terms) > 1:
+            return None
+        [(exp, coeff)] = f.terms.items()
+        nonzero = [r for r, c in enumerate(coeff.coeffs) if c]
+        if len(nonzero) > 1:
+            return None
+        r = nonzero[0]
+        return cls(coeff.coeffs[r], r, exp, coeff.tail_lost, f.tail_lost)
+
+    def empty(self, lost):
+        return _Monomial(None, 0, self.exp, False, lost)
+
+    def times(self, other, order):
+        lost = self.lost or other.lost
+        if self.scalar is None or other.scalar is None:
+            return self.empty(lost)
+        lpow = self.lpow + other.lpow
+        if lpow >= order:
+            # The one product term lies beyond l^K.
+            return self.empty(True)
+        a, b = self.scalar, other.scalar
+        scalar = b if a is GR_ONE else a if b is GR_ONE else a * b
+        return _Monomial(scalar, lpow, tuple(map(add, self.exp, other.exp)),
+                         self.coeff_lost or other.coeff_lost, lost)
+
+    def power(self, k, order):
+        if k == 0:
+            return _Monomial(GR_ONE, 0, (0,) * len(self.exp))
+        if self.scalar is None:
+            return self
+        lpow = self.lpow * k
+        if lpow >= order:
+            return self.empty(True)
+        scalar = self.scalar
+        if scalar is not GR_ONE:
+            scalar = _scalar_power(scalar, k)
+        return _Monomial(scalar, lpow,
+                         tuple(e * k for e in self.exp), self.coeff_lost,
+                         self.lost)
+
+    def __neg__(self):
+        if self.scalar is None:
+            return self
+        return _Monomial(-self.scalar, self.lpow, self.exp, self.coeff_lost,
+                         self.lost)
+
+    def items(self, order):
+        """The (exp, coefficient) pairs of ``observable()``."""
+        if self.scalar is None:
+            return ()
+        coeff = FormalSeries((GR_ZERO,) * self.lpow + (self.scalar,), order,
+                             self.coeff_lost)
+        return ((self.exp, coeff),)
+
+    def observable(self, signature, order):
+        return PolyObservable(signature, dict(self.items(order)), order,
+                              self.lost)
+
+
 class _Parser:
+    """Recursive descent over the token list; a value is a _Monomial until
+    it meets ``+``/``-`` or a factor that is not one."""
+
     def __init__(self, tokens, signature, order):
         self.tokens = tokens
         self.pos = 0
         self.signature = signature
         self.order = order
-
-    def peek(self):
-        return self.tokens[self.pos]
+        self.zero_exp = (0,) * signature.width
 
     def next(self):
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def at_op(self, ops):
+        tok = self.tokens[self.pos]
+        return tok.kind == "op" and tok.value in ops
 
     def expect_op(self, op):
         tok = self.next()
@@ -260,83 +368,120 @@ class _Parser:
             raise ParseError(f"expected {op!r}", tok.line, tok.column)
         return tok
 
+    def observable(self, value):
+        if isinstance(value, _Monomial):
+            return value.observable(self.signature, self.order)
+        return value
+
     def parse_expr(self):
-        tok = self.peek()
-        negate = False
-        if tok.kind == "op" and tok.value == "-":
-            self.next()
-            negate = True
+        """A single term comes back as it is; a sum as a PolyObservable."""
+        negate = self.at_op("-")
+        if negate:
+            self.pos += 1
         value = self.parse_term()
         if negate:
             value = -value
+        if not self.at_op("+-"):
+            return value
+        # One dict for the whole sum, with the term order, the dropped zero
+        # coefficients and the flags of PolyObservable.__add__ at each sign.
+        K = self.order
+        terms = {}
+        lost = False
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.value in "+-":
-                self.next()
-                rhs = self.parse_term()
-                value = value + rhs if tok.value == "+" else value - rhs
+            if isinstance(value, _Monomial):
+                items = value.items(K)
+                lost = lost or value.lost
             else:
-                return value
+                items = value.terms.items()
+                lost = lost or value.tail_lost
+            for exp, c in items:
+                old = terms.get(exp)
+                if old is None:
+                    terms[exp] = c
+                    continue
+                c = old + c
+                if c.is_zero():
+                    del terms[exp]
+                    lost = lost or c.tail_lost
+                else:
+                    terms[exp] = c
+            if not self.at_op("+-"):
+                return PolyObservable(self.signature, terms, K, lost)
+            negate = self.next().value == "-"
+            value = self.parse_term()
+            if negate:
+                value = -value
 
     def parse_term(self):
         value = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.value == "*":
-                self.next()
-                value = value * self.parse_factor()
+        while self.at_op("*"):
+            self.pos += 1
+            rhs = self.parse_factor()
+            if isinstance(value, _Monomial) and isinstance(rhs, _Monomial):
+                value = value.times(rhs, self.order)
             else:
-                return value
+                value = self.observable(value) * self.observable(rhs)
+        return value
 
     def parse_factor(self):
         value = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "^":
-            self.next()
+        if self.at_op("^"):
+            self.pos += 1
             exp_tok = self.next()
             if exp_tok.kind != "number" or exp_tok.value.denominator != 1 \
                     or exp_tok.value < 0:
                 raise ParseError("exponent must be a nonnegative integer",
                                  exp_tok.line, exp_tok.column)
-            value = value ** int(exp_tok.value)
+            k = int(exp_tok.value)
+            value = value.power(k, self.order) \
+                if isinstance(value, _Monomial) else value ** k
         return value
 
     def parse_atom(self):
         tok = self.next()
-        sig, K = self.signature, self.order
+        zero = self.zero_exp
         if tok.kind == "number":
-            return PolyObservable.constant(
-                sig, FormalSeries.from_scalar(GaussianRational(tok.value), K))
+            if not tok.value:
+                return _Monomial(None, 0, zero)
+            return _Monomial(GaussianRational(tok.value), 0, zero)
         if tok.kind == "name":
             if tok.value == "i":
-                return PolyObservable.constant(
-                    sig, FormalSeries.from_scalar(GaussianRational(0, 1), K))
+                return _Monomial(GR_I, 0, zero)
             if tok.value == "l":
-                return PolyObservable.constant(sig, FormalSeries.lam(1, K))
-            index = _variable_index(sig, tok.value, tok)
-            return PolyObservable.variable(sig, index, K)
+                # l is the zero series with a lost tail when K = 1.
+                if self.order == 1:
+                    return _Monomial(None, 0, zero, False, True)
+                return _Monomial(GR_ONE, 1, zero)
+            index = _variable_index(self.signature, tok.value, tok)
+            exp = list(zero)
+            exp[index] = 1
+            return _Monomial(GR_ONE, 0, tuple(exp))
         if tok.kind == "op" and tok.value == "(":
             value = self.parse_expr()
             self.expect_op(")")
+            if isinstance(value, PolyObservable):
+                return _Monomial.of(value) or value
             return value
         raise ParseError(f"unexpected token {tok.value!r}", tok.line,
                          tok.column)
 
 
-def parse(src, n=1, order=None, chart=None) -> PolyObservable:
-    """Parse an expression into an observable; the chart is inferred from the
-    variables unless given explicitly."""
-    from .series import DEFAULT_ORDER
-    order = order or DEFAULT_ORDER
-    tokens = _tokenize(src)
+def _parse_tokens(tokens, n, order, chart):
     chart = _classify_variables(tokens, n, chart)
     signature = PhaseSpaceSignature(n, chart)
     parser = _Parser(tokens, signature, order)
-    value = parser.parse_expr()
+    value = parser.observable(parser.parse_expr())
     end = parser.next()
     if end.kind != "end":
         raise ParseError(f"trailing input {end.value!r}", end.line, end.column)
     return value
+
+
+def parse(src, n=1, order=None, chart=None) -> PolyObservable:
+    """Parse an expression into an observable; the chart is inferred from the
+    variables unless given explicitly."""
+    return _parse_tokens(_tokenize(src), n, order or DEFAULT_ORDER, chart)
 
 
 def parse_series(src, order=None) -> FormalSeries:
@@ -346,14 +491,9 @@ def parse_series(src, order=None) -> FormalSeries:
         if tok.kind == "name" and tok.value not in ("i", "l"):
             raise ParseError(f"variable {tok.value!r} not allowed in a scalar",
                              tok.line, tok.column)
-    obs = parse(src, 1, order, "real")
-    constant = (0, 0)
-    total = FormalSeries.zero(obs.order)
-    for exp, coeff in obs.terms.items():
-        if exp != constant:
-            raise ParseError("expression is not a scalar")
-        total = total + coeff
-    return total
+    order = order or DEFAULT_ORDER
+    obs = _parse_tokens(tokens, 1, order, "real")
+    return obs.terms.get((0, 0), FormalSeries.zero(order))
 
 
 # -- JSON forms -------------------------------------------------------------------

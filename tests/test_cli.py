@@ -127,6 +127,68 @@ def test_usage_error_exit_2():
     assert code == 2
 
 
+def test_usage_and_help_go_to_the_given_streams(capsys):
+    code, out, err = run(["stra", "q1"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: fdq")
+    assert err.splitlines()[-1].startswith(
+        "fdq: error: argument command: invalid choice: 'stra'")
+    code, out, err = run(["star", "q1"])
+    assert code == 2 and out == "" and err.startswith("usage: fdq star")
+    code, out, err = run(["star", "--help"])
+    assert code == 0 and err == "" and out.startswith("usage: fdq star")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_main_writes_usage_and_help_to_the_process_streams(capsys):
+    from fdq.cli import main
+    with pytest.raises(SystemExit) as exc:
+        main(["stra", "q1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", run(["stra", "q1"])[2])
+    with pytest.raises(SystemExit) as exc:
+        main(["star", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (run(["star", "--help"])[1], "")
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    import fdq.cli as cli_mod
+    builds = []
+    build = cli_mod._build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli_mod, "_build_parser", counted)
+    monkeypatch.setattr(cli_mod, "_parser_cache", (None, None))
+    assert run(["star", "q1", "p1"])[0] == 0
+    assert run(["stra", "q1"])[0] == 2
+    assert run(["star", "q1", "q1 + "])[0] == 3
+    assert run(["morita", "--m", "1", "--diff", "3"])[0] == 0
+    assert len(builds) == 1
+    monkeypatch.setattr(cli_mod, "suite_names", lambda: ["roundtrip", "all"])
+    assert run(["suite", "star-axioms"])[0] == 2
+    assert len(builds) == 2
+    assert run(["star", "q1", "p1"])[0] == 0
+    assert len(builds) == 2
+
+
+def test_no_state_carries_between_calls():
+    code, out, _ = run(["star", "--json", "q1", "p1"])
+    assert code == 0 and json.loads(out)["type"] == "observable"
+    assert run(["star", "q1", "p1"]) == (0, "q1*p1 + (1/2*i)*l\n", "")
+    assert run(["fock", "--inner", "yb1", "yb1"]) == (0, "2*l\n", "")
+    assert run(["fock", "--rep", "z1*zb1"]) == (0, "(2*yb1*l)*d/dyb1\n", "")
+    square = ["functional", "--delta", "0", "--product", "weyl",
+              "1/2*(p1^2+q1^2)", "--square"]
+    assert run(square + ["--deform"]) == (0, "1/4*l^2\n", "")
+    assert run(square) == (0, "(-1/4)*l^2\n", "")
+    assert "l^2" not in run(["--K", "2", "star", "q1^2", "p1^2"])[1]
+    assert "l^2" in run(["star", "q1^2", "p1^2"])[1]
+
+
 def test_core_error_exit_3_and_no_traceback():
     code, out, err = run(["star", "q1", "q1 + "])
     assert code == 3

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fdq.errors import MixedChart, ParseError, SchemaError, UnknownVariable
-from fdq.exprio import (deserialize, gaussian_text, observable_text, parse,
+from fdq.exprio import (_classify_variables, _tokenize, _variable_index,
+                        deserialize, gaussian_text, observable_text, parse,
                         parse_series, serialize, series_from_json,
                         series_text, series_to_json)
 from fdq.observables import PhaseSpaceSignature, PolyObservable
@@ -85,6 +86,282 @@ def test_parse_series():
 def test_division_only_in_literals():
     with pytest.raises(ParseError):
         parse("q1/p1", 1, K)
+
+
+# -- the term-building parser against PolyObservable arithmetic -----------------------
+
+
+class _ReferenceParser:
+    """The grammar evaluated with PolyObservable arithmetic for every atom,
+    product, sum and power: the parser before terms were built directly."""
+
+    def __init__(self, tokens, signature, order):
+        self.tokens = tokens
+        self.pos = 0
+        self.signature = signature
+        self.order = order
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op):
+        tok = self.next()
+        if tok.kind != "op" or tok.value != op:
+            raise ParseError(f"expected {op!r}", tok.line, tok.column)
+
+    def parse_expr(self):
+        tok = self.peek()
+        negate = tok.kind == "op" and tok.value == "-"
+        if negate:
+            self.next()
+        value = self.parse_term()
+        if negate:
+            value = -value
+        while True:
+            tok = self.peek()
+            if tok.kind == "op" and tok.value in "+-":
+                self.next()
+                rhs = self.parse_term()
+                value = value + rhs if tok.value == "+" else value - rhs
+            else:
+                return value
+
+    def parse_term(self):
+        value = self.parse_factor()
+        while True:
+            tok = self.peek()
+            if tok.kind == "op" and tok.value == "*":
+                self.next()
+                value = value * self.parse_factor()
+            else:
+                return value
+
+    def parse_factor(self):
+        value = self.parse_atom()
+        tok = self.peek()
+        if tok.kind == "op" and tok.value == "^":
+            self.next()
+            exp_tok = self.next()
+            if exp_tok.kind != "number" or exp_tok.value.denominator != 1 \
+                    or exp_tok.value < 0:
+                raise ParseError("exponent must be a nonnegative integer",
+                                 exp_tok.line, exp_tok.column)
+            value = value ** int(exp_tok.value)
+        return value
+
+    def parse_atom(self):
+        tok = self.next()
+        sig, K = self.signature, self.order
+        if tok.kind == "number":
+            return PolyObservable.constant(
+                sig, FormalSeries.from_scalar(GaussianRational(tok.value), K))
+        if tok.kind == "name":
+            if tok.value == "i":
+                return PolyObservable.constant(
+                    sig, FormalSeries.from_scalar(GaussianRational(0, 1), K))
+            if tok.value == "l":
+                return PolyObservable.constant(sig, FormalSeries.lam(1, K))
+            index = _variable_index(sig, tok.value, tok)
+            return PolyObservable.variable(sig, index, K)
+        if tok.kind == "op" and tok.value == "(":
+            value = self.parse_expr()
+            self.expect_op(")")
+            return value
+        raise ParseError(f"unexpected token {tok.value!r}", tok.line,
+                         tok.column)
+
+
+def reference_parse(src, n=1, order=K, chart=None):
+    tokens = _tokenize(src)
+    chart = _classify_variables(tokens, n, chart)
+    parser = _ReferenceParser(tokens, PhaseSpaceSignature(n, chart), order)
+    value = parser.parse_expr()
+    end = parser.next()
+    if end.kind != "end":
+        raise ParseError(f"trailing input {end.value!r}", end.line, end.column)
+    return value
+
+
+def _outcome(parser, src, n, order, chart):
+    """Terms in order with coefficient values and flags, and the observable
+    flag; or the error's class, message, line and column."""
+    try:
+        f = parser(src, n, order, chart)
+    except ParseError as exc:
+        return ("error", type(exc), str(exc), exc.line, exc.column)
+    return ("value", f.signature, f.order, f.tail_lost,
+            [(exp, c.coeffs, c.tail_lost) for exp, c in f.terms.items()])
+
+
+def assert_parses_like_reference(src, n=1, order=K, chart=None):
+    want = _outcome(reference_parse, src, n, order, chart)
+    assert _outcome(parse, src, n, order, chart) == want, src
+
+
+_NAMES = {"real": ("q", "p"), "holo": ("z", "zb"), "fock": ("yb",),
+          "wave": ("q", "p")}
+_RATIONALS = ("0", "1", "2", "3", "1/2", "3/4", "0/5", "4/2", "12")
+
+
+@st.composite
+def _expr_text(draw, names, depth):
+    terms = []
+    for k in range(draw(st.integers(1, 3))):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(
+                ("number", "i", "l", "var", "var", "paren") if depth
+                else ("number", "i", "l", "var", "var")))
+            if kind == "paren":
+                atom = f"({draw(_expr_text(names, depth - 1))})"
+                top = 2
+            else:
+                atom = {"number": draw(st.sampled_from(_RATIONALS)),
+                        "i": "i", "l": "l",
+                        "var": draw(st.sampled_from(names))}[kind]
+                top = 5
+            if draw(st.booleans()):
+                atom += f"^{draw(st.integers(0, top))}"
+            factors.append(atom)
+        sign = draw(st.sampled_from(("", "-"))) if k == 0 \
+            else draw(st.sampled_from((" + ", " - ")))
+        terms.append(sign + "*".join(factors))
+    return "".join(terms)
+
+
+_TOKENS = ("+", "-", "*", "^", "(", ")", "2", "l", "q1", "i", "", "1/2", " ")
+
+
+@st.composite
+def _parse_cases(draw):
+    chart = draw(st.sampled_from(("real", "holo", "fock", "wave")))
+    n = draw(st.integers(1, 2))
+    names = [f"{p}{k}" for p in _NAMES[chart] for k in range(1, n + 1)]
+    src = draw(_expr_text(names, 2))
+    if draw(st.integers(0, 3)) == 0:
+        # Splice a token in, so the error paths are compared as well.
+        at = draw(st.integers(0, len(src)))
+        src = src[:at] + draw(st.sampled_from(_TOKENS)) + src[at:]
+    given_chart = chart if chart == "wave" or draw(st.booleans()) else None
+    return src, n, draw(st.integers(1, 4)), given_chart
+
+
+@settings(max_examples=400)
+@given(_parse_cases())
+def test_parse_matches_polyobservable_arithmetic(case):
+    assert_parses_like_reference(*case)
+
+
+@pytest.mark.parametrize("src, n, order, chart", [
+    ("l", 1, 1, None),
+    ("l^3*0", 1, 3, None),
+    ("0*l^3", 1, 3, None),
+    ("0*l*l*l", 1, 2, None),
+    ("q1*l*l*l*p1", 1, 3, None),
+    ("l*l*l*l", 1, 3, None),
+    ("l^0", 1, 1, None),
+    ("q1 - q1 + q1", 1, K, None),
+    ("q1 - q1 + p1 + q1", 1, K, None),
+    ("l^2*q1 + q1 - l^2*q1", 1, 2, None),
+    ("((q1*l + 2*i)^2*(p1 - l))^2", 1, K, None),
+    ("-((-q1))^2", 1, K, None),
+    ("(1/2 - 3*i)*q1^2*l + (2*i)*q1^2*l", 1, K, None),
+    ("((1 + l)*l)^2*q1", 1, 2, None),
+    ("((1 + l)*l)*q1 + p1", 1, 2, None),
+    ("(1 + l)*l - l + q1", 1, 2, None),
+    ("(q1 + l^2*q1 - l^2*q1)^2", 1, 2, None),
+    ("(2*i*z1*l)^3 + zb1^0 - 1/2*z1*zb2", 2, 6, "holo"),
+    ("yb1^2*yb2 + (i*yb1 - yb2)^2", 2, 3, None),
+    ("yb1 + l^4", 1, 4, "fock"),
+    ("q1 +", 1, K, None),
+    ("q1*p1 -", 1, K, None),
+    ("(q1 + p1", 1, K, None),
+    ("q1^", 1, K, None),
+    ("p1", 1, K, "wave"),
+])
+def test_parse_matches_reference_on_edge_cases(src, n, order, chart):
+    assert_parses_like_reference(src, n, order, chart)
+
+
+def test_flag_rules_of_direct_terms():
+    assert parse("l", 1, 1).tail_lost and not parse("l", 1, 1).terms
+    assert parse("l^0", 1, 1) == parse("1", 1, 1)
+    assert not parse("l^0", 1, 1).tail_lost
+    assert parse("l^3*0", 1, 3).tail_lost and parse("0*l^3", 1, 3).tail_lost
+    assert not parse("0*l*l*l", 1, 2).tail_lost
+    assert not parse("0", 1, K).tail_lost
+    f = parse("q1 - q1 + p1 + q1", 1, K)
+    assert list(f.terms) == [(0, 1), (1, 0)] and not f.tail_lost
+    g = parse("(q1 + l^2*q1 - l^2*q1)^2", 1, 2)
+    assert g.tail_lost and list(g.terms) == [(2, 0)]
+
+
+class _CountCalls:
+    def __init__(self, monkeypatch, cls, name):
+        self.count = 0
+        original = getattr(cls, name)
+
+        def counted(*args):
+            self.count += 1
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+
+def test_canonical_text_parses_without_series_products(monkeypatch):
+    import itertools
+    sig = PhaseSpaceSignature(2, "real")
+    coeffs = [GaussianRational(Fraction(1, 2), -3), GaussianRational(-2),
+              GaussianRational(0, Fraction(-1, 4)), GaussianRational(5, 1)]
+    exps = [e for e in itertools.product(range(5), repeat=4) if sum(e) <= 4]
+    terms = {}
+    for k, exp in enumerate(exps[::4][:16]):
+        terms[exp] = FormalSeries(
+            [coeffs[(k + r) % 4] if (k + r) % 3 else 0 for r in range(K)], K)
+    f = PolyObservable(sig, terms, K)
+    assert len(f.terms) == 16 and f.total_degree() == 4
+    text = observable_text(f)
+    products = _CountCalls(monkeypatch, FormalSeries, "__mul__")
+    assert parse(text, 2, K) == f
+    assert products.count == 0
+
+
+def test_large_power_of_a_variable_is_closed_form(monkeypatch):
+    series_products = _CountCalls(monkeypatch, FormalSeries, "__mul__")
+    scalar_products = _CountCalls(monkeypatch, GaussianRational, "__mul__")
+    f = parse("q1^100000", 1, K)
+    assert list(f.terms) == [(100000, 0)]
+    assert f.terms[(100000, 0)] == FormalSeries.one(K)
+    assert series_products.count == 0 and scalar_products.count == 0
+    g = parse("(2*i*l)^3", 1, K)
+    assert series_products.count == 0 and scalar_products.count < 10
+    assert g == reference_parse("(2*i*l)^3", 1, K)
+
+
+def test_parse_series_matches_reference():
+    for src, order in (("1/2 + i*l + 3*l^2", K), ("l", 1), ("l - l", 3),
+                       ("(1 + l)^3", 3), ("2*l^2*i", 2)):
+        want = reference_parse(src, 1, order, "real")
+        got = parse_series(src, order)
+        assert got == want.terms.get((0, 0), FormalSeries.zero(order))
+        assert got.tail_lost == (want.terms[(0, 0)].tail_lost
+                                 if want.terms else False)
+
+
+def test_parse_series_error_precedence():
+    cases = [("1 + q1 $", "unexpected character '$'"),
+             ("1 + + q1", "variable 'q1' not allowed in a scalar"),
+             ("1 + + l", "unexpected token '+'"),
+             ("(1 + l", "expected ')'")]
+    for src, message in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_series(src, K)
+        assert str(exc.value).startswith(message), src
 
 
 # -- printing ---------------------------------------------------------------------------
