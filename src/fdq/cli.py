@@ -146,7 +146,7 @@ def _matrix_from_arg(text, order):
 # -- subcommand implementations ----------------------------------------------------
 
 
-def _cmd_star(args, config, out):
+def _cmd_star(args, config, out, err):
     spec = _resolve_spec(config)
     chart = spec.signature.chart
     f = parse(args.f, config.n, config.K, chart)
@@ -156,7 +156,7 @@ def _cmd_star(args, config, out):
     return 0
 
 
-def _cmd_commutator(args, config, out):
+def _cmd_commutator(args, config, out, err):
     spec = _resolve_spec(config)
     chart = spec.signature.chart
     f = parse(args.f, config.n, config.K, chart)
@@ -166,7 +166,7 @@ def _cmd_commutator(args, config, out):
     return 0
 
 
-def _cmd_starexp(args, config, out):
+def _cmd_starexp(args, config, out, err):
     spec = _resolve_spec(config)
     h = parse(args.h, config.n, config.K, spec.signature.chart)
     coeffs = star_exponential_beta(spec, h, args.order)
@@ -179,7 +179,7 @@ def _cmd_starexp(args, config, out):
     return 0
 
 
-def _cmd_functional(args, config, out):
+def _cmd_functional(args, config, out, err):
     spec = _resolve_spec(config)
     sig = spec.signature
     point = _parse_point(args.delta, sig.width)
@@ -197,7 +197,7 @@ def _cmd_functional(args, config, out):
     return 0
 
 
-def _cmd_fock(args, config, out):
+def _cmd_fock(args, config, out, err):
     if args.inner:
         phi = parse(args.inner[0], config.n, config.K, "fock")
         psi = parse(args.inner[1], config.n, config.K, "fock")
@@ -212,7 +212,7 @@ def _cmd_fock(args, config, out):
     return 0
 
 
-def _cmd_schroedinger(args, config, out):
+def _cmd_schroedinger(args, config, out, err):
     f = parse(args.f, config.n, config.K, "real")
     op = schroedinger_rep(args.kind, f)
     payload = {"schema_version": 1, "type": "diff_operator",
@@ -221,7 +221,7 @@ def _cmd_schroedinger(args, config, out):
     return 0
 
 
-def _cmd_gns(args, config, out):
+def _cmd_gns(args, config, out, err):
     weights = _matrix_from_arg(args.omega, config.K)
     deform = _matrix_from_arg(args.deform, config.K) if args.deform else None
     algebra = MatrixStarAlgebra(weights.nrows, config.K, deform=deform)
@@ -237,7 +237,7 @@ def _cmd_gns(args, config, out):
     return 0
 
 
-def _cmd_project(args, config, out):
+def _cmd_project(args, config, out, err):
     p0 = _matrix_from_arg(args.p0, config.K)
     deform = _matrix_from_arg(args.deform, config.K) if args.deform else None
     algebra = MatrixStarAlgebra(p0.nrows, config.K, deform=deform)
@@ -282,7 +282,7 @@ def _load_module_json(path, order):
     return PreHilbertModule(algebra, rank, gram)
 
 
-def _cmd_rieffel(args, config, out):
+def _cmd_rieffel(args, config, out, err):
     f_mod = _load_module_json(args.f_module, config.K)
     e_mod = _load_module_json(args.e_module, config.K)
     # The CLI wires the canonical left actions: B = scalars acts by
@@ -314,7 +314,7 @@ def _cmd_rieffel(args, config, out):
     return 0
 
 
-def _cmd_morita(args, config, out):
+def _cmd_morita(args, config, out, err):
     m = args.m
     if args.diff is not None:
         coords = [parse_series(t.strip(), config.K)
@@ -335,7 +335,7 @@ def _cmd_morita(args, config, out):
     return 0
 
 
-def _cmd_axioms(args, config, out):
+def _cmd_axioms(args, config, out, err):
     spec = _resolve_spec(config)
     report = check_star_axioms(spec, args.degree)
     if config.output == "json":
@@ -349,7 +349,7 @@ def _cmd_axioms(args, config, out):
     return 0
 
 
-def _cmd_suite(args, config, out):
+def _cmd_suite(args, config, out, err):
     reports = property_suite(args.name, config)
     failures = 0
     if config.output == "json":
@@ -360,7 +360,7 @@ def _cmd_suite(args, config, out):
             out.write(r.text() + "\n")
     for r in reports:
         failures += len(r.failures)
-        print(f"[{r.name}] {r.elapsed:.2f}s", file=sys.stderr)
+        err.write(f"[{r.name}] {r.elapsed:.2f}s\n")
     return 1 if failures else 0
 
 
@@ -501,7 +501,7 @@ def run_command(argv, out=None, err=None):
         return int(exc.code or 0)
     try:
         config = config_load(args)
-        return args.func(args, config, out)
+        return args.func(args, config, out, err)
     except FdqError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=err)
         return 3

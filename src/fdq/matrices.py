@@ -209,26 +209,38 @@ def matrix_from_json(obj, pointer=""):
 # -- valuation-pivoted elimination ------------------------------------------------
 
 
-def _divide(a: FormalSeries, b: FormalSeries) -> FormalSeries:
-    """a / b for val(a) >= val(b); flags the result when the pivot valuation
-    shifts reliable coefficients out of range."""
-    vb = b.valuation()
-    if vb is None:
-        raise ZeroDivisionError("division by a zero-up-to-K series")
-    if vb == 0:
-        return a * b.invert()
-    va = a.valuation()
-    if va is None:
-        if not a.is_exact_zero():
-            raise PrecisionExhausted(
-                "dividend is zero only up to the truncation order")
-        return a
-    if va < vb:
-        raise ValueError("dividend valuation below divisor valuation")
-    K = a.order
-    a_shift = FormalSeries(a.coeffs[vb:], K, True)
-    b_shift = FormalSeries(b.coeffs[vb:], K, True)
-    return a_shift * b_shift.invert()
+class _Divisor:
+    """Division by one pivot b: ``div(a)`` is a / b for val(a) >= val(b),
+    flagged when the pivot valuation shifts reliable coefficients out of
+    range.  The inverse of b (of b / l^val(b) when val(b) > 0) and its flag
+    depend on b alone, so it is computed at the first division and reused."""
+
+    __slots__ = ("pivot", "valuation", "inverse")
+
+    def __init__(self, b: FormalSeries):
+        v = b.valuation()
+        if v is None:
+            raise ZeroDivisionError("division by a zero-up-to-K series")
+        self.pivot, self.valuation, self.inverse = b, v, None
+
+    def __call__(self, a: FormalSeries) -> FormalSeries:
+        vb = self.valuation
+        if vb:
+            va = a.valuation()
+            if va is None:
+                if not a.is_exact_zero():
+                    raise PrecisionExhausted(
+                        "dividend is zero only up to the truncation order")
+                return a
+            if va < vb:
+                raise ValueError("dividend valuation below divisor valuation")
+            a = FormalSeries(a.coeffs[vb:], a.order, True)
+        if self.inverse is None:
+            b = self.pivot
+            if vb:
+                b = FormalSeries(b.coeffs[vb:], b.order, True)
+            self.inverse = b.invert()
+        return a * self.inverse
 
 
 class Echelon:
@@ -238,11 +250,12 @@ class Echelon:
     row has exact zeros in all earlier pivot columns.
     """
 
-    __slots__ = ("rows", "pivots", "free_cols", "ncols", "order")
+    __slots__ = ("rows", "pivots", "divisors", "free_cols", "ncols", "order")
 
-    def __init__(self, rows, pivots, free_cols, ncols, order):
+    def __init__(self, rows, pivots, divisors, free_cols, ncols, order):
         self.rows = rows
         self.pivots = pivots          # chronological list of (row, col)
+        self.divisors = divisors      # (row, col) -> _Divisor of that pivot
         self.free_cols = free_cols
         self.ncols = ncols
         self.order = order
@@ -264,13 +277,16 @@ def _min_valuation_pivot(rows, used_rows, used_cols, ncols):
     return best
 
 
-def _echelonize(rows, ncols, certify_rank=True):
+def _echelonize(rows, ncols, divisors, certify_rank=True):
     """In-place row echelon with global min-valuation pivots.
 
     Rows may be longer than ncols (augmented systems); pivots are only chosen
     among the first ncols columns.  When certify_rank is set, a remaining
     block that vanishes only up to the truncation order raises
-    PrecisionExhausted instead of being declared zero.
+    PrecisionExhausted instead of being declared zero.  The dict
+    ``divisors`` receives the ``_Divisor`` of each pivot, keyed by (row,
+    col): a pivot row is never changed after it is chosen, so
+    back-substitution reuses the pivot inverses taken here.
     """
     pivots = []
     used_rows, used_cols = set(), set()
@@ -291,14 +307,14 @@ def _echelonize(rows, ncols, certify_rank=True):
                                 "truncation")
             return pivots
         _, pi, pj = best
-        pivot = rows[pi][pj]
+        divide = divisors[pi, pj] = _Divisor(rows[pi][pj])
         for i, row in enumerate(rows):
             if i in used_rows or i == pi:
                 continue
             e = row[pj]
             if e.is_exact_zero():
                 continue
-            factor = _divide(e, pivot)
+            factor = divide(e)
             rows[i] = [x - factor * y for x, y in zip(row, rows[pi])]
         used_rows.add(pi)
         used_cols.add(pj)
@@ -307,10 +323,11 @@ def _echelonize(rows, ncols, certify_rank=True):
 
 def echelon(mat: SeriesMatrix) -> Echelon:
     rows = [list(r) for r in mat.rows]
-    pivots = _echelonize(rows, mat.ncols)
+    divisors = {}
+    pivots = _echelonize(rows, mat.ncols, divisors)
     used_cols = {pj for _, pj in pivots}
     free_cols = [j for j in range(mat.ncols) if j not in used_cols]
-    return Echelon(rows, pivots, free_cols, mat.ncols, mat.order)
+    return Echelon(rows, pivots, divisors, free_cols, mat.ncols, mat.order)
 
 
 def _residual(row, x, pj, ncols):
@@ -344,7 +361,7 @@ def radical_quotient(mat: SeriesMatrix):
         for pi, pj in reversed(ech.pivots):
             s = _residual(ech.rows[pi], vec, pj, ech.ncols)
             if not s.is_exact_zero():
-                vec[pj] = -_divide(s, ech.rows[pi][pj])
+                vec[pj] = -ech.divisors[pi, pj](s)
         kernel.append((f, vec))
     return sorted(pj for _, pj in ech.pivots), kernel
 
@@ -369,11 +386,12 @@ def nullspace(mat: SeriesMatrix):
     return [v for _, v in radical_quotient(mat)[1]]
 
 
-def _back_substitute(rows, pivots, ncols, col):
+def _back_substitute(rows, pivots, divisors, ncols, col):
     """The solution for the right-hand side in column ``col`` of the
     echelonized augmented ``rows``: a consistency check on the rows without
     a pivot, then back-substitution in reverse pivot order with free
-    variables set to zero.  None when no in-ring solution exists."""
+    variables set to zero, dividing by the pivots' ``divisors``.  None when
+    no in-ring solution exists."""
     used_rows = {pi for pi, _ in pivots}
     for i, row in enumerate(rows):
         if i in used_rows:
@@ -391,16 +409,16 @@ def _back_substitute(rows, pivots, ncols, col):
         s = row[col] - _residual(row, x, pj, ncols)
         if s.is_exact_zero():
             continue
-        piv = row[pj]
+        divide = divisors[pi, pj]
         sv = s.valuation()
-        if sv is None and piv.valuation() > 0:
+        if sv is None and divide.valuation > 0:
             # s is zero only up to l^K; over a unit pivot s/piv is still
             # determined mod l^K (zero with a lost tail), here it is not.
             raise PrecisionExhausted(
                 "solution component undecidable at this truncation")
-        if sv is not None and sv < piv.valuation():
+        if sv is not None and sv < divide.valuation:
             return None  # field solution exists but leaves the ring
-        x[pj] = _divide(s, piv)
+        x[pj] = divide(s)
     return x
 
 
@@ -420,10 +438,11 @@ def _solve_columns(mat: SeriesMatrix, rhs_cols):
     ncols = mat.ncols
     rows = [list(r) + [rhs[i] for rhs in rhs_cols]
             for i, r in enumerate(mat.rows)]
-    pivots = _echelonize(rows, ncols, certify_rank=False)
+    divisors = {}
+    pivots = _echelonize(rows, ncols, divisors, certify_rank=False)
     solutions = []
     for c in range(len(rhs_cols)):
-        x = _back_substitute(rows, pivots, ncols, ncols + c)
+        x = _back_substitute(rows, pivots, divisors, ncols, ncols + c)
         if x is None:
             return None
         solutions.append(x)

@@ -5,12 +5,20 @@ results are exact and equality is structural.  A series remembers whether any
 computation that produced it discarded a nonzero coefficient beyond the
 truncation order (``tail_lost``); rank decisions elsewhere consult that flag
 to stay precision-honest.  The flag never takes part in equality or printing.
+
+Series products are integer convolutions.  Each operand is scaled once by the
+lcm D of its coefficient denominators, so D*c_k is a Gaussian integer; the
+K^2 term products and their sums run on Python ints, and each output
+coefficient is built once as a pair of Fractions over Da*Db.  Fraction
+normalises to lowest terms, so the result is the same value, with the same
+text and JSON, as summing the Gaussian-rational products one by one.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import lcm
 
 from .errors import BadLeadingTerm, NotReal, NotUnit, TruncationMismatch
 
@@ -115,6 +123,23 @@ def _promote(x):
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
+
+
+def _scaled(coeffs):
+    """(D, terms): D is the lcm of the coefficient denominators and terms
+    lists (k, re, im) with D*c_k = re + i*im, Gaussian integers, for each
+    nonzero c_k in index order."""
+    d = 1
+    for c in coeffs:
+        d = lcm(d, c.re.denominator, c.im.denominator)
+    terms = []
+    for k, c in enumerate(coeffs):
+        re, im = c.re, c.im
+        r = re.numerator * (d // re.denominator)
+        m = im.numerator * (d // im.denominator)
+        if r or m:
+            terms.append((k, r, m))
+    return d, terms
 
 
 class FormalSeries:
@@ -240,6 +265,13 @@ class FormalSeries:
                             self.tail_lost)
 
     def __mul__(self, other):
+        """Truncated product by integer convolution (see the module notes).
+
+        Exact: with Da*a_i and Db*b_j Gaussian integers, coefficient k is
+        (sum over i + j = k of (Da*a_i)(Db*b_j)) / (Da*Db), reduced once.
+        The result has lost its tail when an operand has, or when a pair of
+        nonzero terms lands at l^K or beyond.
+        """
         if not isinstance(other, FormalSeries):
             return NotImplemented
         self._check(other)
@@ -248,20 +280,25 @@ class FormalSeries:
         if self.is_zero() or other.is_zero():
             # What the loop below gives: no product term, the operands' flags.
             return FormalSeries((), K, lost)
-        a, b = self.coeffs, other.coeffs
-        out = [GR_ZERO] * K
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
+        da, a = _scaled(self.coeffs)
+        db, b = _scaled(other.coeffs)
+        re, im = [0] * K, [0] * K
+        for i, ar, ai in a:
+            for j, br, bi in b:
                 k = i + j
-                if k < K:
-                    out[k] = out[k] + ai * bj
-                else:
+                if k >= K:
+                    # b is in index order: every later term is out of range
+                    # too, and a product of nonzero terms is nonzero.
                     lost = True
-        return FormalSeries(tuple(out), K, lost)
+                    break
+                re[k] += ar * br - ai * bi
+                im[k] += ar * bi + ai * br
+        d = da * db
+        return FormalSeries(
+            tuple(GaussianRational(Fraction(r, d) if r else _F0,
+                                   Fraction(m, d) if m else _F0)
+                  if r or m else GR_ZERO for r, m in zip(re, im)),
+            K, lost)
 
     def scalar_mul(self, c):
         c = _promote(c)

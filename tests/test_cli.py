@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -212,6 +213,23 @@ def test_suite_failures_exit_1(monkeypatch):
     code, out, _ = run(["suite", "failing"])
     assert code == 1
     assert "FAIL always fails" in out
+
+
+def test_suite_timings_go_to_the_given_stream(capsys):
+    code, out, err = run(["suite", "morita"])
+    assert code == 0 and out.startswith("suite morita")
+    assert re.fullmatch(r"\[morita\] \d+\.\d\ds\n", err)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_main_writes_suite_timings_to_the_process_stderr(capsys):
+    from fdq.cli import main
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "morita"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out == run(["suite", "morita"])[1]
+    assert re.fullmatch(r"\[morita\] \d+\.\d\ds\n", captured.err)
 
 
 def test_roundtrip_summary_fails_with_wrong_parser(monkeypatch):

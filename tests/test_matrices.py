@@ -128,9 +128,9 @@ def test_radical_quotient_partition_and_kernel(mat):
 
 
 def test_divide_lossy_zero_dividend():
-    from fdq.matrices import _divide
+    from fdq.matrices import _Divisor
     with pytest.raises(PrecisionExhausted):
-        _divide(lossy_zero(), LAM)
+        _Divisor(LAM)(lossy_zero())
 
 
 def test_elimination_raises_on_uncertified_zero():
@@ -400,3 +400,83 @@ def test_inverse_eliminates_once(monkeypatch):
     inv = series_matrix_inverse(m)
     assert calls == [4]
     assert m @ inv == SeriesMatrix.identity(4, K)
+
+
+def dense(nrows, ncols, shift=0):
+    """Entries (i + j + 1) l off the diagonal and 2 + l on it, times
+    l^shift: every entry is nonzero, every pivot has valuation ``shift``."""
+    return SeriesMatrix(
+        [[(ONE + ONE + LAM if i == j
+           else LAM.scalar_mul(GaussianRational(i + j + 1))).shift(shift)
+          for j in range(ncols)] for i in range(nrows)], K)
+
+
+def count_inverts(monkeypatch):
+    calls = []
+    real = FormalSeries.invert
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FormalSeries, "invert", counting)
+    return calls
+
+
+def test_each_pivot_is_inverted_once(monkeypatch):
+    calls = count_inverts(monkeypatch)
+    m = dense(4, 4)
+    inv = series_matrix_inverse(m)
+    # Three pivots clear rows below them; back-substitution reuses their
+    # inverses and inverts the last pivot for the first time.
+    assert len(calls) == 4
+    assert m @ inv == SeriesMatrix.identity(4, K)
+    del calls[:]
+    assert len(echelon(m).pivots) == 4
+    assert len(calls) == 3   # the last pivot has no row left to clear
+    del calls[:]
+    assert len(echelon(dense(5, 4)).pivots) == 4
+    assert len(calls) == 4
+    del calls[:]
+    assert len(echelon(dense(4, 4, shift=1)).pivots) == 4
+    assert len(calls) == 3   # the shifted pivot l^-1 p is inverted once too
+    del calls[:]
+    assert len(radical_quotient(dense(3, 5))[1]) == 2
+    assert len(calls) == 3
+
+
+@settings(max_examples=300)
+@given(square_matrices())
+def test_shared_pivot_inverses_match_fresh_ones(m):
+    """Reusing each pivot's inverse gives the values, flags and errors that
+    inverting the pivot again for every division gives."""
+    import fdq.matrices as matrices
+
+    class Fresh(matrices._Divisor):
+        __slots__ = ()
+
+        def __call__(self, a):
+            self.inverse = None
+            return super().__call__(a)
+
+    def run():
+        got = []
+        for f in (series_matrix_inverse, radical_quotient):
+            try:
+                res = f(m)
+            except (NotUnit, PrecisionExhausted) as exc:
+                got.append((type(exc), str(exc)))
+                continue
+            vecs = (res.rows if f is series_matrix_inverse
+                    else [vec for _, vec in res[1]])
+            got.append((vecs, [[e.tail_lost for e in v] for v in vecs]))
+        return got
+
+    shared = run()
+    real = matrices._Divisor
+    matrices._Divisor = Fresh
+    try:
+        fresh = run()
+    finally:
+        matrices._Divisor = real
+    assert shared == fresh

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fdq.errors import BadLeadingTerm, NotReal, NotUnit, TruncationMismatch
 from fdq.series import FormalSeries, GaussianRational, Sign
@@ -214,10 +214,30 @@ def reference_mul(a, b):
 
 
 @st.composite
+def gaussian_coeffs(draw, K):
+    """K Gaussian rationals: zero, real, pure imaginary or general entries
+    over denominators up to 50 that are either drawn per component (mostly
+    coprime) or shared by the whole series, so lcm scaling is exercised."""
+    shared = draw(st.one_of(st.none(), st.integers(1, 50)))
+    dens = st.integers(1, 50) if shared is None else st.just(shared)
+
+    def part():
+        return Fraction(draw(st.integers(-60, 60)), draw(dens))
+
+    def coeff():
+        kind = draw(st.sampled_from(["zero", "real", "imag", "both"]))
+        return GaussianRational(part() if kind in ("real", "both") else 0,
+                                part() if kind in ("imag", "both") else 0)
+
+    return [coeff() for _ in range(K)]
+
+
+@st.composite
 def series_pairs(draw):
-    """Two series of one order K in {1, .., 4}, each an exact zero, a zero
-    with a lost tail, or arbitrary coefficients with or without one."""
-    K = draw(st.integers(1, 4))
+    """Two series of one order K in {1, .., 6}, each an exact zero, a zero
+    with a lost tail, or Gaussian-rational coefficients with or without
+    one."""
+    K = draw(st.integers(1, 6))
 
     def one():
         kind = draw(st.sampled_from(["exact-zero", "lossy-zero", "plain",
@@ -226,16 +246,23 @@ def series_pairs(draw):
             return FormalSeries.zero(K)
         if kind == "lossy-zero":
             return FormalSeries((), K, tail_lost=True)
-        cs = draw(st.lists(st.builds(GaussianRational, st.integers(-3, 3),
-                                     st.integers(-2, 2)),
-                           min_size=K, max_size=K))
-        return FormalSeries(cs, K, tail_lost=kind == "lossy")
+        return FormalSeries(draw(gaussian_coeffs(K)), K,
+                            tail_lost=kind == "lossy")
 
     return one(), one()
 
 
-@settings(max_examples=200)
+MIXED = (FormalSeries([GaussianRational(Fraction(1, 6), Fraction(-5, 49)),
+                       GaussianRational(0, Fraction(7, 10)),
+                       GaussianRational(Fraction(-3, 35))], 4),
+         FormalSeries([GaussianRational(6, Fraction(49, 5)),
+                       GaussianRational(Fraction(1, 50)), 0,
+                       GaussianRational(0, Fraction(-1, 47))], 4, True))
+
+
+@settings(max_examples=400)
 @given(series_pairs())
+@example(MIXED)
 def test_add_sub_mul_match_full_loops(pair):
     a, b = pair
     for op, ref in ((lambda x, y: x + y, reference_add),
@@ -245,3 +272,34 @@ def test_add_sub_mul_match_full_loops(pair):
             got, want = op(x, y), ref(x, y)
             assert got.coeffs == want.coeffs and got.order == want.order
             assert got.tail_lost == want.tail_lost
+
+
+def assert_mul_matches_reference(a, b):
+    for x, y in ((a, b), (b, a)):
+        got, want = x * y, reference_mul(x, y)
+        assert got.coeffs == want.coeffs and got.order == want.order
+        assert got.tail_lost == want.tail_lost
+
+
+def test_mul_out_of_range_terms_set_the_flag():
+    half_i = GaussianRational(0, Fraction(1, 2))
+    third = GaussianRational(Fraction(-1, 3), Fraction(2, 7))
+    for K in range(2, 7):
+        top = FormalSeries.lam(K - 1, K).scalar_mul(half_i)
+        # c l^(K-1) * l: the only product term lands at l^K.
+        prod = top * FormalSeries.lam(1, K)
+        assert prod.is_zero() and prod.tail_lost
+        assert_mul_matches_reference(top, FormalSeries.lam(1, K))
+        # Only out-of-range pairs are nonzero: the product is a lossy zero.
+        for i in range(K):
+            for j in range(K - i, K):
+                a = FormalSeries.lam(i, K).scalar_mul(third)
+                b = FormalSeries.lam(j, K).scalar_mul(half_i)
+                assert (a * b).is_zero() and (a * b).tail_lost
+                assert_mul_matches_reference(a, b)
+        # An in-range product of the same terms keeps the flag clear.
+        low = FormalSeries.lam(0, K).scalar_mul(third)
+        assert not (low * top).tail_lost and (low * top).coeffs[K - 1] == \
+            third * half_i
+        assert_mul_matches_reference(low, top)
+
