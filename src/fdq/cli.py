@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .errors import ConfigError, FdqError
+from .errors import ConfigError, FdqError, SchemaError
 from .exprio import (deserialize, observable_text, operator_text, parse,
                      parse_series, serialize, series_text)
 from .functionals import deform_delta, delta, evaluate
@@ -98,16 +98,23 @@ def config_load(args):
     return RunConfig(**values)
 
 
+def _read_json_file(path, what):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}")
+
+
 def _resolve_spec(config):
     if config.product.startswith("custom:"):
         path = config.product.split(":", 1)[1]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read product file {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}")
+        payload = _read_json_file(path, "product")
+        if isinstance(payload, dict) and payload.get("type") != "star_product":
+            raise SchemaError(f"product file {path} holds no star_product",
+                              "/type")
         return deserialize(payload)
     return builtin_spec(config.product, config.n, config.K)
 
@@ -134,11 +141,15 @@ def _parse_point(text, width):
 
 
 def _matrix_from_arg(text, order):
+    message = "matrix argument must be JSON rows of series strings"
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"matrix argument must be JSON rows of series "
-                          f"strings: {exc}")
+        raise ConfigError(f"{message}: {exc}")
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(isinstance(e, str) for e in row)
+            for row in rows)):
+        raise ConfigError(message)
     return SeriesMatrix([[parse_series(e, order) for e in row]
                          for row in rows], order)
 
@@ -167,6 +178,8 @@ def _cmd_commutator(args, config, out, err):
 
 
 def _cmd_starexp(args, config, out, err):
+    if args.order < 0:
+        raise ConfigError("--order must be >= 0")
     spec = _resolve_spec(config)
     h = parse(args.h, config.n, config.K, spec.signature.chart)
     coeffs = star_exponential_beta(spec, h, args.order)
@@ -252,21 +265,21 @@ def _cmd_project(args, config, out, err):
 
 
 def _load_module_json(path, order):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read module file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}")
-    from .errors import SchemaError
+    payload = _read_json_file(path, "module")
     if not isinstance(payload, dict) or "rank" not in payload \
             or "gram" not in payload:
         raise SchemaError("module JSON needs rank and gram", "/")
     base = payload.get("base", {})
     m = base.get("m", 1) if isinstance(base, dict) else 1
-    algebra = MatrixStarAlgebra(m, order)
+    if not isinstance(m, int) or m < 1:
+        raise SchemaError("base m must be a positive integer", "/base/m")
     rank = payload["rank"]
+    if not isinstance(rank, int) or rank < 0:
+        raise SchemaError("rank must be a nonnegative integer", "/rank")
+    if not (isinstance(payload["gram"], list)
+            and all(isinstance(row, list) for row in payload["gram"])):
+        raise SchemaError("gram must be a list of rows", "/gram")
+    algebra = MatrixStarAlgebra(m, order)
     gram = []
     for i, row in enumerate(payload["gram"]):
         grow = []
@@ -336,6 +349,8 @@ def _cmd_morita(args, config, out, err):
 
 
 def _cmd_axioms(args, config, out, err):
+    if args.degree < 0:
+        raise ConfigError("--degree must be >= 0")
     spec = _resolve_spec(config)
     report = check_star_axioms(spec, args.degree)
     if config.output == "json":

@@ -8,10 +8,13 @@ The text grammar (l is the deformation parameter, i the imaginary unit):
     atom   := rational | 'i' | 'l' | var | '(' expr ')'
 
 Division appears only inside rational literals (``3/4``), never between
-expressions.  The parser builds terms directly: a product of atoms is one
-monomial (scalar, power of l, exponent vector) until it meets ``+``, ``-``
-or a factor with several terms, and a sum gathers its terms in one dict.
-The result, term order and ``tail_lost`` flags included, is what
+expressions.  The lexer scans a text once; a token keeps its offset, and an
+error's line and column are computed from it only when the error is raised.
+Variable names resolve through ``PhaseSpaceSignature.variables()``, the one
+table from chart to names.  The parser builds terms directly: a product of
+atoms is one monomial (scalar, power of l, exponent vector) until it meets
+``+``, ``-`` or a factor with several terms, and a sum gathers its terms in
+one dict.  The result, term order and ``tail_lost`` flags included, is what
 PolyObservable arithmetic gives on the same text.
 
 Canonical printing emits terms in descending graded-lex order with ascending
@@ -21,6 +24,7 @@ powers of l inside each term; ``parse(print(x)) == x`` holds for every value.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from operator import add
 
@@ -32,26 +36,22 @@ from .series import (DEFAULT_ORDER, GR_I, GR_ONE, GR_ZERO, FormalSeries,
 # -- canonical printing ---------------------------------------------------------
 
 
-def rational_text(q: Fraction) -> str:
-    return str(q)
-
-
 def gaussian_text(c: GaussianRational) -> str:
     """Canonical scalar form: ``3``, ``-1/4``, ``i``, ``1/2*i``, ``1 - 2*i``."""
     re_, im = c.re, c.im
     if not im:
-        return rational_text(re_)
+        return str(re_)
     if im == 1:
         istr = "i"
     elif im == -1:
         istr = "-i"
     else:
-        istr = f"{rational_text(im)}*i"
+        istr = f"{im!s}*i"
     if not re_:
         return istr
     if im > 0:
-        return f"{rational_text(re_)} + {istr}"
-    return f"{rational_text(re_)} - {istr.lstrip('-')}"
+        return f"{re_!s} + {istr}"
+    return f"{re_!s} - {istr.lstrip('-')}"
 
 
 def _atom_text(c: GaussianRational, var_factors, leading=False) -> str:
@@ -123,127 +123,75 @@ def operator_text(op) -> str:
 
 # -- tokenizer -------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+(?:/\d+)?)
+# Optional whitespace, then one token; the last alternative takes any other
+# non-space character, so only trailing whitespace is left unmatched.
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<number>\d+(?:/\d+)?)
   | (?P<name>[A-Za-z][A-Za-z0-9]*)
   | (?P<op>[-+*^()])
-""", re.VERBOSE)
+  | (?P<other>\S))""", re.VERBOSE)
 
 _VAR_RE = re.compile(r"(qb|zb|yb|q|p|z)([1-9][0-9]*)$")
 
+_Token = namedtuple("_Token", "kind value offset")
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
 
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
+def _error(cls, message, src, offset):
+    """``cls(message)`` at the 1-based line and column of ``src[offset]``."""
+    return cls(message, src.count("\n", 0, offset) + 1,
+               offset - src.rfind("\n", 0, offset))
 
 
 def _tokenize(src):
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        text = m.group(0)
-        if m.lastgroup == "number":
-            if "/" in text:
-                num, den = text.split("/")
-                if int(den) == 0:
-                    raise ParseError("zero denominator", line, col)
-                value = Fraction(int(num), int(den))
-            else:
-                value = Fraction(int(text))
-            tokens.append(_Token("number", value, line, col))
-        elif m.lastgroup == "name":
-            tokens.append(_Token("name", text, line, col))
-        elif m.lastgroup == "op":
-            tokens.append(_Token("op", text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("end", "", line, col))
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        value = m.group(kind)
+        offset = m.start(kind)
+        if kind == "number":
+            num, _, den = value.partition("/")
+            if den and not int(den):
+                raise _error(ParseError, "zero denominator", src, offset)
+            value = Fraction(int(num), int(den)) if den else Fraction(int(num))
+        elif kind == "other":
+            raise _error(ParseError, f"unexpected character {value!r}", src,
+                         offset)
+        tokens.append(_Token(kind, value, offset))
+    tokens.append(_Token("end", "", len(src)))
     return tokens
 
 
-_CHART_OF_PREFIX = {"q": "real", "p": "real", "z": "holo", "zb": "holo",
-                    "yb": "fock"}
+# Each name prefix and each chart mapped to its variable family.
+_FAMILY_OF_PREFIX = dict(q="real", p="real", z="holo", zb="holo", yb="fock")
+_FAMILY_OF_CHART = dict(real="real", wave="real", holo="holo", fock="fock")
 
 
-def _classify_variables(tokens, n, chart):
-    """Infer/validate the chart from variable names; map names to indices."""
-    seen_real = seen_holo = seen_fock = False
+def _classify_variables(tokens, n, chart, src):
+    """Check every variable name; infer the chart (named after its family)
+    or check that the given one fits."""
+    seen = set()
     for tok in tokens:
         if tok.kind != "name" or tok.value in ("i", "l"):
             continue
         m = _VAR_RE.match(tok.value)
-        if not m:
-            raise UnknownVariable(f"unknown variable {tok.value!r}",
-                                  tok.line, tok.column)
-        prefix, idx = m.group(1), int(m.group(2))
-        family = _CHART_OF_PREFIX.get(prefix)
-        if family is None:
-            raise UnknownVariable(f"unknown variable {tok.value!r}",
-                                  tok.line, tok.column)
-        if idx > n:
-            raise UnknownVariable(
-                f"variable {tok.value!r} out of range for n={n}",
-                tok.line, tok.column)
-        if family == "real":
-            seen_real = True
-        elif family == "holo":
-            seen_holo = True
-        else:
-            seen_fock = True
-        if seen_real + seen_holo + seen_fock > 1:
-            raise MixedChart("variables from different charts in one "
-                             "expression", tok.line, tok.column)
+        family = m and _FAMILY_OF_PREFIX.get(m.group(1))
+        if not family:
+            raise _error(UnknownVariable, f"unknown variable {tok.value!r}",
+                         src, tok.offset)
+        if int(m.group(2)) > n:
+            raise _error(UnknownVariable,
+                         f"variable {tok.value!r} out of range for n={n}",
+                         src, tok.offset)
+        seen.add(family)
+        if len(seen) > 1:
+            raise _error(MixedChart, "variables from different charts in one "
+                         "expression", src, tok.offset)
     if chart is None:
-        if seen_holo:
-            chart = "holo"
-        elif seen_fock:
-            chart = "fock"
-        else:
-            chart = "real"
-    else:
-        want = {"real": seen_holo or seen_fock, "wave": seen_holo or seen_fock,
-                "holo": seen_real or seen_fock,
-                "fock": seen_real or seen_holo}[chart]
-        if want:
-            raise MixedChart(f"expression does not fit chart {chart!r}")
+        return seen.pop() if seen else "real"
+    if seen - {_FAMILY_OF_CHART[chart]}:
+        raise _error(MixedChart, f"expression does not fit chart {chart!r}",
+                     src, 0)
     return chart
-
-
-def _variable_index(signature, name, tok):
-    m = _VAR_RE.match(name)
-    prefix, idx = m.group(1), int(m.group(2))
-    n = signature.n
-    chart = signature.chart
-    if chart in ("real", "wave"):
-        if prefix == "q":
-            return idx - 1
-        if prefix == "p" and chart == "real":
-            return n + idx - 1
-    elif chart == "holo":
-        if prefix == "z":
-            return idx - 1
-        if prefix == "zb":
-            return n + idx - 1
-    elif chart == "fock":
-        if prefix == "yb":
-            return idx - 1
-    raise UnknownVariable(f"variable {name!r} not in chart {chart!r}",
-                          tok.line, tok.column)
 
 
 def _scalar_power(c, k):
@@ -346,10 +294,12 @@ class _Parser:
     """Recursive descent over the token list; a value is a _Monomial until
     it meets ``+``/``-`` or a factor that is not one."""
 
-    def __init__(self, tokens, signature, order):
+    def __init__(self, src, tokens, signature, order):
+        self.src = src
         self.tokens = tokens
         self.pos = 0
         self.signature = signature
+        self.index = {name: k for k, name in enumerate(signature.variables())}
         self.order = order
         self.zero_exp = (0,) * signature.width
 
@@ -365,7 +315,8 @@ class _Parser:
     def expect_op(self, op):
         tok = self.next()
         if tok.kind != "op" or tok.value != op:
-            raise ParseError(f"expected {op!r}", tok.line, tok.column)
+            raise _error(ParseError, f"expected {op!r}", self.src,
+                         tok.offset)
         return tok
 
     def observable(self, value):
@@ -431,8 +382,9 @@ class _Parser:
             exp_tok = self.next()
             if exp_tok.kind != "number" or exp_tok.value.denominator != 1 \
                     or exp_tok.value < 0:
-                raise ParseError("exponent must be a nonnegative integer",
-                                 exp_tok.line, exp_tok.column)
+                raise _error(ParseError,
+                             "exponent must be a nonnegative integer",
+                             self.src, exp_tok.offset)
             k = int(exp_tok.value)
             value = value.power(k, self.order) \
                 if isinstance(value, _Monomial) else value ** k
@@ -453,7 +405,11 @@ class _Parser:
                 if self.order == 1:
                     return _Monomial(None, 0, zero, False, True)
                 return _Monomial(GR_ONE, 1, zero)
-            index = _variable_index(self.signature, tok.value, tok)
+            index = self.index.get(tok.value)
+            if index is None:
+                raise _error(UnknownVariable, f"variable {tok.value!r} not in "
+                             f"chart {self.signature.chart!r}", self.src,
+                             tok.offset)
             exp = list(zero)
             exp[index] = 1
             return _Monomial(GR_ONE, 0, tuple(exp))
@@ -463,25 +419,26 @@ class _Parser:
             if isinstance(value, PolyObservable):
                 return _Monomial.of(value) or value
             return value
-        raise ParseError(f"unexpected token {tok.value!r}", tok.line,
-                         tok.column)
+        raise _error(ParseError, f"unexpected token {tok.value!r}", self.src,
+                     tok.offset)
 
 
-def _parse_tokens(tokens, n, order, chart):
-    chart = _classify_variables(tokens, n, chart)
-    signature = PhaseSpaceSignature(n, chart)
-    parser = _Parser(tokens, signature, order)
+def _parse_tokens(src, tokens, n, order, chart):
+    chart = _classify_variables(tokens, n, chart, src)
+    parser = _Parser(src, tokens, PhaseSpaceSignature(n, chart), order)
     value = parser.observable(parser.parse_expr())
     end = parser.next()
     if end.kind != "end":
-        raise ParseError(f"trailing input {end.value!r}", end.line, end.column)
+        raise _error(ParseError, f"trailing input {end.value!r}", src,
+                     end.offset)
     return value
 
 
 def parse(src, n=1, order=None, chart=None) -> PolyObservable:
     """Parse an expression into an observable; the chart is inferred from the
     variables unless given explicitly."""
-    return _parse_tokens(_tokenize(src), n, order or DEFAULT_ORDER, chart)
+    return _parse_tokens(src, _tokenize(src), n, order or DEFAULT_ORDER,
+                         chart)
 
 
 def parse_series(src, order=None) -> FormalSeries:
@@ -489,10 +446,10 @@ def parse_series(src, order=None) -> FormalSeries:
     tokens = _tokenize(src)
     for tok in tokens:
         if tok.kind == "name" and tok.value not in ("i", "l"):
-            raise ParseError(f"variable {tok.value!r} not allowed in a scalar",
-                             tok.line, tok.column)
+            raise _error(ParseError, f"variable {tok.value!r} not allowed in "
+                         "a scalar", src, tok.offset)
     order = order or DEFAULT_ORDER
-    obs = _parse_tokens(tokens, 1, order, "real")
+    obs = _parse_tokens(src, tokens, 1, order, "real")
     return obs.terms.get((0, 0), FormalSeries.zero(order))
 
 
@@ -543,43 +500,51 @@ def series_from_json(obj, pointer="", expect_order=None):
               for k, c in enumerate(coeffs)), K)
 
 
-def observable_to_json(f: PolyObservable):
-    terms = sorted(f.terms.items(),
+def _terms_to_json(terms):
+    """{"exp", "coeff"} objects in descending graded-lex order of exp."""
+    items = sorted(terms.items(),
                    key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n": f.signature.n,
-        "chart": f.signature.chart,
-        "terms": [{"exp": list(exp), "coeff": series_to_json(c)}
-                  for exp, c in terms],
-    }
+    return [{"exp": list(exp), "coeff": series_to_json(c)} for exp, c in items]
 
 
-def observable_from_json(obj, pointer=""):
-    _require(isinstance(obj, dict), "expected observable object", pointer)
-    _require("n" in obj and "terms" in obj, "observable needs n and terms",
-             pointer)
-    n = obj["n"]
+def _signature_from_json(obj, pointer):
+    """The signature of a payload, and its K (None when absent)."""
+    n = obj.get("n")
     _require(isinstance(n, int) and n >= 1, "n must be a positive integer",
              f"{pointer}/n")
     chart = obj.get("chart", "real")
     _require(chart in ("real", "holo", "fock", "wave"),
              f"unknown chart {chart!r}", f"{pointer}/chart")
-    sig = PhaseSpaceSignature(n, chart)
+    K = obj.get("K")
+    _require(K is None or isinstance(K, int) and K >= 1,
+             "K must be a positive integer", f"{pointer}/K")
+    return PhaseSpaceSignature(n, chart), K
+
+
+def _small_series_from_json(obj, pointer, expect_order):
+    """A pairing or generator coefficient: a series that is O(l)."""
+    s = series_from_json(obj, pointer, expect_order)
+    _require(not s.coeffs[0], "coefficient must be O(l)", pointer)
+    return s
+
+
+def _terms_from_json(items, pointer, sig, order, read=series_from_json):
+    """{exp: coefficient} from a list of {"exp", "coeff"} objects, and the
+    coefficients' shared truncation order (``order`` when given)."""
+    _require(isinstance(items, list), "expected a list of terms", pointer)
     terms = {}
-    order = None
-    for k, item in enumerate(obj["terms"]):
-        tp = f"{pointer}/terms/{k}"
+    for k, item in enumerate(items):
+        tp = f"{pointer}/{k}"
         _require(isinstance(item, dict) and "exp" in item and "coeff" in item,
                  "term needs exp and coeff", tp)
         exp = item["exp"]
         _require(isinstance(exp, list) and len(exp) == sig.width
                  and all(isinstance(e, int) and e >= 0 for e in exp),
                  f"exp must be {sig.width} nonnegative integers", f"{tp}/exp")
-        coeff = series_from_json(item["coeff"], f"{tp}/coeff", order)
+        coeff = read(item["coeff"], f"{tp}/coeff", order)
         order = coeff.order
         terms[tuple(exp)] = coeff
-    return PolyObservable(sig, terms, order)
+    return terms, order
 
 
 def serialize(x):
@@ -602,9 +567,9 @@ def serialize(x):
         payload.update({"schema_version": SCHEMA_VERSION, "type": "series"})
         return payload
     if isinstance(x, PolyObservable):
-        payload = observable_to_json(x)
-        payload["type"] = "observable"
-        return payload
+        return {"schema_version": SCHEMA_VERSION, "n": x.signature.n,
+                "chart": x.signature.chart, "terms": _terms_to_json(x.terms),
+                "type": "observable"}
     if isinstance(x, StarProductSpec):
         return {
             "schema_version": SCHEMA_VERSION,
@@ -616,8 +581,6 @@ def serialize(x):
             "pairing": [[series_to_json(e) for e in row] for row in x.pairing],
         }
     if isinstance(x, EquivOperatorSpec):
-        gens = sorted(x.generator.items(),
-                      key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
         return {
             "schema_version": SCHEMA_VERSION,
             "type": "equiv_operator",
@@ -625,8 +588,7 @@ def serialize(x):
             "chart": x.signature.chart,
             "K": x.order,
             "name": x.name,
-            "generator": [{"exp": list(e), "coeff": series_to_json(c)}
-                          for e, c in gens],
+            "generator": _terms_to_json(x.generator),
         }
     if hasattr(x, "to_json"):
         return x.to_json()
@@ -634,6 +596,7 @@ def serialize(x):
 
 
 def deserialize(obj, pointer=""):
+    from .functionals import Functional
     from .star import EquivOperatorSpec, StarProductSpec, builtin_spec
 
     _require(isinstance(obj, dict), "expected a JSON object", pointer)
@@ -642,43 +605,43 @@ def deserialize(obj, pointer=""):
     if kind == "series":
         return series_from_json(obj, pointer)
     if kind == "observable":
-        return observable_from_json(obj, pointer)
-    if kind == "star_product":
-        _require("n" in obj and isinstance(obj["n"], int), "missing n",
-                 f"{pointer}/n")
-        if obj.get("kind") in ("weyl", "wick", "std"):
-            spec = builtin_spec(obj["kind"], obj["n"], obj.get("K"))
-            return spec
-        chart = obj.get("chart", "real")
-        sig = PhaseSpaceSignature(obj["n"], chart)
-        pairing_json = obj.get("pairing")
-        _require(isinstance(pairing_json, list), "custom spec needs pairing",
-                 f"{pointer}/pairing")
-        pairing = [[series_from_json(e, f"{pointer}/pairing/{r}/{c}")
-                    for c, e in enumerate(row)]
-                   for r, row in enumerate(pairing_json)]
-        return StarProductSpec(sig, pairing, obj.get("K"))
-    if kind == "equiv_operator":
-        sig = PhaseSpaceSignature(obj["n"], obj.get("chart", "real"))
-        gen = {}
-        for k, item in enumerate(obj.get("generator", [])):
-            tp = f"{pointer}/generator/{k}"
-            _require(isinstance(item, dict) and "exp" in item
-                     and "coeff" in item, "generator term needs exp and coeff",
-                     tp)
-            gen[tuple(item["exp"])] = series_from_json(item["coeff"],
-                                                       f"{tp}/coeff")
-        return EquivOperatorSpec(sig, gen, obj.get("K"),
-                                 name=obj.get("name", "custom"))
-    if kind == "functional":
-        from .functionals import Functional
-        _require("n" in obj and "point" in obj, "functional needs n and point",
+        _require("n" in obj and "terms" in obj, "observable needs n and terms",
                  pointer)
-        sig = PhaseSpaceSignature(obj["n"], obj.get("chart", "real"))
+        sig, _ = _signature_from_json(obj, pointer)
+        terms, order = _terms_from_json(obj["terms"], f"{pointer}/terms", sig,
+                                        None)
+        return PolyObservable(sig, terms, order)
+    if kind == "star_product":
+        sig, K = _signature_from_json(obj, pointer)
+        if obj.get("kind") in ("weyl", "wick", "std"):
+            return builtin_spec(obj["kind"], sig.n, K)
+        w, rows = sig.width, obj.get("pairing")
+        _require(isinstance(rows, list) and len(rows) == w
+                 and all(isinstance(row, list) and len(row) == w
+                         for row in rows),
+                 f"custom spec needs a {w}x{w} pairing", f"{pointer}/pairing")
+        pairing = [[_small_series_from_json(
+            e, f"{pointer}/pairing/{r}/{c}", K) for c, e in enumerate(row)]
+            for r, row in enumerate(rows)]
+        return StarProductSpec(sig, pairing, K)
+    if kind == "equiv_operator":
+        sig, K = _signature_from_json(obj, pointer)
+        gen, _ = _terms_from_json(obj.get("generator", []),
+                                  f"{pointer}/generator", sig, K,
+                                  _small_series_from_json)
+        return EquivOperatorSpec(sig, gen, K, name=obj.get("name", "custom"))
+    if kind == "functional":
+        sig, _ = _signature_from_json(obj, pointer)
+        point = obj.get("point")
+        _require(isinstance(point, list), "point must be a list of scalars",
+                 f"{pointer}/point")
         point = [gaussian_from_json(c, f"{pointer}/point/{k}")
-                 for k, c in enumerate(obj["point"])]
+                 for k, c in enumerate(point)]
         pre = obj.get("pre_operator")
         op = deserialize(pre, f"{pointer}/pre_operator") if pre else None
+        _require(op is None or isinstance(op, EquivOperatorSpec),
+                 "pre_operator must be an equiv_operator",
+                 f"{pointer}/pre_operator")
         return Functional(sig, point, op)
     if kind == "matrix":
         from .matrices import matrix_from_json

@@ -61,6 +61,11 @@ class SeriesMatrix:
             for v in row] for row in rows], K)
 
     @classmethod
+    def from_columns(cls, cols, order=None):
+        """The matrix whose j-th column is the sequence ``cols[j]``."""
+        return cls(zip(*cols), order)
+
+    @classmethod
     def unit(cls, n, i, j, order=None):
         """Matrix unit E_ij (1-based would be confusing; i, j are 0-based)."""
         K = order or DEFAULT_ORDER
@@ -192,18 +197,19 @@ class SeriesMatrix:
 
 def matrix_from_json(obj, pointer=""):
     from .exprio import SchemaError, series_from_json
-    if not isinstance(obj, dict) or "rows" not in obj:
+    rows = obj.get("rows") if isinstance(obj, dict) else None
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
         raise SchemaError("expected matrix object with rows", pointer)
     order = None
-    rows = []
-    for i, row in enumerate(obj["rows"]):
+    entries = []
+    for i, row in enumerate(rows):
         out = []
         for j, e in enumerate(row):
             s = series_from_json(e, f"{pointer}/rows/{i}/{j}", order)
             order = s.order
             out.append(s)
-        rows.append(out)
-    return SeriesMatrix(rows, order)
+        entries.append(out)
+    return SeriesMatrix(entries, order)
 
 
 # -- valuation-pivoted elimination ------------------------------------------------
@@ -476,8 +482,7 @@ def series_matrix_inverse(m: SeriesMatrix) -> SeriesMatrix:
     cols = _solve_columns(m, SeriesMatrix.identity(n, m.order).rows)
     if cols is None:
         raise NotUnit("matrix is not invertible over the series ring")
-    return SeriesMatrix([[cols[j][i] for j in range(n)] for i in range(n)],
-                        m.order)
+    return SeriesMatrix.from_columns(cols, m.order)
 
 
 # -- matrix star-algebras -----------------------------------------------------------

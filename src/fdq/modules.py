@@ -425,8 +425,7 @@ def fullness_check(module: PreHilbertModule) -> bool:
     if not gens:
         return False
     cols = [alg.to_coords(g) for g in gens]
-    system = SeriesMatrix([[cols[j][i] for j in range(len(cols))]
-                           for i in range(alg.dim)], alg.order)
+    system = SeriesMatrix.from_columns(cols, alg.order)
     target = alg.to_coords(alg.unit())
     return solve_in_ring(system, target) is not None
 

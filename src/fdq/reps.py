@@ -218,8 +218,7 @@ class GNSResult:
         for t in self.basis_indices:
             prod = self.algebra.product(element, basis[t])
             cols.append(self.reduce_coords(self.algebra.to_coords(prod)))
-        return SeriesMatrix([[cols[j][i] for j in range(len(cols))]
-                             for i in range(len(cols))], self.algebra.order)
+        return SeriesMatrix.from_columns(cols, self.algebra.order)
 
     def vacuum_expectation(self, element: SeriesMatrix) -> FormalSeries:
         """<psi_1, pi(element) psi_1> with the quotient Gram."""
@@ -363,16 +362,14 @@ def gns_uniqueness_check(result: GNSResult, candidate: CandidateRep) -> bool:
     span_cols = []
     for b in algebra.basis():
         span_cols.append(_mat_vec(candidate.pi(b), candidate.cyclic))
-    span = SeriesMatrix([[span_cols[j][i] for j in range(len(span_cols))]
-                         for i in range(d)], algebra.order)
+    span = SeriesMatrix.from_columns(span_cols, algebra.order)
     if rank_certified(span) < d:
         raise NotCyclic("candidate vector does not generate the module")
 
     basis = algebra.basis()
     u_cols = [_mat_vec(candidate.pi(basis[t]), candidate.cyclic)
               for t in result.basis_indices]
-    U = SeriesMatrix([[u_cols[j][i] for j in range(len(u_cols))]
-                      for i in range(d)], algebra.order)
+    U = SeriesMatrix.from_columns(u_cols, algebra.order)
     if U.adjoint() @ candidate.gram @ U != result.gram:
         return False
     for g, pi_mat in zip(result.generators, result.pi):
@@ -458,8 +455,6 @@ def classical_limit_rep(gram: SeriesMatrix, rep_matrices) -> ClassicalLimit:
         a0 = a.classical_limit()
         cols = [limit.reduce_vector([a0.rows[i][t] for i in range(d)])
                 for t in pivot_cols]
-        mats.append(SeriesMatrix(
-            [[cols[j][i] for j in range(len(cols))]
-             for i in range(len(cols))], 1))
+        mats.append(SeriesMatrix.from_columns(cols, 1))
     limit.matrices0 = mats
     return limit

@@ -392,15 +392,13 @@ def _suite_gns_matrix(config, rng):
     left_reg = []
     for b in basis:
         cols = [alg.to_coords(b @ c) for c in basis]
-        left_reg.append(SeriesMatrix(
-            [[cols[j][i] for j in range(4)] for i in range(4)], K))
+        left_reg.append(SeriesMatrix.from_columns(cols, K))
     comm = commutant(left_reg)
     r.check("left regular commutant has dimension 4", len(comm) == 4)
     right_mults = []
     for b in basis:
         cols = [alg.to_coords(c @ b) for c in basis]
-        right_mults.append(SeriesMatrix(
-            [[cols[j][i] for j in range(4)] for i in range(4)], K))
+        right_mults.append(SeriesMatrix.from_columns(cols, K))
     for i, rm in enumerate(right_mults):
         ok = all(x @ rm == rm @ x for x in left_reg)
         r.check(f"right multiplication #{i} commutes", ok)

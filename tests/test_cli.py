@@ -273,6 +273,35 @@ def test_error_mapping_golden(tmp_path):
         assert err.startswith(f"error: {name}:"), (argv, err)
 
 
+_HOSTILE_FILES = {
+    "series.json": {"type": "series", "K": 1, "coeffs": [[1, 1, 0, 1]]},
+    "equiv.json": {"type": "equiv_operator", "n": 1, "K": 2,
+                   "generator": []},
+    "rank.json": {"base": {"m": 1}, "rank": "2", "gram": [["1"]]},
+    "unit.json": {"base": {"m": 1}, "rank": 1, "gram": [["1"]]},
+}
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["star", "--product", "custom:{dir}/series.json", "q1", "p1"],
+     "SchemaError"),
+    (["star", "--product", "custom:{dir}/equiv.json", "q1", "p1"],
+     "SchemaError"),
+    (["gns", "--omega", "[[1,0],[0,1]]"], "ConfigError"),
+    (["gns", "--omega", "5"], "ConfigError"),
+    (["project", "--p0", '[["1"]]', "--deform", "[[1]]"], "ConfigError"),
+    (["rieffel", "{dir}/rank.json", "{dir}/unit.json"], "SchemaError"),
+    (["axioms", "--degree", "-1"], "ConfigError"),
+    (["starexp", "--order", "-1", "q1"], "ConfigError"),
+])
+def test_hostile_input_exits_3_with_one_line(tmp_path, argv, name):
+    for file_name, payload in _HOSTILE_FILES.items():
+        (tmp_path / file_name).write_text(json.dumps(payload))
+    code, out, err = run([a.format(dir=tmp_path) for a in argv])
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {name}: ") and err.count("\n") == 1
+
+
 def test_precision_exhausted_reachable(tmp_path):
     # Induction whose Gram products push all content past the truncation
     # order cannot certify its degeneracy space.

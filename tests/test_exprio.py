@@ -1,11 +1,13 @@
+import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdq.errors import MixedChart, ParseError, SchemaError, UnknownVariable
-from fdq.exprio import (_classify_variables, _tokenize, _variable_index,
-                        deserialize, gaussian_text, observable_text, parse,
+from fdq.errors import (FdqError, MixedChart, ParseError, SchemaError,
+                        UnknownVariable)
+from fdq.exprio import (deserialize, gaussian_text, observable_text, parse,
                         parse_series, serialize, series_from_json,
                         series_text, series_to_json)
 from fdq.observables import PhaseSpaceSignature, PolyObservable
@@ -89,6 +91,132 @@ def test_division_only_in_literals():
 
 
 # -- the term-building parser against PolyObservable arithmetic -----------------------
+
+
+# The lexer as it was before the one-pass scan, kept verbatim as the reference:
+# tokens carry line and column, and names are matched again for their index.
+
+_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<number>\d+(?:/\d+)?)
+  | (?P<name>[A-Za-z][A-Za-z0-9]*)
+  | (?P<op>[-+*^()])
+""", re.VERBOSE)
+
+_VAR_RE = re.compile(r"(qb|zb|yb|q|p|z)([1-9][0-9]*)$")
+
+
+class _Token:
+    __slots__ = ("kind", "value", "line", "column")
+
+    def __init__(self, kind, value, line, column):
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.column = column
+
+
+def _tokenize(src):
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(src):
+        m = _TOKEN_RE.match(src, pos)
+        if not m:
+            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
+        text = m.group(0)
+        if m.lastgroup == "number":
+            if "/" in text:
+                num, den = text.split("/")
+                if int(den) == 0:
+                    raise ParseError("zero denominator", line, col)
+                value = Fraction(int(num), int(den))
+            else:
+                value = Fraction(int(text))
+            tokens.append(_Token("number", value, line, col))
+        elif m.lastgroup == "name":
+            tokens.append(_Token("name", text, line, col))
+        elif m.lastgroup == "op":
+            tokens.append(_Token("op", text, line, col))
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    tokens.append(_Token("end", "", line, col))
+    return tokens
+
+
+_CHART_OF_PREFIX = {"q": "real", "p": "real", "z": "holo", "zb": "holo",
+                    "yb": "fock"}
+
+
+def _classify_variables(tokens, n, chart):
+    """Infer/validate the chart from variable names; map names to indices."""
+    seen_real = seen_holo = seen_fock = False
+    for tok in tokens:
+        if tok.kind != "name" or tok.value in ("i", "l"):
+            continue
+        m = _VAR_RE.match(tok.value)
+        if not m:
+            raise UnknownVariable(f"unknown variable {tok.value!r}",
+                                  tok.line, tok.column)
+        prefix, idx = m.group(1), int(m.group(2))
+        family = _CHART_OF_PREFIX.get(prefix)
+        if family is None:
+            raise UnknownVariable(f"unknown variable {tok.value!r}",
+                                  tok.line, tok.column)
+        if idx > n:
+            raise UnknownVariable(
+                f"variable {tok.value!r} out of range for n={n}",
+                tok.line, tok.column)
+        if family == "real":
+            seen_real = True
+        elif family == "holo":
+            seen_holo = True
+        else:
+            seen_fock = True
+        if seen_real + seen_holo + seen_fock > 1:
+            raise MixedChart("variables from different charts in one "
+                             "expression", tok.line, tok.column)
+    if chart is None:
+        if seen_holo:
+            chart = "holo"
+        elif seen_fock:
+            chart = "fock"
+        else:
+            chart = "real"
+    else:
+        want = {"real": seen_holo or seen_fock, "wave": seen_holo or seen_fock,
+                "holo": seen_real or seen_fock,
+                "fock": seen_real or seen_holo}[chart]
+        if want:
+            raise MixedChart(f"expression does not fit chart {chart!r}")
+    return chart
+
+
+def _variable_index(signature, name, tok):
+    m = _VAR_RE.match(name)
+    prefix, idx = m.group(1), int(m.group(2))
+    n = signature.n
+    chart = signature.chart
+    if chart in ("real", "wave"):
+        if prefix == "q":
+            return idx - 1
+        if prefix == "p" and chart == "real":
+            return n + idx - 1
+    elif chart == "holo":
+        if prefix == "z":
+            return idx - 1
+        if prefix == "zb":
+            return n + idx - 1
+    elif chart == "fock":
+        if prefix == "yb":
+            return idx - 1
+    raise UnknownVariable(f"variable {name!r} not in chart {chart!r}",
+                          tok.line, tok.column)
 
 
 class _ReferenceParser:
@@ -288,6 +416,30 @@ def test_parse_matches_reference_on_edge_cases(src, n, order, chart):
     assert_parses_like_reference(src, n, order, chart)
 
 
+# Pieces of arbitrary text: grammar characters, digits, letters, variable
+# names of every chart, whitespace and characters outside the grammar.
+_TEXT_PIECES = tuple("+-*^()/0123456789ilqpzbxw $.é") + (
+    "q1", "p1", "q2", "p2", "z1", "zb1", "zb2", "yb1", "yb2", "qb1", "q0",
+    " ", "\n", "\t")
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=8).map("".join),
+       st.integers(1, 2), st.integers(1, 4))
+def test_lexer_matches_reference_on_arbitrary_text(src, n, order):
+    for chart in (None, "real", "holo", "fock", "wave"):
+        assert_parses_like_reference(src, n, order, chart)
+
+
+@pytest.mark.parametrize("src", [
+    "q1 ", "  ", "", "(q1\n", "1/", "1/0", "q1 +\n  $ p1", "w1 $", "p1",
+    "q1 +\n\t(p1 *\n 2", "\n\n  q1 q1", "1/00", "é", "q1.5", "z1\t+ q1",
+    "q1 + yb1\n", "q3", "q1 2"])
+def test_lexer_matches_reference_on_edge_cases(src):
+    for chart in (None, "real", "holo", "fock", "wave"):
+        assert_parses_like_reference(src, 2, K, chart)
+
+
 def test_flag_rules_of_direct_terms():
     assert parse("l", 1, 1).tail_lost and not parse("l", 1, 1).terms
     assert parse("l^0", 1, 1) == parse("1", 1, 1)
@@ -353,6 +505,24 @@ def test_parse_series_matches_reference():
                                  if want.terms else False)
 
 
+def reference_parse_series(src, order):
+    """parse_series on the reference lexer and parser."""
+    for tok in _tokenize(src):
+        if tok.kind == "name" and tok.value not in ("i", "l"):
+            raise ParseError(f"variable {tok.value!r} not allowed in a scalar",
+                             tok.line, tok.column)
+    f = reference_parse(src, 1, order, "real")
+    return f.terms.get((0, 0), FormalSeries.zero(order))
+
+
+def _series_outcome(parser, src):
+    try:
+        s = parser(src, K)
+    except ParseError as exc:
+        return ("error", type(exc), str(exc), exc.line, exc.column)
+    return ("value", s.coeffs, s.tail_lost)
+
+
 def test_parse_series_error_precedence():
     cases = [("1 + q1 $", "unexpected character '$'"),
              ("1 + + q1", "variable 'q1' not allowed in a scalar"),
@@ -362,6 +532,11 @@ def test_parse_series_error_precedence():
         with pytest.raises(ParseError) as exc:
             parse_series(src, K)
         assert str(exc.value).startswith(message), src
+        assert _series_outcome(parse_series, src) == \
+            _series_outcome(reference_parse_series, src)
+    for src in ("", " l\n", "1 +\n q1", "\t1/0", "2*l^2 $", "zz"):
+        assert _series_outcome(parse_series, src) == \
+            _series_outcome(reference_parse_series, src), src
 
 
 # -- printing ---------------------------------------------------------------------------
@@ -507,3 +682,96 @@ def test_gns_result_roundtrip():
     res2 = gns_build(alg, MatrixFunctional(
         SeriesMatrix.from_scalar_rows([[1, 0], [0, 0]], K)))
     assert deserialize(serialize(res2)) == res2
+
+
+_SERIES_2 = {"K": 2, "coeffs": [[0, 1, 0, 1], [1, 2, 0, 1]]}
+_O1_SERIES_2 = {"K": 2, "coeffs": [[1, 1, 0, 1], [1, 2, 0, 1]]}
+
+
+@pytest.mark.parametrize("payload, pointer", [
+    ({"type": "equiv_operator"}, "/n"),
+    ({"type": "star_product", "kind": "weyl", "n": 0}, "/n"),
+    ({"type": "star_product", "kind": "weyl", "n": 1, "K": -1}, "/K"),
+    ({"type": "star_product", "kind": "weyl", "n": 1, "K": "a"}, "/K"),
+    ({"type": "star_product", "n": 1, "chart": "bogus", "pairing": []},
+     "/chart"),
+    ({"type": "star_product", "n": 1, "pairing": [[_SERIES_2]]},
+     "/pairing"),
+    ({"type": "star_product", "n": 1,
+      "pairing": [[_SERIES_2, _O1_SERIES_2], [_SERIES_2, _SERIES_2]]},
+     "/pairing/0/1"),
+    ({"type": "equiv_operator", "n": 1, "K": 2,
+      "generator": [{"exp": [1, "a"], "coeff": _SERIES_2}]},
+     "/generator/0/exp"),
+    ({"type": "equiv_operator", "n": 1, "K": 2,
+      "generator": [{"exp": [1, 0], "coeff": _O1_SERIES_2}]},
+     "/generator/0/coeff"),
+    ({"type": "equiv_operator", "n": 1, "generator": 5}, "/generator"),
+    ({"type": "observable", "n": 1, "terms": 5}, "/terms"),
+    ({"type": "functional", "n": 1, "point": [[0, 1, 0, 1]] * 2,
+      "pre_operator": dict(_SERIES_2, type="series")}, "/pre_operator"),
+    ({"type": "functional", "n": 1, "point": 5}, "/point"),
+    ({"type": "matrix", "rows": 5}, ""),
+])
+def test_deserialize_rejects_malformed_payloads(payload, pointer):
+    with pytest.raises(SchemaError) as exc:
+        deserialize(payload)
+    assert exc.value.pointer == pointer
+
+
+_JSON_KEYS = ("type", "n", "chart", "K", "kind", "name", "terms", "generator",
+              "pairing", "point", "pre_operator", "exp", "coeff", "coeffs")
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2, 3)
+                 | st.sampled_from(("real", "holo", "wave", "bogus", "weyl",
+                                    "custom", "series", "equiv_operator")))
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_JSON_KEYS), inner, max_size=4),
+    max_leaves=12)
+
+
+def _valid_payloads():
+    from fdq.functionals import deform_delta
+    from fdq.star import std
+    sig = PhaseSpaceSignature(1, "real")
+    return [serialize(v) for v in (
+        parse("q1*p1 + i*l", 1, 2), weyl(1, 2), std(1, 2), op_s(1, 2),
+        deform_delta(sig, (Fraction(1, 2), -1), 2))] + [
+        dict(serialize(weyl(1, 2)), kind="custom")]
+
+
+@st.composite
+def _mutated(draw, payload):
+    """``payload`` with one nested value replaced by arbitrary JSON."""
+    path, node = [], payload
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        path.append(key)
+        node = node[key]
+    if not path:
+        return draw(_JSON)
+    payload = json.loads(json.dumps(payload))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(_JSON)
+    return payload
+
+
+_PAYLOADS = st.one_of(
+    st.fixed_dictionaries(
+        {"type": st.sampled_from(("observable", "star_product",
+                                  "equiv_operator", "functional"))},
+        optional={key: _JSON for key in _JSON_KEYS[1:]}),
+    st.sampled_from(_valid_payloads()).flatmap(_mutated))
+
+
+@settings(max_examples=300)
+@given(_PAYLOADS)
+def test_deserialize_raises_only_fdq_errors(payload):
+    try:
+        deserialize(payload)
+    except FdqError:
+        pass
