@@ -157,22 +157,13 @@ def _matrix_from_arg(text, order):
 # -- subcommand implementations ----------------------------------------------------
 
 
-def _cmd_star(args, config, out, err):
+def _cmd_binary(args, config, out, err):
+    """``star`` and ``commutator``: ``args.operation`` on two observables."""
     spec = _resolve_spec(config)
     chart = spec.signature.chart
     f = parse(args.f, config.n, config.K, chart)
     g = parse(args.g, config.n, config.K, chart)
-    result = star_multiply(spec, f, g)
-    out.write(_emit(config, observable_text(result), serialize(result)) + "\n")
-    return 0
-
-
-def _cmd_commutator(args, config, out, err):
-    spec = _resolve_spec(config)
-    chart = spec.signature.chart
-    f = parse(args.f, config.n, config.K, chart)
-    g = parse(args.g, config.n, config.K, chart)
-    result = commutator(spec, f, g)
+    result = args.operation(spec, f, g)
     out.write(_emit(config, observable_text(result), serialize(result)) + "\n")
     return 0
 
@@ -210,6 +201,12 @@ def _cmd_functional(args, config, out, err):
     return 0
 
 
+def _write_operator(config, out, op):
+    text = operator_text(op)
+    payload = {"schema_version": 1, "type": "diff_operator", "text": text}
+    out.write(_emit(config, text, payload) + "\n")
+
+
 def _cmd_fock(args, config, out, err):
     if args.inner:
         phi = parse(args.inner[0], config.n, config.K, "fock")
@@ -217,20 +214,14 @@ def _cmd_fock(args, config, out, err):
         value = fock_inner(phi, psi)
         out.write(_emit(config, series_text(value), serialize(value)) + "\n")
     else:
-        f = parse(args.rep, config.n, config.K, "holo")
-        op = wickrep(f)
-        payload = {"schema_version": 1, "type": "diff_operator",
-                   "text": operator_text(op)}
-        out.write(_emit(config, operator_text(op), payload) + "\n")
+        _write_operator(config, out,
+                        wickrep(parse(args.rep, config.n, config.K, "holo")))
     return 0
 
 
 def _cmd_schroedinger(args, config, out, err):
     f = parse(args.f, config.n, config.K, "real")
-    op = schroedinger_rep(args.kind, f)
-    payload = {"schema_version": 1, "type": "diff_operator",
-               "text": operator_text(op)}
-    out.write(_emit(config, operator_text(op), payload) + "\n")
+    _write_operator(config, out, schroedinger_rep(args.kind, f))
     return 0
 
 
@@ -410,15 +401,13 @@ def _build_parser():
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
 
-    p = add_parser("star", help="star-multiply two observables")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.set_defaults(func=_cmd_star)
-
-    p = add_parser("commutator", help="star commutator of two observables")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.set_defaults(func=_cmd_commutator)
+    for name, operation, text in (
+            ("star", star_multiply, "star-multiply two observables"),
+            ("commutator", commutator, "star commutator of two observables")):
+        p = add_parser(name, help=text)
+        p.add_argument("f")
+        p.add_argument("g")
+        p.set_defaults(func=_cmd_binary, operation=operation)
 
     p = add_parser("starexp", help="beta-coefficients of the star "
                                        "exponential")

@@ -11,11 +11,10 @@ Division appears only inside rational literals (``3/4``), never between
 expressions.  The lexer scans a text once; a token keeps its offset, and an
 error's line and column are computed from it only when the error is raised.
 Variable names resolve through ``PhaseSpaceSignature.variables()``, the one
-table from chart to names.  The parser builds terms directly: a product of
-atoms is one monomial (scalar, power of l, exponent vector) until it meets
-``+``, ``-`` or a factor with several terms, and a sum gathers its terms in
-one dict.  The result, term order and ``tail_lost`` flags included, is what
-PolyObservable arithmetic gives on the same text.
+table from chart to names.  Every parsed value is one sparse term map,
+{exponent: {power of l: scalar}}, whose sums, products and powers follow
+PolyObservable arithmetic: the same terms, term order and ``tail_lost`` flags.
+The observable and each coefficient series are built once, at the end.
 
 Canonical printing emits terms in descending graded-lex order with ascending
 powers of l inside each term; ``parse(print(x)) == x`` holds for every value.
@@ -69,6 +68,11 @@ def _atom_text(c: GaussianRational, var_factors, leading=False) -> str:
     return f"({ctext})*{var_str}"
 
 
+def _graded_lex(exp):
+    """Sort key for descending graded-lex order of exponent vectors."""
+    return -sum(exp), tuple(-e for e in exp)
+
+
 def _power_factor(name, k):
     return name if k == 1 else f"{name}^{k}"
 
@@ -90,7 +94,7 @@ def observable_text(f: PolyObservable) -> str:
         for r, c in enumerate(coeff.coeffs):
             if c:
                 atoms.append((exp, r, c))
-    atoms.sort(key=lambda a: (-sum(a[0]), tuple(-e for e in a[0]), a[1]))
+    atoms.sort(key=lambda a: (*_graded_lex(a[0]), a[1]))
     parts = []
     for exp, r, c in atoms:
         factors = [_power_factor(names[k], e)
@@ -104,8 +108,7 @@ def observable_text(f: PolyObservable) -> str:
 def operator_text(op) -> str:
     """Canonical text of a differential operator, e.g. ``(-i*l)*d/dq1 + q1``."""
     names = op.signature.variables()
-    items = sorted(op.terms.items(),
-                   key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
+    items = sorted(op.terms.items(), key=lambda kv: _graded_lex(kv[0]))
     parts = []
     for exp, coeff in items:
         deriv = "*".join(
@@ -206,100 +209,108 @@ def _scalar_power(c, k):
     return result
 
 
-class _Monomial:
-    """A product of atoms, c*l^lpow*x^exp, held as the one term that
-    PolyObservable arithmetic would hold for it.
+def _accumulate(powers, r, c):
+    """powers[r] += c for a nonzero c, keeping only nonzero powers."""
+    c = powers[r] + c if r in powers else c
+    if c:
+        powers[r] = c
+    else:
+        del powers[r]
 
-    ``scalar`` None is the empty product (an observable with no terms).
-    ``lost`` is the observable's tail_lost flag, ``coeff_lost`` that of the
-    coefficient.  Every method gives what the PolyObservable operation of the
-    same name gives on ``observable()``, flags included.
+
+class _Terms:
+    """A parsed value: ``terms`` maps an exponent to [powers, coeff_lost],
+    powers being {power of l: nonzero GaussianRational}; ``coeff_lost`` and
+    ``lost`` are the tail_lost flags of the coefficient and the observable.
+    Each operation gives the terms, term order and flags of its PolyObservable
+    counterpart; a vanished coefficient is dropped, its flag put in ``lost``.
     """
 
-    __slots__ = ("scalar", "lpow", "exp", "coeff_lost", "lost")
+    __slots__ = ("terms", "lost")
 
-    def __init__(self, scalar, lpow, exp, coeff_lost=False, lost=False):
-        self.scalar = scalar
-        self.lpow = lpow
-        self.exp = exp
-        self.coeff_lost = coeff_lost
+    def __init__(self, terms, lost=False):
+        self.terms = terms
         self.lost = lost
 
     @classmethod
-    def of(cls, f):
-        """f as a monomial, or None when f has two terms or a coefficient
-        with two nonzero powers of l."""
-        if not f.terms:
-            return cls(None, 0, (0,) * f.signature.width, False, f.tail_lost)
-        if len(f.terms) > 1:
-            return None
-        [(exp, coeff)] = f.terms.items()
-        nonzero = [r for r, c in enumerate(coeff.coeffs) if c]
-        if len(nonzero) > 1:
-            return None
-        r = nonzero[0]
-        return cls(coeff.coeffs[r], r, exp, coeff.tail_lost, f.tail_lost)
-
-    def empty(self, lost):
-        return _Monomial(None, 0, self.exp, False, lost)
-
-    def times(self, other, order):
-        lost = self.lost or other.lost
-        if self.scalar is None or other.scalar is None:
-            return self.empty(lost)
-        lpow = self.lpow + other.lpow
-        if lpow >= order:
-            # The one product term lies beyond l^K.
-            return self.empty(True)
-        a, b = self.scalar, other.scalar
-        scalar = b if a is GR_ONE else a if b is GR_ONE else a * b
-        return _Monomial(scalar, lpow, tuple(map(add, self.exp, other.exp)),
-                         self.coeff_lost or other.coeff_lost, lost)
-
-    def power(self, k, order):
-        if k == 0:
-            return _Monomial(GR_ONE, 0, (0,) * len(self.exp))
-        if self.scalar is None:
-            return self
-        lpow = self.lpow * k
-        if lpow >= order:
-            return self.empty(True)
-        scalar = self.scalar
-        if scalar is not GR_ONE:
-            scalar = _scalar_power(scalar, k)
-        return _Monomial(scalar, lpow,
-                         tuple(e * k for e in self.exp), self.coeff_lost,
-                         self.lost)
+    def monomial(cls, c, lpow, exp):
+        return cls({exp: [{lpow: c}, False]})
 
     def __neg__(self):
-        if self.scalar is None:
-            return self
-        return _Monomial(-self.scalar, self.lpow, self.exp, self.coeff_lost,
-                         self.lost)
+        return _Terms({exp: [{r: -c for r, c in powers.items()}, flag]
+                       for exp, (powers, flag) in self.terms.items()},
+                      self.lost)
 
-    def items(self, order):
-        """The (exp, coefficient) pairs of ``observable()``."""
-        if self.scalar is None:
-            return ()
-        coeff = FormalSeries((GR_ZERO,) * self.lpow + (self.scalar,), order,
-                             self.coeff_lost)
-        return ((self.exp, coeff),)
+    def __iadd__(self, other):
+        """Add ``other`` in place; it is consumed."""
+        terms = self.terms
+        lost = self.lost or other.lost
+        for exp, slot in other.terms.items():
+            mine = terms.get(exp)
+            if mine is None:
+                terms[exp] = slot
+                continue
+            for r, c in slot[0].items():
+                _accumulate(mine[0], r, c)
+            mine[1] = mine[1] or slot[1]
+            if not mine[0]:
+                del terms[exp]
+                lost = lost or mine[1]
+        self.lost = lost
+        return self
 
-    def observable(self, signature, order):
-        return PolyObservable(signature, dict(self.items(order)), order,
+    def times(self, other, order):
+        """The pointwise product: every pair of terms in order, a pair of
+        powers at l^order or beyond marking its coefficient lost."""
+        terms = {}
+        for e1, (p1, f1) in self.terms.items():
+            for e2, (p2, f2) in other.terms.items():
+                exp = tuple(map(add, e1, e2))
+                slot = terms.setdefault(exp, [{}, False])
+                powers, flag = slot[0], slot[1] or f1 or f2
+                for r1, a in p1.items():
+                    for r2, b in p2.items():
+                        if r1 + r2 >= order:
+                            flag = True
+                        else:
+                            _accumulate(powers, r1 + r2, b if a is GR_ONE
+                                        else a if b is GR_ONE else a * b)
+                slot[1] = flag
+        lost = self.lost or other.lost
+        for exp in [exp for exp, slot in terms.items() if not slot[0]]:
+            lost = terms.pop(exp)[1] or lost
+        return _Terms(terms, lost)
+
+    def power(self, k, order, zero):
+        """k - 1 successive products, as PolyObservable.__pow__ takes them,
+        in closed form for a single term c*l^r*x^exp."""
+        if k == 0:
+            return _Terms.monomial(GR_ONE, 0, zero)
+        if len(self.terms) == 1:
+            [(exp, (powers, flag))] = self.terms.items()
+            if len(powers) == 1:
+                [(r, c)] = powers.items()
+                if r * k >= order:
+                    return _Terms({}, True)
+                if c is not GR_ONE:
+                    c = _scalar_power(c, k)
+                return _Terms({tuple(e * k for e in exp): [{r * k: c}, flag]},
                               self.lost)
+        result = self
+        for _ in range(k - 1):
+            result = result.times(self, order)
+        return result
 
 
 class _Parser:
-    """Recursive descent over the token list; a value is a _Monomial until
-    it meets ``+``/``-`` or a factor that is not one."""
+    """Recursive descent over the token list; every value is a _Terms."""
 
     def __init__(self, src, tokens, signature, order):
         self.src = src
         self.tokens = tokens
         self.pos = 0
-        self.signature = signature
         self.index = {name: k for k, name in enumerate(signature.variables())}
+        self.chart = signature.chart
         self.order = order
         self.zero_exp = (0,) * signature.width
 
@@ -317,62 +328,25 @@ class _Parser:
         if tok.kind != "op" or tok.value != op:
             raise _error(ParseError, f"expected {op!r}", self.src,
                          tok.offset)
-        return tok
-
-    def observable(self, value):
-        if isinstance(value, _Monomial):
-            return value.observable(self.signature, self.order)
-        return value
 
     def parse_expr(self):
-        """A single term comes back as it is; a sum as a PolyObservable."""
         negate = self.at_op("-")
         if negate:
             self.pos += 1
         value = self.parse_term()
         if negate:
             value = -value
-        if not self.at_op("+-"):
-            return value
-        # One dict for the whole sum, with the term order, the dropped zero
-        # coefficients and the flags of PolyObservable.__add__ at each sign.
-        K = self.order
-        terms = {}
-        lost = False
-        while True:
-            if isinstance(value, _Monomial):
-                items = value.items(K)
-                lost = lost or value.lost
-            else:
-                items = value.terms.items()
-                lost = lost or value.tail_lost
-            for exp, c in items:
-                old = terms.get(exp)
-                if old is None:
-                    terms[exp] = c
-                    continue
-                c = old + c
-                if c.is_zero():
-                    del terms[exp]
-                    lost = lost or c.tail_lost
-                else:
-                    terms[exp] = c
-            if not self.at_op("+-"):
-                return PolyObservable(self.signature, terms, K, lost)
+        while self.at_op("+-"):
             negate = self.next().value == "-"
-            value = self.parse_term()
-            if negate:
-                value = -value
+            term = self.parse_term()
+            value += -term if negate else term
+        return value
 
     def parse_term(self):
         value = self.parse_factor()
         while self.at_op("*"):
             self.pos += 1
-            rhs = self.parse_factor()
-            if isinstance(value, _Monomial) and isinstance(rhs, _Monomial):
-                value = value.times(rhs, self.order)
-            else:
-                value = self.observable(value) * self.observable(rhs)
+            value = value.times(self.parse_factor(), self.order)
         return value
 
     def parse_factor(self):
@@ -385,53 +359,53 @@ class _Parser:
                 raise _error(ParseError,
                              "exponent must be a nonnegative integer",
                              self.src, exp_tok.offset)
-            k = int(exp_tok.value)
-            value = value.power(k, self.order) \
-                if isinstance(value, _Monomial) else value ** k
+            value = value.power(int(exp_tok.value), self.order, self.zero_exp)
         return value
 
     def parse_atom(self):
         tok = self.next()
         zero = self.zero_exp
         if tok.kind == "number":
-            if not tok.value:
-                return _Monomial(None, 0, zero)
-            return _Monomial(GaussianRational(tok.value), 0, zero)
+            return _Terms.monomial(GaussianRational(tok.value), 0, zero) \
+                if tok.value else _Terms({})
         if tok.kind == "name":
             if tok.value == "i":
-                return _Monomial(GR_I, 0, zero)
+                return _Terms.monomial(GR_I, 0, zero)
             if tok.value == "l":
                 # l is the zero series with a lost tail when K = 1.
                 if self.order == 1:
-                    return _Monomial(None, 0, zero, False, True)
-                return _Monomial(GR_ONE, 1, zero)
+                    return _Terms({}, True)
+                return _Terms.monomial(GR_ONE, 1, zero)
             index = self.index.get(tok.value)
             if index is None:
                 raise _error(UnknownVariable, f"variable {tok.value!r} not in "
-                             f"chart {self.signature.chart!r}", self.src,
-                             tok.offset)
+                             f"chart {self.chart!r}", self.src, tok.offset)
             exp = list(zero)
             exp[index] = 1
-            return _Monomial(GR_ONE, 0, tuple(exp))
+            return _Terms.monomial(GR_ONE, 0, tuple(exp))
         if tok.kind == "op" and tok.value == "(":
             value = self.parse_expr()
             self.expect_op(")")
-            if isinstance(value, PolyObservable):
-                return _Monomial.of(value) or value
             return value
         raise _error(ParseError, f"unexpected token {tok.value!r}", self.src,
                      tok.offset)
 
 
 def _parse_tokens(src, tokens, n, order, chart):
-    chart = _classify_variables(tokens, n, chart, src)
-    parser = _Parser(src, tokens, PhaseSpaceSignature(n, chart), order)
-    value = parser.observable(parser.parse_expr())
+    """The observable of ``tokens``; each coefficient's series is built once."""
+    signature = PhaseSpaceSignature(n, _classify_variables(tokens, n, chart,
+                                                           src))
+    parser = _Parser(src, tokens, signature, order)
+    value = parser.parse_expr()
     end = parser.next()
     if end.kind != "end":
-        raise _error(ParseError, f"trailing input {end.value!r}", src,
-                     end.offset)
-    return value
+        # The token as written: a number's value is a Fraction.
+        text = _TOKEN_RE.match(src, end.offset).group(end.kind)
+        raise _error(ParseError, f"trailing input {text!r}", src, end.offset)
+    terms = {exp: FormalSeries([powers.get(r, GR_ZERO) for r in range(order)],
+                               order, flag)
+             for exp, (powers, flag) in value.terms.items()}
+    return PolyObservable(signature, terms, order, value.lost)
 
 
 def parse(src, n=1, order=None, chart=None) -> PolyObservable:
@@ -502,8 +476,7 @@ def series_from_json(obj, pointer="", expect_order=None):
 
 def _terms_to_json(terms):
     """{"exp", "coeff"} objects in descending graded-lex order of exp."""
-    items = sorted(terms.items(),
-                   key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
+    items = sorted(terms.items(), key=lambda kv: _graded_lex(kv[0]))
     return [{"exp": list(exp), "coeff": series_to_json(c)} for exp, c in items]
 
 

@@ -9,7 +9,8 @@ from fractions import Fraction
 from math import factorial
 
 from .diffops import DiffOperator
-from .errors import NotCyclic, PositivityRefuted, SignatureMismatch
+from .errors import (NotCyclic, PositivityRefuted, SchemaError,
+                     SignatureMismatch)
 from .functionals import two_term_scan
 from .matrices import (MatrixStarAlgebra, SeriesMatrix, nullspace,
                        radical_quotient, rank_certified, reduce_coords)
@@ -24,25 +25,33 @@ def fock_signature(n):
     return PhaseSpaceSignature(n, "fock")
 
 
+def _symbol_operator(f: PolyObservable, sig, deriv_half, u) -> DiffOperator:
+    """The operator on ``sig`` of ``f``, whose exponents split into halves of
+    n: with b the half ``deriv_half`` (0 first, 1 second) and a the other,
+    c x^a y^b becomes c u^|b| l^|b| x^a d^b/dx^b."""
+    n = f.signature.n
+    K = f.order
+    terms = {}
+    u_powers = [GaussianRational(1)]
+    for exp, c in f.terms.items():
+        halves = exp[:n], exp[n:]
+        b, a = halves[deriv_half], halves[1 - deriv_half]
+        r = sum(b)
+        if r:
+            while len(u_powers) <= r:
+                u_powers.append(u_powers[-1] * u)
+            c = c.scalar_mul(u_powers[r]).shift(r)
+        poly = PolyObservable.monomial(sig, a, K, c)
+        terms[b] = terms[b] + poly if b in terms else poly
+    return DiffOperator(sig, terms, K)
+
+
 def wickrep(f: PolyObservable) -> DiffOperator:
     """Normal-ordered operator of a holomorphic observable on Fock vectors:
     the monomial z^a zb^b becomes (2l)^|a| yb^b d^a/dyb^a."""
-    sig = f.signature
-    if sig.chart != "holo":
+    if f.signature.chart != "holo":
         raise SignatureMismatch("wickrep expects a holomorphic observable")
-    n = sig.n
-    fsig = fock_signature(n)
-    K = f.order
-    terms = {}
-    for exp, c in f.terms.items():
-        a, b = exp[:n], exp[n:]
-        coeff = c.scalar_mul(2 ** sum(a)).shift(sum(a)) if sum(a) else c
-        poly = PolyObservable.monomial(fsig, b, K, coeff)
-        if a in terms:
-            terms[a] = terms[a] + poly
-        else:
-            terms[a] = poly
-    return DiffOperator(fsig, terms, K)
+    return _symbol_operator(f, fock_signature(f.signature.n), 0, 2)
 
 
 def fock_inner(phi: PolyObservable, psi: PolyObservable) -> FormalSeries:
@@ -79,26 +88,8 @@ def wave_signature(n):
 
 def _std_operator(f: PolyObservable) -> DiffOperator:
     """Standard-ordered symbol calculus: q^a p^b -> (-il)^|b| q^a d^b/dq^b."""
-    sig = f.signature
-    n = sig.n
-    wsig = wave_signature(n)
-    K = f.order
-    # Powers of -i cycle with period four.
-    minus_i_pow = (GaussianRational(1), GaussianRational(0, -1),
-                   GaussianRational(-1), GaussianRational(0, 1))
-    terms = {}
-    for exp, c in f.terms.items():
-        a, b = exp[:n], exp[n:]
-        r = sum(b)
-        coeff = c
-        if r:
-            coeff = c.scalar_mul(minus_i_pow[r % 4]).shift(r)
-        poly = PolyObservable.monomial(wsig, a, K, coeff)
-        if b in terms:
-            terms[b] = terms[b] + poly
-        else:
-            terms[b] = poly
-    return DiffOperator(wsig, terms, K)
+    return _symbol_operator(f, wave_signature(f.signature.n), 1,
+                            GaussianRational(0, -1))
 
 
 def schroedinger_rep(kind: str, f: PolyObservable) -> DiffOperator:
@@ -307,31 +298,48 @@ def gns_build(algebra: MatrixStarAlgebra, omega, generators=None) -> GNSResult:
 
 
 def gns_result_from_json(obj, pointer=""):
-    from .errors import SchemaError
     from .exprio import series_from_json
     from .matrices import matrix_from_json
 
-    def need(key):
+    def check(cond, message, where):
+        if not cond:
+            raise SchemaError(message, f"{pointer}/{where}")
+
+    def need(key, kind=list):
         if key not in obj:
             raise SchemaError(f"gns_result needs {key}", pointer)
-        return obj[key]
+        value = obj[key]
+        if kind is int:
+            check(isinstance(value, int) and value >= 1,
+                  f"{key} must be a positive integer", key)
+        else:
+            check(isinstance(value, list), f"{key} must be a list", key)
+        return value
 
     def mat(rows, where):
         return matrix_from_json({"rows": rows}, f"{pointer}/{where}")
 
+    m, K = need("m", int), need("K", int)
     deform = obj.get("deform")
     algebra = MatrixStarAlgebra(
-        need("m"), need("K"),
-        deform=matrix_from_json(deform, f"{pointer}/deform")
-               if deform else None)
+        m, K, deform=matrix_from_json(deform, f"{pointer}/deform")
+        if deform else None)
     omega = MatrixFunctional(mat(need("omega"), "omega"))
-    kernel = [(item["free"],
-               [series_from_json(c, f"{pointer}/kernel/{k}/vector/{i}")
-                for i, c in enumerate(item["vector"])])
-              for k, item in enumerate(need("kernel"))]
+    kernel = []
+    for k, item in enumerate(need("kernel")):
+        check(isinstance(item, dict) and isinstance(item.get("free"), int)
+              and 0 <= item["free"] < m * m
+              and isinstance(item.get("vector"), list),
+              "kernel item needs free in range(m^2) and a vector list",
+              f"kernel/{k}")
+        kernel.append((item["free"], [
+            series_from_json(c, f"{pointer}/kernel/{k}/vector/{i}")
+            for i, c in enumerate(item["vector"])]))
+    indices = need("basis_indices")
+    check(all(isinstance(t, int) and 0 <= t < m * m for t in indices),
+          "basis_indices must lie in range(m^2)", "basis_indices")
     return GNSResult(
-        algebra, omega, list(need("basis_indices")), kernel,
-        mat(need("gram"), "gram"),
+        algebra, omega, list(indices), kernel, mat(need("gram"), "gram"),
         [mat(g, f"generators/{i}") for i, g in enumerate(need("generators"))],
         [mat(p, f"pi/{i}") for i, p in enumerate(need("pi"))],
         [series_from_json(c, f"{pointer}/cyclic/{i}")

@@ -107,13 +107,14 @@ _VAR_RE = re.compile(r"(qb|zb|yb|q|p|z)([1-9][0-9]*)$")
 
 
 class _Token:
-    __slots__ = ("kind", "value", "line", "column")
+    __slots__ = ("kind", "value", "line", "column", "text")
 
-    def __init__(self, kind, value, line, column):
+    def __init__(self, kind, value, line, column, text=""):
         self.kind = kind
         self.value = value
         self.line = line
         self.column = column
+        self.text = text
 
 
 def _tokenize(src):
@@ -133,11 +134,11 @@ def _tokenize(src):
                 value = Fraction(int(num), int(den))
             else:
                 value = Fraction(int(text))
-            tokens.append(_Token("number", value, line, col))
+            tokens.append(_Token("number", value, line, col, text))
         elif m.lastgroup == "name":
-            tokens.append(_Token("name", text, line, col))
+            tokens.append(_Token("name", text, line, col, text))
         elif m.lastgroup == "op":
-            tokens.append(_Token("op", text, line, col))
+            tokens.append(_Token("op", text, line, col, text))
         newlines = text.count("\n")
         if newlines:
             line += newlines
@@ -311,7 +312,7 @@ def reference_parse(src, n=1, order=K, chart=None):
     value = parser.parse_expr()
     end = parser.next()
     if end.kind != "end":
-        raise ParseError(f"trailing input {end.value!r}", end.line, end.column)
+        raise ParseError(f"trailing input {end.text!r}", end.line, end.column)
     return value
 
 
@@ -411,6 +412,16 @@ def test_parse_matches_polyobservable_arithmetic(case):
     ("(q1 + p1", 1, K, None),
     ("q1^", 1, K, None),
     ("p1", 1, K, "wave"),
+    ("(1 + l)^3", 1, 2, None),
+    ("(l*q1 + p1)^2", 1, 2, None),
+    ("(l^2)^0", 1, 2, None),
+    ("0^0", 1, 4, None),
+    ("(0*q1)^3", 1, 4, None),
+    ("q1*l - q1*l + p1 + q1*l", 1, 3, None),
+    ("(q1 + l*q1)*(q1 - l*q1)", 1, 2, None),
+    ("(q1 + l)^4", 1, 2, None),
+    ("(l*l)^0*q1", 1, 2, None),
+    ("1 + l*(l + l*l)", 1, 2, None),
 ])
 def test_parse_matches_reference_on_edge_cases(src, n, order, chart):
     assert_parses_like_reference(src, n, order, chart)
@@ -434,7 +445,7 @@ def test_lexer_matches_reference_on_arbitrary_text(src, n, order):
 @pytest.mark.parametrize("src", [
     "q1 ", "  ", "", "(q1\n", "1/", "1/0", "q1 +\n  $ p1", "w1 $", "p1",
     "q1 +\n\t(p1 *\n 2", "\n\n  q1 q1", "1/00", "é", "q1.5", "z1\t+ q1",
-    "q1 + yb1\n", "q3", "q1 2"])
+    "q1 + yb1\n", "q3", "q1 2", "q1 4/2"])
 def test_lexer_matches_reference_on_edge_cases(src):
     for chart in (None, "real", "holo", "fock", "wave"):
         assert_parses_like_reference(src, 2, K, chart)
@@ -478,9 +489,18 @@ def test_canonical_text_parses_without_series_products(monkeypatch):
     f = PolyObservable(sig, terms, K)
     assert len(f.terms) == 16 and f.total_degree() == 4
     text = observable_text(f)
-    products = _CountCalls(monkeypatch, FormalSeries, "__mul__")
+    counters = [_CountCalls(monkeypatch, FormalSeries, "__mul__"),
+                _CountCalls(monkeypatch, FormalSeries, "__add__")]
     assert parse(text, 2, K) == f
-    assert products.count == 0
+    assert [c.count for c in counters] == [0, 0]
+    counters += [_CountCalls(monkeypatch, PolyObservable, name)
+                 for name in ("__add__", "__mul__", "__pow__")]
+    src = "(q1 + l*p1 + 1)^4*(p1 - i)"
+    for c in counters:
+        c.count = 0
+    parse(src, 1, K)
+    assert [c.count for c in counters] == [0] * 5
+    assert_parses_like_reference(src, 1, K)
 
 
 def test_large_power_of_a_variable_is_closed_form(monkeypatch):
@@ -686,6 +706,10 @@ def test_gns_result_roundtrip():
 
 _SERIES_2 = {"K": 2, "coeffs": [[0, 1, 0, 1], [1, 2, 0, 1]]}
 _O1_SERIES_2 = {"K": 2, "coeffs": [[1, 1, 0, 1], [1, 2, 0, 1]]}
+_ONE_1 = {"K": 1, "coeffs": [[1, 1, 0, 1]]}
+_GNS_1 = {"type": "gns_result", "m": 1, "K": 1, "omega": [[_ONE_1]],
+          "basis_indices": [0], "kernel": [], "gram": [[_ONE_1]],
+          "generators": [], "pi": [], "cyclic": [_ONE_1]}
 
 
 @pytest.mark.parametrize("payload, pointer", [
@@ -712,6 +736,16 @@ _O1_SERIES_2 = {"K": 2, "coeffs": [[1, 1, 0, 1], [1, 2, 0, 1]]}
       "pre_operator": dict(_SERIES_2, type="series")}, "/pre_operator"),
     ({"type": "functional", "n": 1, "point": 5}, "/point"),
     ({"type": "matrix", "rows": 5}, ""),
+    (dict(_GNS_1, kernel=[5]), "/kernel/0"),
+    (dict(_GNS_1, kernel=[{"free": 1, "vector": []}]), "/kernel/0"),
+    (dict(_GNS_1, kernel=5), "/kernel"),
+    (dict(_GNS_1, basis_indices=5), "/basis_indices"),
+    (dict(_GNS_1, basis_indices=[1]), "/basis_indices"),
+    (dict(_GNS_1, cyclic=5), "/cyclic"),
+    (dict(_GNS_1, generators=5), "/generators"),
+    (dict(_GNS_1, pi=5), "/pi"),
+    (dict(_GNS_1, m=0), "/m"),
+    (dict(_GNS_1, K="a"), "/K"),
 ])
 def test_deserialize_rejects_malformed_payloads(payload, pointer):
     with pytest.raises(SchemaError) as exc:
@@ -733,11 +767,15 @@ _JSON = st.recursive(
 
 def _valid_payloads():
     from fdq.functionals import deform_delta
+    from fdq.matrices import MatrixStarAlgebra, SeriesMatrix
+    from fdq.reps import MatrixFunctional, gns_build
     from fdq.star import std
     sig = PhaseSpaceSignature(1, "real")
+    gns = gns_build(MatrixStarAlgebra(2, 2), MatrixFunctional(
+        SeriesMatrix.from_scalar_rows([[1, 0], [0, 0]], 2)))
     return [serialize(v) for v in (
         parse("q1*p1 + i*l", 1, 2), weyl(1, 2), std(1, 2), op_s(1, 2),
-        deform_delta(sig, (Fraction(1, 2), -1), 2))] + [
+        deform_delta(sig, (Fraction(1, 2), -1), 2), gns)] + [
         dict(serialize(weyl(1, 2)), kind="custom")]
 
 
