@@ -4,13 +4,27 @@ Rank decisions over C[[l]]/l^K must be precision-honest: a stored-zero entry
 counts as zero only when no computation lost a nonzero tail (``is_exact_zero``).
 Elimination therefore raises PrecisionExhausted instead of guessing whenever
 the remaining block is zero only up to the truncation order.
+
+Matrix products run on the integer kernel of series products.  Each left row
+and each right column is scaled once to Gaussian integers over the lcm of
+its denominators, which also tells its exact zeros apart; each output
+coefficient is summed over the inner index in Python ints and built once as
+a pair of Fractions over D_row * D_col.  An entry is flagged when a term
+with a left factor that is not an exact zero has a lossy factor or drops a
+product term at l^K, as summing the entry products one by one flags it.
+
+Products with matrix units have closed forms in ``MatrixStarAlgebra``: for
+E_s = E_ij and E_t = E_kl, E_s* x E_t = (delta_ik + l D_ik) E_jl, and a x E_kl
+is column k of a x 1 moved to column l.  Both give every entry, inside the
+support or not, the value and flag of the full product.
 """
 
 from __future__ import annotations
 
 from .errors import (NotUnit, PrecisionExhausted, ShapeMismatch,
                      TruncationMismatch)
-from .series import DEFAULT_ORDER, FormalSeries, GaussianRational
+from .series import (DEFAULT_ORDER, FormalSeries, GaussianRational,
+                     _convolve, _from_scaled, _scaled)
 
 
 class SeriesMatrix:
@@ -121,24 +135,24 @@ class SeriesMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
         K = self.order
-        zero = FormalSeries.zero(K)
+        cols = [(col, *_scaled(col)) for col in zip(*other.rows)]
         out = []
         for row in self.rows:
-            terms = [(a, other.rows[k]) for k, a in enumerate(row)
-                     if not a.is_exact_zero()]
+            da, scaled = _scaled(row)
+            # (k, scaled terms, flag) of each a_ik that is not an exact zero.
+            live = [(k, a, e.tail_lost) for k, (a, e)
+                    in enumerate(zip(scaled, row)) if a or e.tail_lost]
             out_row = []
-            for j in range(other.ncols):
-                acc, lost = zero, False
-                for a, b_row in terms:
-                    b = b_row[j]
-                    if b.is_exact_zero():
-                        # a * b is a zero carrying a's flag, nothing else.
-                        lost = lost or a.tail_lost
-                    else:
-                        acc = acc + a * b
-                if lost and not acc.tail_lost:
-                    acc = FormalSeries(acc.coeffs, K, True)
-                out_row.append(acc)
+            for col, db, b_terms in cols:
+                re, im = [0] * K, [0] * K
+                lost = False
+                for k, a, a_lost in live:
+                    if a_lost or col[k].tail_lost:
+                        lost = True
+                    b = b_terms[k]
+                    if a and b:
+                        lost = _convolve(a, b, re, im) or lost
+                out_row.append(_from_scaled(re, im, da * db, lost))
             out.append(out_row)
         return SeriesMatrix(out, K)
 
@@ -542,6 +556,65 @@ class MatrixStarAlgebra:
             return plain
         corr = (a @ self.deform @ b).scale(FormalSeries.lam(1, self.order))
         return plain + corr
+
+    def adjoint_unit_product(self, s, t):
+        """e_s* x e_t for the basis units e_s = E_ij and e_t = E_kl: the
+        matrix (delta_ik + l D_ik) E_jl, D the deformation.  Each entry
+        carries the flag that ``product(involution(e_s), e_t)`` gives it."""
+        m, K = self.m, self.order
+        i, j = divmod(s, m)
+        k, l = divmod(t, m)
+        zero = FormalSeries.zero(K)
+        entry = FormalSeries.one(K) if i == k else zero
+        fill = rest = zero
+        if self.deform is not None:
+            # Row j of (E_ji D) E_kl is row i of D times E_kl: D_ik at column
+            # l and zeros elsewhere, all flagged when an entry of that row
+            # has lost its tail.  At K = 1, l itself is a lossy zero.
+            lam = FormalSeries.lam(1, K)
+            d_row = self.deform.rows[i]
+            row_lost = any(e.tail_lost for e in d_row)
+            d = d_row[k]
+            if row_lost and not d.tail_lost:
+                d = FormalSeries(d.coeffs, K, True)
+            entry = entry + d * lam
+            fill = FormalSeries((), K, row_lost) * lam
+            rest = zero * lam
+        rows = [[rest] * m for _ in range(m)]
+        rows[j] = [fill] * m
+        rows[j][l] = entry
+        return SeriesMatrix(rows, K)
+
+    def right_unit_coords(self, a, units):
+        """Row-major coordinates of a x e_t for each basis index t in
+        ``units``.  A product acts on the columns of its right factor one by
+        one, so a x E_kl is column k of a x 1 moved to column l, and its other
+        columns equal the column of a x 0.  One product a x [1 | 0] thus
+        gives the values and flags for every unit."""
+        m, K = self.m, self.order
+        zero = FormalSeries.zero(K)
+        if self.deform is None:
+            # a [1 | 0] is a and a zero column, every entry of a row flagged
+            # when an entry of that row of a has lost its tail (as in ``@``).
+            rows = []
+            for row in a.rows:
+                if any(e.tail_lost for e in row):
+                    rows.append([e if e.tail_lost
+                                 else FormalSeries(e.coeffs, K, True)
+                                 for e in row] + [FormalSeries((), K, True)])
+                else:
+                    rows.append(list(row) + [zero])
+        else:
+            one = FormalSeries.one(K)
+            rows = self.product(a, SeriesMatrix(
+                [[one if i == j else zero for j in range(m + 1)]
+                 for i in range(m)], K)).rows
+        out = []
+        for t in units:
+            k, l = divmod(t, m)
+            out.append([row[k] if c == l else row[m]
+                        for row in rows for c in range(m)])
+        return out
 
     def involution(self, a):
         return a.adjoint()

@@ -412,7 +412,8 @@ def fullness_check(module: PreHilbertModule) -> bool:
         return False
     alg = module.base
     abasis = alg.basis()
-    gens = []
+    units = range(alg.dim)
+    cols = []
     for i in range(module.rank):
         for j in range(module.rank):
             g = module.gram[i][j]
@@ -420,11 +421,9 @@ def fullness_check(module: PreHilbertModule) -> bool:
                 continue
             for a in abasis:
                 left = alg.product(alg.involution(a), g)
-                for b in abasis:
-                    gens.append(alg.product(left, b))
-    if not gens:
+                cols += alg.right_unit_coords(left, units)
+    if not cols:
         return False
-    cols = [alg.to_coords(g) for g in gens]
     system = SeriesMatrix.from_columns(cols, alg.order)
     target = alg.to_coords(alg.unit())
     return solve_in_ring(system, target) is not None

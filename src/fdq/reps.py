@@ -145,10 +145,10 @@ class MatrixFunctional:
 def _gram_and_witnesses(algebra: MatrixStarAlgebra, omega):
     """The Gram G_st = omega(e_s* x e_t) on the matrix-unit basis, and the
     positivity-scan witnesses read off it (see ``matrix_positivity_scan``)."""
-    basis = algebra.basis()
     labels = algebra.basis_labels()
-    g = [[omega(algebra.product(algebra.involution(bs), bt)) for bt in basis]
-         for bs in basis]
+    n = algebra.dim
+    g = [[omega(algebra.adjoint_unit_product(s, t)) for t in range(n)]
+         for s in range(n)]
     rows = two_term_scan(
         g, lambda t: labels[t],
         lambda s, t, u: f"{labels[s]}+({u.re}+{u.im}i){labels[t]}")
@@ -204,12 +204,11 @@ class GNSResult:
 
     def represent(self, element: SeriesMatrix) -> SeriesMatrix:
         """pi(element) on the quotient basis."""
-        basis = self.algebra.basis()
-        cols = []
-        for t in self.basis_indices:
-            prod = self.algebra.product(element, basis[t])
-            cols.append(self.reduce_coords(self.algebra.to_coords(prod)))
-        return SeriesMatrix.from_columns(cols, self.algebra.order)
+        alg = self.algebra
+        cols = [self.reduce_coords(coords)
+                for coords in alg.right_unit_coords(element,
+                                                    self.basis_indices)]
+        return SeriesMatrix.from_columns(cols, alg.order)
 
     def vacuum_expectation(self, element: SeriesMatrix) -> FormalSeries:
         """<psi_1, pi(element) psi_1> with the quotient Gram."""
@@ -316,34 +315,46 @@ def gns_result_from_json(obj, pointer=""):
             check(isinstance(value, list), f"{key} must be a list", key)
         return value
 
-    def mat(rows, where):
-        return matrix_from_json({"rows": rows}, f"{pointer}/{where}")
+    def mat(rows, where, n):
+        out = matrix_from_json({"rows": rows}, f"{pointer}/{where}")
+        check((out.nrows, out.ncols) == (n, n), f"{where} must be {n} x {n}",
+              where)
+        return out
 
     m, K = need("m", int), need("K", int)
     deform = obj.get("deform")
     algebra = MatrixStarAlgebra(
         m, K, deform=matrix_from_json(deform, f"{pointer}/deform")
         if deform else None)
-    omega = MatrixFunctional(mat(need("omega"), "omega"))
+    omega = MatrixFunctional(mat(need("omega"), "omega", m))
     kernel = []
     for k, item in enumerate(need("kernel")):
         check(isinstance(item, dict) and isinstance(item.get("free"), int)
               and 0 <= item["free"] < m * m
-              and isinstance(item.get("vector"), list),
-              "kernel item needs free in range(m^2) and a vector list",
-              f"kernel/{k}")
+              and isinstance(item.get("vector"), list)
+              and len(item["vector"]) == m * m,
+              "kernel item needs free in range(m^2) and a vector of m^2 "
+              "entries", f"kernel/{k}")
         kernel.append((item["free"], [
             series_from_json(c, f"{pointer}/kernel/{k}/vector/{i}")
             for i, c in enumerate(item["vector"])]))
     indices = need("basis_indices")
     check(all(isinstance(t, int) and 0 <= t < m * m for t in indices),
           "basis_indices must lie in range(m^2)", "basis_indices")
+    d = len(indices)
+    gram = mat(need("gram"), "gram", d)
+    generators = [mat(g, f"generators/{i}", m)
+                  for i, g in enumerate(need("generators"))]
+    pi = [mat(p, f"pi/{i}", d) for i, p in enumerate(need("pi"))]
+    check(len(pi) == len(generators), "pi needs one matrix per generator",
+          "pi")
+    cyclic = need("cyclic")
+    check(len(cyclic) == d, "cyclic needs one entry per basis index",
+          "cyclic")
     return GNSResult(
-        algebra, omega, list(indices), kernel, mat(need("gram"), "gram"),
-        [mat(g, f"generators/{i}") for i, g in enumerate(need("generators"))],
-        [mat(p, f"pi/{i}") for i, p in enumerate(need("pi"))],
+        algebra, omega, list(indices), kernel, gram, generators, pi,
         [series_from_json(c, f"{pointer}/cyclic/{i}")
-         for i, c in enumerate(need("cyclic"))])
+         for i, c in enumerate(cyclic)])
 
 
 class CandidateRep:

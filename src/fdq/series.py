@@ -11,7 +11,8 @@ lcm D of its coefficient denominators, so D*c_k is a Gaussian integer; the
 K^2 term products and their sums run on Python ints, and each output
 coefficient is built once as a pair of Fractions over Da*Db.  Fraction
 normalises to lowest terms, so the result is the same value, with the same
-text and JSON, as summing the Gaussian-rational products one by one.
+text and JSON, as summing the Gaussian-rational products one by one.  Matrix
+products (``SeriesMatrix @``) run on the same scaling and convolution.
 """
 
 from __future__ import annotations
@@ -125,21 +126,58 @@ GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
 
-def _scaled(coeffs):
-    """(D, terms): D is the lcm of the coefficient denominators and terms
-    lists (k, re, im) with D*c_k = re + i*im, Gaussian integers, for each
-    nonzero c_k in index order."""
+def _scaled(entries):
+    """(D, terms): D is the lcm of the coefficient denominators of all the
+    series in ``entries``, and terms[e] lists (k, re, im) with
+    D*c_k = re + i*im, Gaussian integers, for each nonzero coefficient c_k
+    of entry e in index order.  An entry is zero up to K exactly when its
+    list is empty."""
     d = 1
-    for c in coeffs:
-        d = lcm(d, c.re.denominator, c.im.denominator)
+    for s in entries:
+        for c in s.coeffs:
+            if c is not GR_ZERO:
+                d = lcm(d, c.re.denominator, c.im.denominator)
     terms = []
-    for k, c in enumerate(coeffs):
-        re, im = c.re, c.im
-        r = re.numerator * (d // re.denominator)
-        m = im.numerator * (d // im.denominator)
-        if r or m:
-            terms.append((k, r, m))
+    for s in entries:
+        t = []
+        for k, c in enumerate(s.coeffs):
+            if c is GR_ZERO:
+                continue
+            re, im = c.re, c.im
+            r = re.numerator * (d // re.denominator)
+            m = im.numerator * (d // im.denominator)
+            if r or m:
+                t.append((k, r, m))
+        terms.append(t)
     return d, terms
+
+
+def _convolve(a, b, re, im):
+    """Add the products of the scaled terms ``a`` and ``b`` (see ``_scaled``)
+    into the integer accumulators re, im of length K; True when a pair of
+    terms lands at l^K or beyond and is dropped."""
+    K = len(re)
+    lost = False
+    for i, ar, ai in a:
+        for j, br, bi in b:
+            k = i + j
+            if k >= K:
+                # b is in index order: every later term is out of range
+                # too, and a product of nonzero terms is nonzero.
+                lost = True
+                break
+            re[k] += ar * br - ai * bi
+            im[k] += ar * bi + ai * br
+    return lost
+
+
+def _from_scaled(re, im, d, lost):
+    """The series with coefficients (re[k] + i*im[k]) / d, each reduced once."""
+    return FormalSeries(
+        tuple(GaussianRational(Fraction(r, d) if r else _F0,
+                               Fraction(m, d) if m else _F0)
+              if r or m else GR_ZERO for r, m in zip(re, im)),
+        len(re), lost)
 
 
 class FormalSeries:
@@ -278,27 +316,13 @@ class FormalSeries:
         K = self.order
         lost = self.tail_lost or other.tail_lost
         if self.is_zero() or other.is_zero():
-            # What the loop below gives: no product term, the operands' flags.
+            # What the convolution gives: no product term, the operands' flags.
             return FormalSeries((), K, lost)
-        da, a = _scaled(self.coeffs)
-        db, b = _scaled(other.coeffs)
+        da, (a,) = _scaled((self,))
+        db, (b,) = _scaled((other,))
         re, im = [0] * K, [0] * K
-        for i, ar, ai in a:
-            for j, br, bi in b:
-                k = i + j
-                if k >= K:
-                    # b is in index order: every later term is out of range
-                    # too, and a product of nonzero terms is nonzero.
-                    lost = True
-                    break
-                re[k] += ar * br - ai * bi
-                im[k] += ar * bi + ai * br
-        d = da * db
-        return FormalSeries(
-            tuple(GaussianRational(Fraction(r, d) if r else _F0,
-                                   Fraction(m, d) if m else _F0)
-                  if r or m else GR_ZERO for r, m in zip(re, im)),
-            K, lost)
+        lost = _convolve(a, b, re, im) or lost
+        return _from_scaled(re, im, da * db, lost)
 
     def scalar_mul(self, c):
         c = _promote(c)

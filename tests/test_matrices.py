@@ -335,6 +335,70 @@ def test_matmul_matches_triple_loop(pair):
         [[e.tail_lost for e in r] for r in want.rows]
 
 
+def flags(mat):
+    return [[e.tail_lost for e in r] for r in mat.rows]
+
+
+UNIT_CASES = [(m, k, kind) for m in (1, 2, 3) for k in (1, 2, 3, 4)
+              for kind in ("none", "exact", "lossy")]
+
+
+def unit_algebra(draw, m, k, kind):
+    """M_m at order k, plain, or deformed by a D with exact entries (exact
+    zeros and plain nonzeros) or with lossy ones too."""
+    if kind == "none":
+        return MatrixStarAlgebra(m, k)
+
+    def entry():
+        e = entry_kinds(draw, k)
+        return e if kind == "lossy" else FormalSeries(e.coeffs, k)
+
+    return MatrixStarAlgebra(m, k, deform=SeriesMatrix(
+        [[entry() for _ in range(m)] for _ in range(m)], k))
+
+
+@pytest.mark.parametrize("m, k, kind", UNIT_CASES)
+@settings(max_examples=4)
+@given(st.data())
+def test_adjoint_unit_product_matches_product(m, k, kind, data):
+    alg = unit_algebra(data.draw, m, k, kind)
+    basis = alg.basis()
+    for s, bs in enumerate(basis):
+        for t, bt in enumerate(basis):
+            got = alg.adjoint_unit_product(s, t)
+            want = alg.product(alg.involution(bs), bt)
+            assert got == want
+            assert flags(got) == flags(want)
+
+
+@pytest.mark.parametrize("m, k, kind", UNIT_CASES)
+@settings(max_examples=6)
+@given(st.data())
+def test_right_unit_coords_match_products(m, k, kind, data):
+    alg = unit_algebra(data.draw, m, k, kind)
+    a = SeriesMatrix([[entry_kinds(data.draw, k) for _ in range(m)]
+                      for _ in range(m)], k)
+    got = alg.right_unit_coords(a, range(alg.dim))
+    want = [alg.to_coords(alg.product(a, b)) for b in alg.basis()]
+    assert got == want
+    assert [[e.tail_lost for e in c] for c in got] == \
+        [[e.tail_lost for e in c] for c in want]
+
+
+SWAP_1 = MatrixStarAlgebra(2, 1, deform=SeriesMatrix.from_scalar_rows(
+    [[0, 1], [1, 0]], 1))
+
+
+def test_right_unit_coords_at_k1_are_lossy():
+    # At K = 1 the deformation term l a D E_t is a lossy zero in every
+    # entry, so every coordinate of a x E_t has lost its tail.
+    a = SeriesMatrix.from_scalar_rows([[1, 0], [0, 0]], 1)
+    for coords in SWAP_1.right_unit_coords(a, range(4)):
+        assert all(e.tail_lost for e in coords)
+    assert not any(e.tail_lost for coords in MatrixStarAlgebra(2, 1)
+                   .right_unit_coords(a, range(4)) for e in coords)
+
+
 def reference_inverse(m):
     """One ``solve_in_ring`` per column of the identity, in order."""
     n = m.nrows

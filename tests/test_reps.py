@@ -1,15 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fdq.errors import NotCyclic, PositivityRefuted, PrecisionExhausted
-from fdq.exprio import parse, series_text
-from fdq.matrices import MatrixStarAlgebra, SeriesMatrix
+from fdq.errors import (NotCyclic, PositivityRefuted, PrecisionExhausted,
+                        SchemaError)
+from fdq.exprio import deserialize, parse, series_text
+from fdq.matrices import MatrixStarAlgebra, SeriesMatrix, radical_quotient
 from fdq.observables import (PhaseSpaceSignature, PolyObservable, involution,
                              monomials_up_to)
-from fdq.reps import (CandidateRep, MatrixFunctional, classical_limit_rep,
-                      commutant, fock_inner, gns_build, gns_uniqueness_check,
+from fdq.reps import (CandidateRep, GNSResult, MatrixFunctional,
+                      _gram_and_witnesses, classical_limit_rep, commutant,
+                      fock_inner, gns_build, gns_uniqueness_check,
                       matrix_positivity_scan, schroedinger_rep, wickrep)
 from fdq.series import FormalSeries, GaussianRational, Sign
 from fdq.star import star_multiply, weyl, wick
@@ -282,6 +284,96 @@ def test_gram_scan_matches_sample_products(case):
     assert got == want
     assert [series_text(v) for _, v in got] == \
         [series_text(v) for _, v in want]
+
+
+def series_kinds(draw, k):
+    """An exact zero, a zero with a lost tail, a lossy or a plain nonzero."""
+    kind = draw(st.sampled_from(["exact-zero", "lossy-zero", "lossy",
+                                 "plain"]))
+    if kind == "exact-zero":
+        return FormalSeries.zero(k)
+    if kind == "lossy-zero":
+        return FormalSeries((), k, tail_lost=True)
+    cs = [GaussianRational(draw(st.integers(-2, 2)), draw(st.integers(-1, 1)))
+          for _ in range(k)]
+    cs[draw(st.integers(0, k - 1))] = GaussianRational(1)
+    return FormalSeries(cs, k, tail_lost=kind == "lossy")
+
+
+def flags(mat):
+    return [[e.tail_lost for e in r] for r in mat.rows]
+
+
+def reference_gram(algebra, omega):
+    """omega(e_s* x e_t) with one full product per pair of units."""
+    basis = algebra.basis()
+    return SeriesMatrix(
+        [[omega(algebra.product(algebra.involution(bs), bt)) for bt in basis]
+         for bs in basis], algebra.order)
+
+
+def reference_represent(result, element):
+    """pi(element) with one full product element x e_t per kept unit."""
+    alg = result.algebra
+    basis = alg.basis()
+    cols = [result.reduce_coords(alg.to_coords(alg.product(element,
+                                                           basis[t])))
+            for t in result.basis_indices]
+    return SeriesMatrix.from_columns(cols, alg.order)
+
+
+@pytest.mark.parametrize("m, k, kind", [
+    (m, k, kind) for m in (1, 2, 3) for k in (1, 2, 3, 4)
+    for kind in ("none", "exact", "lossy")])
+@settings(max_examples=4)
+@given(st.data())
+def test_gram_and_represent_match_unit_loops(m, k, kind, data):
+    """Values and flags of the Gram and of pi(a) against one full product
+    per unit, with D absent, exact or lossy, and lossy weights."""
+    def matrix(lossy=True):
+        rows = [[series_kinds(data.draw, k) for _ in range(m)]
+                for _ in range(m)]
+        if not lossy:
+            rows = [[FormalSeries(e.coeffs, k) for e in r] for r in rows]
+        return SeriesMatrix(rows, k)
+
+    alg = MatrixStarAlgebra(
+        m, k, deform=None if kind == "none" else matrix(kind == "lossy"))
+    omega = MatrixFunctional(matrix())
+    want = reference_gram(alg, omega)
+    got = _gram_and_witnesses(alg, omega)[0]
+    assert got == want
+    assert flags(got) == flags(want)
+    try:
+        kept, kernel = radical_quotient(want)
+    except PrecisionExhausted:
+        kept, kernel = [], []
+    if not kept:
+        kept, kernel = list(range(alg.dim)), []
+    result = GNSResult(alg, omega, kept, kernel, want, [], [], [])
+    element = matrix()
+    got = result.represent(element)
+    want = reference_represent(result, element)
+    assert got == want
+    assert flags(got) == flags(want)
+
+
+def test_gns_result_from_json_rejects_mismatched_shapes():
+    """m = 2 with a 1 x 1 omega and one cyclic entry for two basis indices
+    once deserialized, and vacuum_expectation then raised IndexError."""
+    one = {"K": 1, "coeffs": [[1, 1, 0, 1]]}
+    zero = {"K": 1, "coeffs": [[0, 1, 0, 1]]}
+    payload = {"type": "gns_result", "m": 2, "K": 1, "omega": [[one]],
+               "basis_indices": [0, 3], "kernel": [],
+               "gram": [[one, zero], [zero, one]], "generators": [],
+               "pi": [], "cyclic": [one]}
+    with pytest.raises(SchemaError) as exc:
+        deserialize(payload)
+    assert exc.value.pointer == "/omega"
+    payload["omega"] = [[one, zero], [zero, zero]]
+    with pytest.raises(SchemaError) as exc:
+        deserialize(payload)
+    assert exc.value.pointer == "/cyclic"
 
 
 # -- uniqueness ---------------------------------------------------------------------------
