@@ -9,10 +9,10 @@ sum (-d)^alpha o conj(c_alpha).
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 
 from .errors import SignatureMismatch
-from .observables import PolyObservable, involution
+from .observables import PolyObservable, _derive, involution
 from .series import FormalSeries
 
 
@@ -99,10 +99,7 @@ class DiffOperator:
             raise SignatureMismatch("operand signature mismatch")
         out = PolyObservable.zero(self.signature, self.order)
         for exp, coeff in self.terms.items():
-            term = psi
-            for idx, times in enumerate(exp):
-                if times:
-                    term = term.derivative(idx, times)
+            term = _partial(psi, exp)
             if term.terms or term.tail_lost:
                 out = out + coeff * term
         return out
@@ -111,22 +108,16 @@ class DiffOperator:
         """self o other in normal form via the Leibniz rule."""
         if self.signature != other.signature:
             raise SignatureMismatch("operator signatures differ")
-        w = self.signature.width
         terms = {}
         for alpha, c in self.terms.items():
             for beta, d in other.terms.items():
                 # d^alpha (d(x) .) = sum_{gamma <= alpha} C(alpha, gamma)
                 #                    (d^gamma d)(x) d^{alpha-gamma}
                 for gamma in _sub_multi_indices(alpha):
-                    dg = d
-                    for idx in range(w):
-                        if gamma[idx]:
-                            dg = dg.derivative(idx, gamma[idx])
+                    dg = _partial(d, gamma)
                     if not dg.terms and not dg.tail_lost:
                         continue
-                    mult = 1
-                    for idx in range(w):
-                        mult *= comb(alpha[idx], gamma[idx])
+                    mult = prod(map(comb, alpha, gamma))
                     exp = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
                     contrib = (c * dg).scale_scalar(mult)
                     terms[exp] = terms[exp] + contrib if exp in terms else contrib
@@ -146,6 +137,19 @@ class DiffOperator:
             mult = DiffOperator.multiplication(involution(c))
             out = out + deriv.compose(mult).scale_scalar(sign)
         return out
+
+
+def _partial(psi, exp):
+    """d^exp psi: one falling-factorial scalar per surviving term."""
+    alpha = tuple((i, t) for i, t in enumerate(exp) if t)
+    if not alpha:
+        return psi
+    terms = {}
+    for e, c in psi.terms.items():
+        ff, d = _derive(e, alpha)
+        if ff:
+            terms[d] = c.scalar_mul(ff)
+    return PolyObservable(psi.signature, terms, psi.order, psi.tail_lost)
 
 
 def _sub_multi_indices(alpha):

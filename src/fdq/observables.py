@@ -16,6 +16,7 @@ by conjugation), never typed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 
 from .errors import DimensionMismatch, SignatureMismatch, TruncationMismatch
 from .series import DEFAULT_ORDER, GR_ONE, FormalSeries, GaussianRational
@@ -245,6 +246,21 @@ class PolyObservable:
 
 
 # -- operations ----------------------------------------------------------------
+
+
+def _derive(exp, alpha):
+    """d^alpha x^exp = ff x^d as (ff, d), where alpha lists (index, times)
+    pairs and ff is the product of the falling factorials
+    exp[i] (exp[i] - 1) ... (exp[i] - times + 1); ff is 0 when it vanishes."""
+    ff = 1
+    for i, t in alpha:
+        ff *= perm(exp[i], t)
+    if not ff:
+        return 0, None
+    d = list(exp)
+    for i, t in alpha:
+        d[i] -= t
+    return ff, tuple(d)
 
 
 def involution(f: PolyObservable) -> PolyObservable:

@@ -115,19 +115,18 @@ def schroedinger_rep(kind: str, f: PolyObservable) -> DiffOperator:
 class MatrixFunctional:
     """omega(a) = sum_ij W_ij a_ij, a lambda-linear functional on M_m."""
 
-    __slots__ = ("weights",)
+    __slots__ = ("weights", "_support")
 
     def __init__(self, weights: SeriesMatrix):
         self.weights = weights
+        # Exact-zero weights contribute nothing, not even a flag.
+        self._support = [(i, j, w) for i, row in enumerate(weights.rows)
+                         for j, w in enumerate(row) if not w.is_exact_zero()]
 
     def __call__(self, a: SeriesMatrix) -> FormalSeries:
         total = FormalSeries.zero(a.order)
-        for i in range(a.nrows):
-            for j in range(a.ncols):
-                w = self.weights.rows[i][j]
-                if w.is_exact_zero():
-                    continue
-                total = total + w * a.rows[i][j]
+        for i, j, w in self._support:
+            total = total + w * a.rows[i][j]
         return total
 
     def classical_limit(self):
@@ -378,27 +377,21 @@ def gns_uniqueness_check(result: GNSResult, candidate: CandidateRep) -> bool:
     algebra = result.algebra
     d = candidate.gram.nrows
     # Cyclicity: pi(b) Omega over the full algebra basis must span.
-    span_cols = []
-    for b in algebra.basis():
-        span_cols.append(_mat_vec(candidate.pi(b), candidate.cyclic))
-    span = SeriesMatrix.from_columns(span_cols, algebra.order)
+    basis = algebra.basis()
+    vecs = [_mat_vec(candidate.pi(b), candidate.cyclic) for b in basis]
+    span = SeriesMatrix.from_columns(vecs, algebra.order)
     if rank_certified(span) < d:
         raise NotCyclic("candidate vector does not generate the module")
 
-    basis = algebra.basis()
-    u_cols = [_mat_vec(candidate.pi(basis[t]), candidate.cyclic)
-              for t in result.basis_indices]
-    U = SeriesMatrix.from_columns(u_cols, algebra.order)
+    U = SeriesMatrix.from_columns([vecs[t] for t in result.basis_indices],
+                                  algebra.order)
     if U.adjoint() @ candidate.gram @ U != result.gram:
         return False
     for g, pi_mat in zip(result.generators, result.pi):
         if candidate.pi(g) @ U != U @ pi_mat:
             return False
-    for b in basis:
-        expected = result.omega(b)
-        got = _inner(candidate.gram, candidate.cyclic,
-                     _mat_vec(candidate.pi(b), candidate.cyclic))
-        if expected != got:
+    for b, vec in zip(basis, vecs):
+        if result.omega(b) != _inner(candidate.gram, candidate.cyclic, vec):
             return False
     return True
 

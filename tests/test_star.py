@@ -1,16 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fdq.star
 from fdq.errors import SignatureMismatch
-from fdq.exprio import parse
-from fdq.observables import (PolyObservable, monomials_up_to,
-                             poisson_bracket)
+from fdq.exprio import observable_text, parse
+from fdq.observables import (PhaseSpaceSignature, PolyObservable, involution,
+                             monomials_up_to, poisson_bracket)
 from fdq.series import FormalSeries, GaussianRational
-from fdq.star import (StarProductSpec, apply_equiv, check_star_axioms,
-                      commutator, identity_op, op_n, op_s,
-                      star_exponential_beta, star_multiply, std,
-                      transported_product, weyl, wick)
+from fdq.star import (AxiomReport, EquivOperatorSpec, StarProductSpec,
+                      apply_equiv, check_star_axioms, commutator,
+                      identity_op, op_n, op_s, star_exponential_beta,
+                      star_multiply, std, transported_product, weyl, wick)
 
 K = 4
 
@@ -248,3 +250,349 @@ def test_associativity_all_orders():
                 for h in monos[:6]:
                     assert star_multiply(spec, fg, h) == \
                         star_multiply(spec, f, star_multiply(spec, g, h))
+
+
+# -- differential tests against the per-operation exp(D) loops -----------------------
+#
+# The references below are the earlier codings: a tensor-contraction loop for
+# star_multiply and a loop of PolyObservable derivatives, scales and sums for
+# apply_equiv.  fdq.star now runs both through one exp(D) kernel; values,
+# every coefficient's tail_lost and the observable's tail_lost must agree.
+
+
+def _ref_star_multiply(spec, f, g):
+    K = min(spec.order, f.order, g.order)
+    if f.order != K:
+        f = f.reduce_order(K)
+    if g.order != K:
+        g = g.reduce_order(K)
+    pairing = [(a, b, e if e.order == K else e.reduce_order(K))
+               for a, b, e in spec._sparse_pairing()]
+
+    tensor = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            tensor[(e1, e2)] = c1 * c2
+
+    result = {}
+
+    def absorb(tensor_terms, factorial_recip):
+        for (e1, e2), c in tensor_terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            c = c.scalar_mul(factorial_recip)
+            if e in result:
+                result[e] = result[e] + c
+            else:
+                result[e] = c
+
+    absorb(tensor, Fraction(1))
+    fact = Fraction(1)
+    k = 1
+    while tensor and k < K:
+        new = {}
+        for (e1, e2), c in tensor.items():
+            for a, b, entry in pairing:
+                if e1[a] == 0 or e2[b] == 0:
+                    continue
+                d1 = list(e1)
+                d1[a] -= 1
+                d2 = list(e2)
+                d2[b] -= 1
+                key = (tuple(d1), tuple(d2))
+                add = (entry * c).scalar_mul(e1[a] * e2[b])
+                if key in new:
+                    new[key] = new[key] + add
+                else:
+                    new[key] = add
+        tensor = {key: c for key, c in new.items()
+                  if not c.is_zero() or c.tail_lost}
+        fact = fact / k
+        absorb(tensor, fact)
+        k += 1
+    return PolyObservable(spec.signature, result, K,
+                          f.tail_lost or g.tail_lost)
+
+
+def _ref_apply_equiv(op, f):
+    K = min(op.order, f.order)
+    if f.order != K:
+        f = f.reduce_order(K)
+    gen = {e: (c if c.order == K else c.reduce_order(K))
+           for e, c in op.generator.items()}
+
+    result = f
+    current = f
+    fact = Fraction(1)
+    k = 1
+    while current.terms and k < K:
+        new = PolyObservable.zero(op.signature, K)
+        for exp, c in gen.items():
+            term = current
+            for idx, times in enumerate(exp):
+                if times:
+                    term = term.derivative(idx, times)
+            if term.terms or term.tail_lost:
+                new = new + term.scale(c)
+        current = new
+        fact = fact / k
+        result = result + current.scale_scalar(fact)
+        k += 1
+    return result
+
+
+def _ref_check_star_axioms(spec, sample_degree=3):
+    star = _ref_star_multiply
+    sig = spec.signature
+    K = spec.order
+    monos = monomials_up_to(sig, sample_degree, K)
+    one = PolyObservable.one(sig, K)
+
+    checks = {}
+
+    witness = None
+    for m in monos:
+        if star(spec, one, m) != m or star(spec, m, one) != m:
+            witness = observable_text(m)
+            break
+    checks["unit"] = (witness is None, witness)
+
+    witness = None
+    for f in monos:
+        for g in monos:
+            prod = star(spec, f, g)
+            if prod.lambda_coefficient(0) != (f * g).lambda_coefficient(0):
+                witness = f"({observable_text(f)}, {observable_text(g)})"
+                break
+        if witness:
+            break
+    checks["correspondence_c0"] = (witness is None, witness)
+
+    witness = None
+    if sig.chart == "real":
+        i_one = GaussianRational(0, 1)
+        for f in monos:
+            for g in monos:
+                c1 = star(spec, f, g).lambda_coefficient(1)
+                c1r = star(spec, g, f).lambda_coefficient(1)
+                expected = poisson_bracket(f, g).lambda_coefficient(0) \
+                    .scale_scalar(i_one)
+                if c1 - c1r != expected:
+                    witness = f"({observable_text(f)}, {observable_text(g)})"
+                    break
+            if witness:
+                break
+    checks["correspondence_c1"] = (witness is None, witness)
+
+    witness = None
+    for f in monos:
+        for g in monos:
+            lhs = involution(star(spec, f, g))
+            rhs = star(spec, involution(g), involution(f))
+            if lhs != rhs:
+                witness = f"({observable_text(f)}, {observable_text(g)})"
+                break
+        if witness:
+            break
+    checks["hermitian"] = (witness is None, witness)
+
+    witness = None
+    for f in monos:
+        for g in monos:
+            fg = star(spec, f, g)
+            for h in monos:
+                if star(spec, fg, h) != star(spec, f, star(spec, g, h)):
+                    witness = (f"({observable_text(f)}, {observable_text(g)}, "
+                               f"{observable_text(h)})")
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    checks["associativity"] = (witness is None, witness)
+
+    return AxiomReport(spec.name, sample_degree, checks)
+
+
+def _state(f):
+    """Everything the comparison covers: values, each coefficient's flag and
+    the observable's flag."""
+    return (f.signature, f.order, f.tail_lost,
+            {e: (c.coeffs, c.tail_lost) for e, c in f.terms.items()})
+
+
+# Few distinct scalars, zero most often, so that sums cancel and products
+# truncate to lossy zeros.
+_SCALARS = st.sampled_from([GaussianRational(0)] * 3 + [
+    GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+    GaussianRational(Fraction(1, 2)), GaussianRational(2, -1)])
+
+
+@st.composite
+def _series(draw, K, o_l=False):
+    coeffs = [draw(_SCALARS) for _ in range(K)]
+    if o_l:
+        coeffs[0] = GaussianRational(0)
+    return FormalSeries(coeffs, K, draw(st.booleans()))
+
+
+@st.composite
+def _observables(draw, sig, K):
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * sig.width),
+                         max_size=4, unique=True))
+    return PolyObservable(sig, {e: draw(_series(K)) for e in exps}, K,
+                          draw(st.booleans()))
+
+
+@st.composite
+def _star_specs(draw, n, K):
+    kind = draw(st.sampled_from(["weyl", "wick", "holo", "std", "custom"]))
+    if kind == "weyl":
+        return weyl(n, K)
+    if kind == "wick":
+        return wick(n, K)
+    if kind == "holo":
+        return wick(n, K, chart="holo")
+    if kind == "std":
+        return std(n, K)
+    sig = PhaseSpaceSignature(n, draw(st.sampled_from(["real", "holo"])))
+    w = sig.width
+    return StarProductSpec(
+        sig, [[draw(_series(K, o_l=True)) for _ in range(w)] for _ in range(w)],
+        K)
+
+
+@st.composite
+def _equiv_ops(draw, n, K):
+    kind = draw(st.sampled_from(["S", "N", "custom"]))
+    if kind == "S":
+        op = op_s(n, K)
+    elif kind == "N":
+        op = op_n(n, K)
+    else:
+        sig = PhaseSpaceSignature(n, "real")
+        exps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * sig.width),
+                             max_size=4, unique=True))
+        op = EquivOperatorSpec(
+            sig, {e: draw(_series(K, o_l=True)) for e in exps}, K)
+    return op.inverse() if draw(st.booleans()) else op
+
+
+def _operand(draw, sig, K):
+    """An operand at the spec's order or one above it (reduced on entry)."""
+    return draw(_observables(sig, K + draw(st.integers(0, 1))))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_star_multiply_matches_reference(data):
+    n = data.draw(st.sampled_from([1, 2]))
+    K = data.draw(st.integers(1, 5))
+    spec = data.draw(_star_specs(n, K))
+    f = _operand(data.draw, spec.signature, K)
+    g = _operand(data.draw, spec.signature, K)
+    assert _state(star_multiply(spec, f, g)) == \
+        _state(_ref_star_multiply(spec, f, g))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_apply_equiv_matches_reference(data):
+    n = data.draw(st.sampled_from([1, 2]))
+    K = data.draw(st.integers(1, 5))
+    op = data.draw(_equiv_ops(n, K))
+    f = _operand(data.draw, op.signature, K)
+    assert _state(apply_equiv(op, f)) == _state(_ref_apply_equiv(op, f))
+
+
+def _wave(K, generator, terms, tail_lost=False):
+    sig = PhaseSpaceSignature(1, "wave")
+    op = EquivOperatorSpec(sig, {(e,): c for e, c in generator.items()}, K)
+    f = PolyObservable(sig, {(e,): c for e, c in terms.items()}, K, tail_lost)
+    return op, f
+
+
+def test_apply_equiv_lossy_generator_flags_the_observable():
+    # d_x meets a term, so the lost tail of its coefficient reaches the
+    # observable even though every coefficient of the image is exact.
+    K = 3
+    lossy_l = FormalSeries((0, 1), K, tail_lost=True)
+    op, f = _wave(K, {1: lossy_l}, {0: FormalSeries.one(K)})
+    assert _state(apply_equiv(op, f)) == _state(_ref_apply_equiv(op, f))
+    op, f = _wave(K, {1: lossy_l}, {1: FormalSeries.one(K)})
+    got = apply_equiv(op, f)
+    assert got.tail_lost and _state(got) == _state(_ref_apply_equiv(op, f))
+
+
+def test_lossy_zero_flags_the_observable_in_apply_equiv_only():
+    # l * (l x) truncates to a lost zero at K = 2.  exp(l d_x) drops it and
+    # flags the observable; the star product keeps it and flags the
+    # constant coefficient it lands on.
+    K = 2
+    l = FormalSeries.lam(1, K)
+    op, f = _wave(K, {1: l}, {0: FormalSeries.one(K), 1: l})
+    got = apply_equiv(op, f)
+    assert got.tail_lost and not got.terms[(0,)].tail_lost
+    assert _state(got) == _state(_ref_apply_equiv(op, f))
+
+    spec = weyl(1, K)
+    f, g = obs("1 + l*q1").reduce_order(K), obs("1 + p1").reduce_order(K)
+    got = star_multiply(spec, f, g)
+    assert not got.tail_lost and got.terms[(0, 0)].tail_lost
+    assert _state(got) == _state(_ref_star_multiply(spec, f, g))
+
+
+def test_apply_equiv_cancelled_lossy_sums_flag_the_observable():
+    # l x^0 (lost tail) + exp(l d_x) of x = 0: the cancelled coefficient
+    # leaves only its flag, on the observable.
+    K = 3
+    lossy_l = FormalSeries((0, 1), K, tail_lost=True)
+    op, f = _wave(K, {1: FormalSeries.lam(1, K)},
+                  {0: -lossy_l, 1: FormalSeries.one(K)})
+    got = apply_equiv(op, f)
+    assert got.tail_lost and (0,) not in got.terms
+    assert _state(got) == _state(_ref_apply_equiv(op, f))
+
+
+def test_apply_equiv_sums_generator_by_generator():
+    # At k = 1, D = l d_q - l d_p + l d_q^2 sends l (lost tail), -l and 2l
+    # to the constant term, in generator order.  The first two cancel and
+    # are dropped, flag and all, before 2l arrives, so the constant term
+    # keeps an exact tail; summed term by term it would not.
+    K = 3
+    l = FormalSeries.lam(1, K)
+    lossy_one = FormalSeries((1,), K, tail_lost=True)
+    op = EquivOperatorSpec(SIG, {(1, 0): l, (0, 1): -l, (2, 0): l}, K)
+    f = PolyObservable(SIG, {(2, 0): FormalSeries.one(K), (1, 0): lossy_one,
+                             (0, 1): FormalSeries.one(K)}, K)
+    got = apply_equiv(op, f)
+    assert got.tail_lost and not got.terms[(0, 0)].tail_lost
+    assert _state(got) == _state(_ref_apply_equiv(op, f))
+
+
+_CORRUPTED = StarProductSpec(
+    SIG, [[FormalSeries.zero(K), IL.scalar_mul(Fraction(1, 2))],
+          [FormalSeries.zero(K), FormalSeries.zero(K)]], K, name="bad")
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("spec", [W, WK, ST, wick(1, K, chart="holo"),
+                                  _CORRUPTED],
+                         ids=["weyl", "wick", "std", "holo-wick", "corrupted"])
+def test_axiom_report_matches_reference(spec, degree):
+    assert check_star_axioms(spec, degree).to_json() == \
+        _ref_check_star_axioms(spec, degree).to_json()
+
+
+@pytest.mark.parametrize("spec", [W, ST, wick(1, K, chart="holo")],
+                         ids=["weyl", "std", "holo-wick"])
+def test_axiom_battery_reads_one_product_table(spec, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return star_multiply(*args)
+
+    monkeypatch.setattr(fdq.star, "star_multiply", counting)
+    N = len(monomials_up_to(spec.signature, 2, K))
+    check_star_axioms(spec, 2)
+    assert N * N < len(calls) <= N * N + 2 * N ** 3
