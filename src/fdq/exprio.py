@@ -497,7 +497,7 @@ def _signature_from_json(obj, pointer):
 def _small_series_from_json(obj, pointer, expect_order):
     """A pairing or generator coefficient: a series that is O(l)."""
     s = series_from_json(obj, pointer, expect_order)
-    _require(not s.coeffs[0], "coefficient must be O(l)", pointer)
+    _require(s.valuation() != 0, "coefficient must be O(l)", pointer)
     return s
 
 

@@ -142,8 +142,7 @@ def two_term_scan(gram, label, pair_label) -> list:
             for u, value in zip(_UNITS, (diag + herm, diag - herm,
                                          diag + anti, diag - anti)):
                 samples.append((pair_label(s, t, u), value))
-    return [(text, value, value.sign()
-             if all(c.is_real() for c in value.coeffs) else Sign.NEGATIVE)
+    return [(text, value, value.sign() if value.is_real() else Sign.NEGATIVE)
             for text, value in samples]
 
 

@@ -5,11 +5,10 @@ counts as zero only when no computation lost a nonzero tail (``is_exact_zero``).
 Elimination therefore raises PrecisionExhausted instead of guessing whenever
 the remaining block is zero only up to the truncation order.
 
-Matrix products run on the integer kernel of series products.  Each left row
-and each right column is scaled once to Gaussian integers over the lcm of
-its denominators, which also tells its exact zeros apart; each output
-coefficient is summed over the inner index in Python ints and built once as
-a pair of Fractions over D_row * D_col.  An entry is flagged when a term
+Matrix products run on the integer kernel of series products.  The vectors
+of each left row and each right column are rescaled once to the lcm of their
+denominators; each output entry is convolved over the inner index in Python
+ints and reduced once over D_row * D_col.  An entry is flagged when a term
 with a left factor that is not an exact zero has a lossy factor or drops a
 product term at l^K, as summing the entry products one by one flags it.
 
@@ -24,7 +23,7 @@ from __future__ import annotations
 from .errors import (NotUnit, PrecisionExhausted, ShapeMismatch,
                      TruncationMismatch)
 from .series import (DEFAULT_ORDER, FormalSeries, GaussianRational,
-                     _convolve, _from_scaled, _scaled)
+                     _convolve, _over_lcm, _reduced)
 
 
 class SeriesMatrix:
@@ -135,24 +134,24 @@ class SeriesMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
         K = self.order
-        cols = [(col, *_scaled(col)) for col in zip(*other.rows)]
+        cols = [(col, *_over_lcm(col)) for col in zip(*other.rows)]
         out = []
         for row in self.rows:
-            da, scaled = _scaled(row)
-            # (k, scaled terms, flag) of each a_ik that is not an exact zero.
+            da, scaled = _over_lcm(row)
+            # (k, scaled vector, flag) of each a_ik that is not an exact zero.
             live = [(k, a, e.tail_lost) for k, (a, e)
                     in enumerate(zip(scaled, row)) if a or e.tail_lost]
             out_row = []
-            for col, db, b_terms in cols:
-                re, im = [0] * K, [0] * K
+            for col, db, b_vecs in cols:
+                acc = [0] * (2 * K)
                 lost = False
                 for k, a, a_lost in live:
                     if a_lost or col[k].tail_lost:
                         lost = True
-                    b = b_terms[k]
+                    b = b_vecs[k]
                     if a and b:
-                        lost = _convolve(a, b, re, im) or lost
-                out_row.append(_from_scaled(re, im, da * db, lost))
+                        lost = _convolve(a, b, acc) or lost
+                out_row.append(_reduced(K, lost, da * db, acc))
             out.append(out_row)
         return SeriesMatrix(out, K)
 
@@ -254,12 +253,9 @@ class _Divisor:
                 return a
             if va < vb:
                 raise ValueError("dividend valuation below divisor valuation")
-            a = FormalSeries(a.coeffs[vb:], a.order, True)
+            a = a.shift(-vb)
         if self.inverse is None:
-            b = self.pivot
-            if vb:
-                b = FormalSeries(b.coeffs[vb:], b.order, True)
-            self.inverse = b.invert()
+            self.inverse = self.pivot.shift(-vb).invert()
         return a * self.inverse
 
 
@@ -574,9 +570,7 @@ class MatrixStarAlgebra:
             lam = FormalSeries.lam(1, K)
             d_row = self.deform.rows[i]
             row_lost = any(e.tail_lost for e in d_row)
-            d = d_row[k]
-            if row_lost and not d.tail_lost:
-                d = FormalSeries(d.coeffs, K, True)
+            d = d_row[k].lossy() if row_lost else d_row[k]
             entry = entry + d * lam
             fill = FormalSeries((), K, row_lost) * lam
             rest = zero * lam
@@ -599,9 +593,8 @@ class MatrixStarAlgebra:
             rows = []
             for row in a.rows:
                 if any(e.tail_lost for e in row):
-                    rows.append([e if e.tail_lost
-                                 else FormalSeries(e.coeffs, K, True)
-                                 for e in row] + [FormalSeries((), K, True)])
+                    rows.append([e.lossy() for e in row]
+                                + [FormalSeries((), K, True)])
                 else:
                     rows.append(list(row) + [zero])
         else:

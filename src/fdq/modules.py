@@ -484,9 +484,8 @@ def morita_class_check(c1: MoritaClassData, c2: MoritaClassData) -> MoritaVerdic
     indeterminate = False
     for a, b in zip(c1.coords, c2.coords):
         d = b.reduce_order(K) - a.reduce_order(K)
-        if any(d.coeffs[1:]):
-            return MoritaVerdict.NOT_EQUIVALENT
-        if not d.classical_limit().is_integer():
+        c0 = d.classical_limit()
+        if d != FormalSeries.from_scalar(c0, K) or not c0.is_integer():
             return MoritaVerdict.NOT_EQUIVALENT
         if d.tail_lost:
             indeterminate = True
@@ -497,5 +496,4 @@ def morita_class_check(c1: MoritaClassData, c2: MoritaClassData) -> MoritaVerdic
 def hermitian_class_check(c: MoritaClassData) -> bool:
     """In the normalized convention an equivalence class corresponds to a
     Hermitian product iff all its coordinates are real."""
-    return all(coeff.is_real()
-               for series in c.coords for coeff in series.coeffs)
+    return all(series.is_real() for series in c.coords)

@@ -65,6 +65,11 @@ class PhaseSpaceSignature:
         return f"PhaseSpaceSignature(n={self.n}, chart={self.chart!r})"
 
 
+# One tuple per exponent vector, shared as a key by every term map: values
+# repeat a few monomials many times over.  It grows with distinct monomials.
+_EXPONENTS = {}
+
+
 class PolyObservable:
     """Sparse polynomial with FormalSeries coefficients over a signature.
 
@@ -94,7 +99,8 @@ class PolyObservable:
             if coeff.is_zero():
                 tail_lost = tail_lost or coeff.tail_lost
             else:
-                clean[tuple(exp)] = coeff
+                exp = tuple(exp)
+                clean[_EXPONENTS.setdefault(exp, exp)] = coeff
         self.order = K if K is not None else DEFAULT_ORDER
         self.terms = clean
         self.tail_lost = tail_lost
@@ -163,10 +169,7 @@ class PolyObservable:
         self._check(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            if exp in terms:
-                terms[exp] = terms[exp] + c
-            else:
-                terms[exp] = c
+            terms[exp] = terms[exp] + c if exp in terms else c
         return PolyObservable(self.signature, terms, self.order,
                               self.tail_lost or other.tail_lost)
 
@@ -190,10 +193,7 @@ class PolyObservable:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 c = c1 * c2
-                if e in terms:
-                    terms[e] = terms[e] + c
-                else:
-                    terms[e] = c
+                terms[e] = terms[e] + c if e in terms else c
         return PolyObservable(self.signature, terms, self.order,
                               self.tail_lost or other.tail_lost)
 
@@ -239,7 +239,7 @@ class PolyObservable:
         (lambda-free) coefficients at the same truncation order."""
         terms = {}
         for exp, c in self.terms.items():
-            cr = c.coeffs[r]
+            cr = c.coeff(r)
             if cr:
                 terms[exp] = FormalSeries.from_scalar(cr, self.order)
         return PolyObservable(self.signature, terms, self.order)
@@ -354,9 +354,7 @@ def eval_at_point(f: PolyObservable, point) -> FormalSeries:
             for _ in range(e):
                 v = v * x
         total = total + c.scalar_mul(v)
-    if f.tail_lost and not total.tail_lost:
-        total = FormalSeries(total.coeffs, total.order, True)
-    return total
+    return total.lossy() if f.tail_lost else total
 
 
 def monomials_up_to(signature, degree, order=None):

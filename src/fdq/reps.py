@@ -72,11 +72,8 @@ def fock_inner(phi: PolyObservable, psi: PolyObservable) -> FormalSeries:
         weight = Fraction(2 ** r)
         for e in exp:
             weight *= factorial(e)
-        term = (c.conjugate() * d).scalar_mul(weight).shift(r)
-        total = total + term
-    if (phi.tail_lost or psi.tail_lost) and not total.tail_lost:
-        total = FormalSeries(total.coeffs, K, True)
-    return total
+        total = total + (c.conjugate() * d).scalar_mul(weight).shift(r)
+    return total.lossy() if phi.tail_lost or psi.tail_lost else total
 
 
 # -- Schroedinger -----------------------------------------------------------------

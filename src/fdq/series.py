@@ -1,33 +1,36 @@
 """Exact arithmetic in Q(i)[[l]]/l^K with the ordered-ring structure of R[[l]].
 
-Coefficients are Gaussian rationals (pairs of ``fractions.Fraction``), so all
-results are exact and equality is structural.  A series remembers whether any
-computation that produced it discarded a nonzero coefficient beyond the
-truncation order (``tail_lost``); rank decisions elsewhere consult that flag
-to stay precision-honest.  The flag never takes part in equality or printing.
+A series is one denominator over a vector of Gaussian integers: ``_d`` >= 1
+and ``_v`` = (re_0, im_0, re_1, im_1, ...), with c_k = (re_k + i im_k) / _d.
+The vector is trimmed (its last pair is nonzero, and it is empty for a series
+that is zero up to K) and gcd(_d, *_v) = 1, with _d = 1 for zero.  The layout
+is canonical, so equality and hashing compare (order, _d, _v) and all results
+are exact.  Every operation runs on Python ints: a sum takes one lcm, a
+product is the K^2 integer convolution over the product of the denominators,
+and each result is reduced by one gcd.  ``GaussianRational`` (a pair of
+``fractions.Fraction``) is the boundary type: the constructor takes it, the
+``coeffs`` property builds it on each read for the printer and JSON, and
+scalars may be given as one.
 
-Series products are integer convolutions.  Each operand is scaled once by the
-lcm D of its coefficient denominators, so D*c_k is a Gaussian integer; the
-K^2 term products and their sums run on Python ints, and each output
-coefficient is built once as a pair of Fractions over Da*Db.  Fraction
-normalises to lowest terms, so the result is the same value, with the same
-text and JSON, as summing the Gaussian-rational products one by one.  Matrix
-products (``SeriesMatrix @``) run on the same scaling and convolution.
+A series remembers whether any computation that produced it discarded a
+nonzero coefficient beyond the truncation order (``tail_lost``); rank
+decisions elsewhere consult that flag to stay precision-honest.  The flag
+never takes part in equality or printing.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import add
 
 from .errors import BadLeadingTerm, NotReal, NotUnit, TruncationMismatch
 
 #: Global default truncation order; constructors use it when K is omitted.
 DEFAULT_ORDER = 6
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+_new = object.__new__
 
 
 class Sign(enum.Enum):
@@ -126,58 +129,45 @@ GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
 
-def _scaled(entries):
-    """(D, terms): D is the lcm of the coefficient denominators of all the
-    series in ``entries``, and terms[e] lists (k, re, im) with
-    D*c_k = re + i*im, Gaussian integers, for each nonzero coefficient c_k
-    of entry e in index order.  An entry is zero up to K exactly when its
-    list is empty."""
-    d = 1
-    for s in entries:
-        for c in s.coeffs:
-            if c is not GR_ZERO:
-                d = lcm(d, c.re.denominator, c.im.denominator)
-    terms = []
-    for s in entries:
-        t = []
-        for k, c in enumerate(s.coeffs):
-            if c is GR_ZERO:
-                continue
-            re, im = c.re, c.im
-            r = re.numerator * (d // re.denominator)
-            m = im.numerator * (d // im.denominator)
-            if r or m:
-                t.append((k, r, m))
-        terms.append(t)
-    return d, terms
+def _make(order, lost, d, v, s=None):
+    s = _new(FormalSeries) if s is None else s
+    s.order, s.tail_lost, s._d, s._v = order, lost, d, v
+    return s
 
 
-def _convolve(a, b, re, im):
-    """Add the products of the scaled terms ``a`` and ``b`` (see ``_scaled``)
-    into the integer accumulators re, im of length K; True when a pair of
-    terms lands at l^K or beyond and is dropped."""
-    K = len(re)
-    lost = False
-    for i, ar, ai in a:
-        for j, br, bi in b:
-            k = i + j
-            if k >= K:
-                # b is in index order: every later term is out of range
-                # too, and a product of nonzero terms is nonzero.
-                lost = True
-                break
-            re[k] += ar * br - ai * bi
-            im[k] += ar * bi + ai * br
-    return lost
+def _reduced(order, lost, d, v, s=None):
+    """The series with coefficients (v[2k] + i v[2k+1]) / d: trailing zero
+    pairs are trimmed and d and the entries divided by their gcd.  It is
+    written into ``s`` when one is given."""
+    n = len(v)
+    while n and not (v[n - 1] or v[n - 2]):
+        n -= 2
+    g = gcd(d, *v) if n else d
+    v = v[:n] if g == 1 else [x // g for x in v[:n]]
+    return _make(order, lost, d // g, tuple(v), s)
 
 
-def _from_scaled(re, im, d, lost):
-    """The series with coefficients (re[k] + i*im[k]) / d, each reduced once."""
-    return FormalSeries(
-        tuple(GaussianRational(Fraction(r, d) if r else _F0,
-                               Fraction(m, d) if m else _F0)
-              if r or m else GR_ZERO for r, m in zip(re, im)),
-        len(re), lost)
+def _over_lcm(series):
+    """(D, vectors): the lcm D of the denominators of ``series`` and the
+    vector of each one rescaled to D."""
+    d = lcm(*[s._d for s in series])
+    return d, [s._v if s._d == d else [x * (d // s._d) for x in s._v]
+               for s in series]
+
+
+def _convolve(a, b, acc):
+    """acc += a * b for trimmed, nonzero Gaussian-integer vectors, keeping
+    the terms below len(acc).  True when a product term lands beyond: the
+    top terms of a and b are nonzero, so exactly when their product does."""
+    n, nb = len(acc), len(b)
+    for i in range(0, min(len(a), n), 2):
+        ar, ai = a[i], a[i + 1]
+        if ar or ai:
+            for j in range(i, min(i + nb, n), 2):
+                br, bi = b[j - i], b[j - i + 1]
+                acc[j] += ar * br - ai * bi
+                acc[j + 1] += ar * bi + ai * br
+    return len(a) + len(b) > n + 2
 
 
 class FormalSeries:
@@ -188,24 +178,18 @@ class FormalSeries:
     callers that legitimately mix orders down-truncate explicitly first.
     """
 
-    __slots__ = ("coeffs", "order", "tail_lost")
+    __slots__ = ("order", "tail_lost", "_d", "_v")
 
     def __init__(self, coeffs, order=None, tail_lost=False):
-        coeffs = tuple(c if isinstance(c, GaussianRational) else GaussianRational(c)
-                       for c in coeffs)
-        if order is None:
-            order = len(coeffs)
+        coeffs = [c if isinstance(c, GaussianRational) else GaussianRational(c)
+                  for c in coeffs]
+        order = len(coeffs) if order is None else order
         if order < 1:
             raise ValueError("truncation order must be >= 1")
-        if len(coeffs) < order:
-            coeffs = coeffs + (GR_ZERO,) * (order - len(coeffs))
-        elif len(coeffs) > order:
-            if any(coeffs[order:]):
-                tail_lost = True
-            coeffs = coeffs[:order]
-        self.coeffs = coeffs
-        self.order = order
-        self.tail_lost = tail_lost
+        parts = [x for c in coeffs[:order] for x in (c.re, c.im)]
+        d = lcm(*[x.denominator for x in parts])
+        _reduced(order, tail_lost or any(coeffs[order:]), d,
+                 [x.numerator * (d // x.denominator) for x in parts], self)
 
     # -- constructors -------------------------------------------------------
 
@@ -224,12 +208,23 @@ class FormalSeries:
     @classmethod
     def lam(cls, power=1, order=None):
         """The monomial l^power (zero when power >= K)."""
-        order = order or DEFAULT_ORDER
-        if power >= order:
-            return cls((), order, tail_lost=True)
-        return cls((GR_ZERO,) * power + (GR_ONE,), order)
+        return cls.one(order).shift(power)
 
     # -- basics --------------------------------------------------------------
+
+    def coeff(self, r):
+        """The coefficient of l^r as a GaussianRational, for 0 <= r < K."""
+        if not 0 <= r < self.order:
+            raise IndexError("series coefficient index out of range")
+        re, im = self._v[2 * r:2 * r + 2] or (0, 0)
+        if not (re or im):
+            return GR_ZERO
+        return GaussianRational(Fraction(re, self._d), Fraction(im, self._d))
+
+    @property
+    def coeffs(self):
+        """The K coefficients as GaussianRationals, built on each read."""
+        return tuple(self.coeff(r) for r in range(self.order))
 
     def __repr__(self):
         from .exprio import series_text
@@ -238,24 +233,34 @@ class FormalSeries:
     def __eq__(self, other):
         if not isinstance(other, FormalSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order == other.order and self._d == other._d
+                and self._v == other._v)
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self._d, self._v))
 
     def is_zero(self):
         """True when every stored coefficient vanishes (zero up to order K)."""
-        return not any(self.coeffs)
+        return not self._v
 
     def is_exact_zero(self):
         """True when the series is certified to be 0, not merely 0 up to K."""
-        return self.is_zero() and not self.tail_lost
+        return not self._v and not self.tail_lost
+
+    def is_real(self):
+        return not any(self._v[1::2])
+
+    def lossy(self):
+        """The same value with its tail marked lost."""
+        return self if self.tail_lost else _make(self.order, True, self._d,
+                                                 self._v)
 
     def valuation(self):
         """Index of the lowest nonzero stored coefficient, or None."""
-        for r, c in enumerate(self.coeffs):
-            if c:
-                return r
+        v = self._v
+        for k in range(0, len(v), 2):
+            if v[k] or v[k + 1]:
+                return k // 2
         return None
 
     def _check(self, other):
@@ -270,7 +275,8 @@ class FormalSeries:
         if order > self.order:
             raise TruncationMismatch(
                 f"cannot extend order {self.order} to {order}")
-        return FormalSeries(self.coeffs, order, self.tail_lost)
+        return _reduced(order, self.tail_lost or len(self._v) > 2 * order,
+                        self._d, self._v[:2 * order])
 
     # -- ring operations -----------------------------------------------------
 
@@ -284,107 +290,119 @@ class FormalSeries:
             return self
         if self.is_exact_zero():
             return other
-        return FormalSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            self.order, self.tail_lost or other.tail_lost)
+        d, (va, vb) = _over_lcm((self, other))
+        if len(va) < len(vb):
+            va, vb = vb, va
+        v = list(map(add, va, vb))
+        v += va[len(vb):]
+        return _reduced(self.order, self.tail_lost or other.tail_lost, d, v)
 
     def __sub__(self, other):
         if not isinstance(other, FormalSeries):
             return NotImplemented
-        self._check(other)
-        if other.is_exact_zero():
-            return self
-        return FormalSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            self.order, self.tail_lost or other.tail_lost)
+        return self + -other
 
     def __neg__(self):
-        return FormalSeries(tuple(-a for a in self.coeffs), self.order,
-                            self.tail_lost)
+        return _make(self.order, self.tail_lost, self._d,
+                     tuple([-x for x in self._v]))
 
     def __mul__(self, other):
-        """Truncated product by integer convolution (see the module notes).
-
-        Exact: with Da*a_i and Db*b_j Gaussian integers, coefficient k is
-        (sum over i + j = k of (Da*a_i)(Db*b_j)) / (Da*Db), reduced once.
-        The result has lost its tail when an operand has, or when a pair of
-        nonzero terms lands at l^K or beyond.
-        """
+        """Truncated product: the integer convolution of the two vectors over
+        the product of the denominators, reduced once.  The result has lost
+        its tail when an operand has, or when a pair of nonzero terms lands
+        at l^K or beyond."""
         if not isinstance(other, FormalSeries):
             return NotImplemented
         self._check(other)
         K = self.order
         lost = self.tail_lost or other.tail_lost
-        if self.is_zero() or other.is_zero():
-            # What the convolution gives: no product term, the operands' flags.
-            return FormalSeries((), K, lost)
-        da, (a,) = _scaled((self,))
-        db, (b,) = _scaled((other,))
-        re, im = [0] * K, [0] * K
-        lost = _convolve(a, b, re, im) or lost
-        return _from_scaled(re, im, da * db, lost)
+        if not self._v or not other._v:
+            return _make(K, lost, 1, ())
+        acc = [0] * (2 * K)
+        lost = _convolve(self._v, other._v, acc) or lost
+        return _reduced(K, lost, self._d * other._d, acc)
 
     def scalar_mul(self, c):
-        c = _promote(c)
-        return FormalSeries(tuple(c * a for a in self.coeffs), self.order,
-                            self.tail_lost)
+        """c * self for an int, a Fraction or a GaussianRational c."""
+        if isinstance(c, GaussianRational):
+            re, im = c.re, c.im
+            cd = lcm(re.denominator, im.denominator)
+            cr, ci = re.numerator * (cd // re.denominator), \
+                im.numerator * (cd // im.denominator)
+        else:
+            cr, ci, cd = c.numerator, 0, c.denominator
+        v = self._v
+        if ci:
+            w = [0] * len(v)
+            _convolve((cr, ci), v, w)
+        elif cr == cd:
+            return self
+        else:
+            w = [x * cr for x in v]
+        return _reduced(self.order, self.tail_lost, self._d * cd, w)
 
     def conjugate(self):
-        return FormalSeries(tuple(a.conjugate() for a in self.coeffs),
-                            self.order, self.tail_lost)
+        v = list(self._v)
+        v[1::2] = [-x for x in v[1::2]]
+        return _make(self.order, self.tail_lost, self._d, tuple(v))
 
     def shift(self, power):
-        """Multiply by l^power (power >= 0)."""
-        if power == 0:
+        """Multiply by l^power.  A negative power divides by l^-power: the
+        series must have valuation >= -power, and the quotient's top -power
+        coefficients are unknown, so its tail is lost."""
+        v, K = self._v, self.order
+        if power < 0:
+            return _reduced(K, True, self._d, v[-2 * power:])
+        if power == 0 or not v:
             return self
-        K = self.order
-        lost = self.tail_lost or any(self.coeffs[K - power:])
-        return FormalSeries((GR_ZERO,) * power + self.coeffs[:K - power],
-                            K, lost)
+        keep = max(2 * (K - power), 0)  # at power >= K every term drops
+        return _reduced(K, self.tail_lost or len(v) > keep, self._d,
+                        (0, 0) * min(power, K) + v[:keep])
 
     # -- ordered-ring and analytic helpers ------------------------------------
 
     def sign(self):
         """Sign of a real series: the lowest nonzero coefficient rules."""
-        for c in self.coeffs:
-            if not c.is_real():
-                raise NotReal("sign is defined for real series only")
+        if not self.is_real():
+            raise NotReal("sign is defined for real series only")
         v = self.valuation()
         if v is None:
             return Sign.ZERO_UP_TO_K
-        return Sign.POSITIVE if self.coeffs[v].re > 0 else Sign.NEGATIVE
+        return Sign.POSITIVE if self._v[2 * v] > 0 else Sign.NEGATIVE
 
     def invert(self):
-        """Multiplicative inverse; the lambda^0 coefficient must be a unit."""
-        c0 = self.coeffs[0]
-        if not c0:
+        """Multiplicative inverse; the lambda^0 coefficient must be a unit.
+
+        With a = A / d and n = |A_0|^2, W_k = d n^K (1/A)_k is a Gaussian
+        integer for k < K: W_0 = d n^(K-1) conj(A_0), and
+        W_k = -conj(A_0) sum_{j=1..k} A_j W_(k-j) / n divides exactly."""
+        v, K = self._v, self.order
+        if not v or not (v[0] or v[1]):
             raise NotUnit("series with vanishing lambda^0 coefficient")
-        K = self.order
-        inv0 = c0.inverse()
-        out = [inv0] + [GR_ZERO] * (K - 1)
-        for k in range(1, K):
-            acc = GR_ZERO
-            for j in range(1, k + 1):
-                if self.coeffs[j]:
-                    acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -(inv0 * acc)
+        r0, i0 = v[0], v[1]
+        n = r0 * r0 + i0 * i0
+        top = self._d * n ** (K - 1)
+        w = [top * r0, -top * i0]
+        for k in range(2, 2 * K, 2):
+            sr = si = 0
+            for j in range(2, min(k, len(v) - 2) + 1, 2):
+                ar, ai, br, bi = v[j], v[j + 1], w[k - j], w[k - j + 1]
+                sr += ar * br - ai * bi
+                si += ar * bi + ai * br
+            w += (-(r0 * sr + i0 * si) // n, (i0 * sr - r0 * si) // n)
         # The true inverse has an infinite tail unless the input is a constant.
-        lost = self.tail_lost or any(self.coeffs[1:])
-        return FormalSeries(tuple(out), K, lost)
+        return _reduced(K, self.tail_lost or len(v) > 2, n ** K, w)
 
     def sqrt_binomial(self, exponent):
-        """(self)^exponent for exponent +1/2 or -1/2 via the binomial series.
-
-        Requires a series of the form 1 + O(l); needs rational scalars.
-        """
+        """(self)^exponent for exponent +1/2 or -1/2 via the binomial series;
+        requires a series of the form 1 + O(l)."""
         if exponent not in (Fraction(1, 2), Fraction(-1, 2)):
             raise ValueError("exponent must be +1/2 or -1/2")
-        if self.coeffs[0] != GR_ONE:
+        if self.coeff(0) != GR_ONE:
             raise BadLeadingTerm("binomial root needs lambda^0 coefficient 1")
         K = self.order
-        u = FormalSeries((GR_ZERO,) + self.coeffs[1:], K, self.tail_lost)
-        result = FormalSeries.one(K)
-        power = FormalSeries.one(K)
+        u = self - FormalSeries.one(K)
+        result = power = FormalSeries.one(K)
         coeff = Fraction(1)
         for k in range(1, K):
             coeff = coeff * (exponent - (k - 1)) / k
@@ -392,11 +410,8 @@ class FormalSeries:
             if power.is_exact_zero():
                 break
             result = result + power.scalar_mul(coeff)
-        if any(self.coeffs[1:]):
-            result = FormalSeries(result.coeffs, K, True)
-        return result
+        return result if u.is_zero() else result.lossy()
 
     def classical_limit(self):
         """Coefficient at lambda^0."""
-        return self.coeffs[0]
-
+        return self.coeff(0)

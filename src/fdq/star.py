@@ -46,7 +46,7 @@ class StarProductSpec:
                     K = entry.order
                 elif entry.order != K:
                     raise TruncationMismatch("pairing entries share one order")
-                if entry.coeffs[0]:
+                if entry.valuation() == 0:
                     raise ValueError(
                         "pairing entries must be O(l): C_0 must be the "
                         "pointwise product")
@@ -94,7 +94,7 @@ class EquivOperatorSpec:
                 K = coeff.order
             elif coeff.order != K:
                 raise TruncationMismatch("generator entries share one order")
-            if coeff.coeffs[0]:
+            if coeff.valuation() == 0:
                 raise ValueError("generator coefficients must be O(l)")
             if not coeff.is_zero() or coeff.tail_lost:
                 clean[tuple(exp)] = coeff

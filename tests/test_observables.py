@@ -183,3 +183,13 @@ def test_monomials_up_to_counts():
 def test_monomials_sorted_by_degree():
     degs = [m.total_degree() for m in monomials_up_to(SIG, 3, K)]
     assert degs == sorted(degs)
+
+
+def test_term_maps_share_exponent_tuples():
+    """Equal exponents of different observables are one tuple object, so a
+    term map's keys cost a pointer each however many observables hold them."""
+    sig = PhaseSpaceSignature(1, "real")
+    f = PolyObservable.variable(sig, 0, 3) * PolyObservable.variable(sig, 1, 3)
+    g = PolyObservable.monomial(sig, [1, 1], 3)
+    (a,), (b,) = f.terms, g.terms
+    assert a == b == (1, 1) and a is b

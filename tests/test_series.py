@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -184,33 +185,138 @@ def test_tail_lost_is_not_part_of_equality():
     assert clean.is_exact_zero() and not lossy.is_exact_zero()
 
 
-# -- exact-zero fast paths against the full loops ----------------------------------
+# -- the GaussianRational-list reference ------------------------------------------
+#
+# Each reference takes series, reads their coefficients at the boundary
+# (``coeffs``) and returns (coefficient tuple, tail_lost) computed one
+# Gaussian rational at a time, never through the integer layout.
+
+ZERO = GaussianRational(0)
+ONE = GaussianRational(1)
 
 
 def reference_add(a, b):
     """Coefficient by coefficient, flags or-ed: no operand is special."""
-    return FormalSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)),
-                        a.order, a.tail_lost or b.tail_lost)
+    return (tuple(x + y for x, y in zip(a.coeffs, b.coeffs)),
+            a.tail_lost or b.tail_lost)
 
 
 def reference_sub(a, b):
-    return FormalSeries(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)),
-                        a.order, a.tail_lost or b.tail_lost)
+    return (tuple(x - y for x, y in zip(a.coeffs, b.coeffs)),
+            a.tail_lost or b.tail_lost)
+
+
+def reference_neg(a):
+    return tuple(-x for x in a.coeffs), a.tail_lost
 
 
 def reference_mul(a, b):
     """The full K x K convolution; a nonzero product term beyond l^K marks
     the tail lost."""
-    K = a.order
-    out = [GaussianRational(0)] * K
-    lost = a.tail_lost or b.tail_lost
-    for i, ai in enumerate(a.coeffs):
-        for j, bj in enumerate(b.coeffs):
+    return _list_mul(a.coeffs, b.coeffs, a.tail_lost or b.tail_lost)
+
+
+def _list_mul(xs, ys, lost):
+    K = len(xs)
+    out = [ZERO] * K
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
             if i + j < K:
-                out[i + j] = out[i + j] + ai * bj
-            elif ai * bj:
+                out[i + j] = out[i + j] + x * y
+            elif x * y:
                 lost = True
-    return FormalSeries(tuple(out), K, lost)
+    return tuple(out), lost
+
+
+def reference_scalar_mul(a, c):
+    return tuple(c * x for x in a.coeffs), a.tail_lost
+
+
+def reference_conjugate(a):
+    return tuple(x.conjugate() for x in a.coeffs), a.tail_lost
+
+
+def reference_shift(a, power):
+    """Coefficient k moves to k + power; one that leaves l^0 .. l^(K-1)
+    and is nonzero marks the tail lost, whatever the power."""
+    K = a.order
+    out, lost = [ZERO] * K, a.tail_lost
+    for k, x in enumerate(a.coeffs):
+        if k + power < K:
+            out[k + power] = x
+        elif x:
+            lost = True
+    return tuple(out), lost
+
+
+def reference_reduce_order(a, order):
+    return a.coeffs[:order], a.tail_lost or any(a.coeffs[order:])
+
+
+def reference_invert(a):
+    cs, K = a.coeffs, a.order
+    if not cs[0]:
+        raise NotUnit("series with vanishing lambda^0 coefficient")
+    inv0 = cs[0].inverse()
+    out = [inv0] + [ZERO] * (K - 1)
+    for k in range(1, K):
+        acc = ZERO
+        for j in range(1, k + 1):
+            acc = acc + cs[j] * out[k - j]
+        out[k] = -(inv0 * acc)
+    return tuple(out), a.tail_lost or any(cs[1:])
+
+
+def reference_sqrt_binomial(a, exponent):
+    """sum_k binom(exponent, k) u^k with u = a - 1, truncated at K."""
+    cs, K = a.coeffs, a.order
+    if cs[0] != ONE:
+        raise BadLeadingTerm("binomial root needs lambda^0 coefficient 1")
+    u = (ZERO,) + cs[1:]
+    out = power = (ONE,) + (ZERO,) * (K - 1)
+    binom = Fraction(1)
+    for k in range(1, K):
+        binom = binom * (exponent - (k - 1)) / k
+        power, _ = _list_mul(power, u, False)
+        out = tuple(x + binom * y for x, y in zip(out, power))
+    # At K = 1 no power of u is taken, so the input's flag is not passed on.
+    return tuple(out), a.tail_lost and K > 1 or any(cs[1:])
+
+
+def reference_valuation(cs):
+    return next((r for r, c in enumerate(cs) if c), None)
+
+
+def reference_sign(cs):
+    if any(c.im for c in cs):
+        return NotReal
+    r = reference_valuation(cs)
+    if r is None:
+        return Sign.ZERO_UP_TO_K
+    return Sign.POSITIVE if cs[r].re > 0 else Sign.NEGATIVE
+
+
+def assert_matches(got, want):
+    """``got`` has the reference's value, flag, valuation and sign, its
+    layout is canonical, and it hashes like an equal series built from the
+    reference coefficients."""
+    cs, lost = want
+    assert got.coeffs == cs and got.order == len(cs)
+    assert got.tail_lost == lost
+    assert got.is_zero() == (not any(cs))
+    assert got.valuation() == reference_valuation(cs)
+    sign = reference_sign(cs)
+    if sign is NotReal:
+        with pytest.raises(NotReal):
+            got.sign()
+    else:
+        assert got.sign() is sign
+    d, v = got._d, got._v
+    assert d >= 1 and gcd(d, *v) == 1 and (v or d == 1)
+    assert len(v) % 2 == 0 and len(v) <= 2 * got.order
+    assert not v or v[-2] or v[-1]
+    built = FormalSeries(cs, len(cs), not lost)
+    assert got == built and hash(got) == hash(built)
 
 
 @st.composite
@@ -269,16 +375,70 @@ def test_add_sub_mul_match_full_loops(pair):
                     (lambda x, y: x - y, reference_sub),
                     (lambda x, y: x * y, reference_mul)):
         for x, y in ((a, b), (b, a)):
-            got, want = op(x, y), ref(x, y)
-            assert got.coeffs == want.coeffs and got.order == want.order
-            assert got.tail_lost == want.tail_lost
+            assert_matches(op(x, y), ref(x, y))
+
+
+scalars = st.one_of(st.integers(-6, 6), rationals, gaussians)
+
+
+@settings(max_examples=400)
+@given(series_pairs(), scalars, st.integers(0, 13), st.integers(1, 6))
+@example(MIXED, GaussianRational(Fraction(1, 6), Fraction(-5, 7)), 5, 2)
+def test_unary_operations_match_reference(pair, c, power, order):
+    for a in pair:
+        K = a.order
+        assert_matches(a, (a.coeffs, a.tail_lost))
+        assert_matches(-a, reference_neg(a))
+        assert_matches(a.scalar_mul(c), reference_scalar_mul(a, c))
+        assert_matches(a.conjugate(), reference_conjugate(a))
+        for p in sorted({0, power % K, K, power, 2 * K + 1}):
+            assert_matches(a.shift(p), reference_shift(a, p))
+        m = min(order, K)
+        assert_matches(a.reduce_order(m), reference_reduce_order(a, m))
+        unit = FormalSeries((1,) + a.coeffs[1:], K, a.tail_lost)
+        for s in (a, unit):
+            try:
+                want = reference_invert(s)
+            except NotUnit:
+                with pytest.raises(NotUnit):
+                    s.invert()
+            else:
+                assert_matches(s.invert(), want)
+            for e in (Fraction(1, 2), Fraction(-1, 2)):
+                try:
+                    want = reference_sqrt_binomial(s, e)
+                except BadLeadingTerm:
+                    with pytest.raises(BadLeadingTerm):
+                        s.sqrt_binomial(e)
+                else:
+                    assert_matches(s.sqrt_binomial(e), want)
+
+
+def test_shift_past_the_order_drops_every_term():
+    for K in range(1, 7):
+        top = FormalSeries.lam(K - 1, K).scalar_mul(GaussianRational(2, -1))
+        dense = FormalSeries(range(1, K + 1), K)
+        for a in (top, dense, FormalSeries.zero(K),
+                  FormalSeries((), K, True)):
+            for p in range(2 * K + 3):
+                assert_matches(a.shift(p), reference_shift(a, p))
+
+
+@given(series_pairs(), st.integers(1, 5))
+def test_negative_shift_divides_by_a_power_of_l(pair, power):
+    """shift(-v) of a series of valuation >= v drops v zero coefficients and
+    marks the unknown top ones lost, as dividing a pivot row does."""
+    for a in pair:
+        K = a.order
+        v = min(power, K)
+        a = a.shift(v)
+        cs = a.coeffs
+        assert_matches(a.shift(-v), (cs[v:] + (ZERO,) * v, True))
 
 
 def assert_mul_matches_reference(a, b):
     for x, y in ((a, b), (b, a)):
-        got, want = x * y, reference_mul(x, y)
-        assert got.coeffs == want.coeffs and got.order == want.order
-        assert got.tail_lost == want.tail_lost
+        assert_matches(x * y, reference_mul(x, y))
 
 
 def test_mul_out_of_range_terms_set_the_flag():
