@@ -16,10 +16,11 @@ by conjugation), never typed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from math import lcm, perm
 
 from .errors import DimensionMismatch, SignatureMismatch, TruncationMismatch
-from .series import DEFAULT_ORDER, GR_ONE, FormalSeries, GaussianRational
+from .series import (DEFAULT_ORDER, FormalSeries, GaussianRational, _convolve,
+                     _reduced)
 
 _CHART_WIDTH = {"real": 2, "holo": 2, "fock": 1, "wave": 1}
 
@@ -341,20 +342,37 @@ def to_real(f: PolyObservable) -> PolyObservable:
 
 
 def eval_at_point(f: PolyObservable, point) -> FormalSeries:
-    """Evaluate at a point with GaussianRational coordinates."""
+    """Evaluate at a point x = X/D of Gaussian rationals in one integer pass:
+    the powers of each X_i are taken once, each term c x^e adds c's vector
+    times X^e D^(top - |e|) to one sum over lcm(c._d) D^top, reduced once.
+    Its tail is lost when the observable's or a coefficient's is."""
     w = f.signature.width
     if len(point) != w:
         raise DimensionMismatch(f"point of length {len(point)}, expected {w}")
     point = [c if isinstance(c, GaussianRational) else GaussianRational(c)
              for c in point]
-    total = FormalSeries.zero(f.order)
-    for exp, c in f.terms.items():
-        v = GR_ONE
-        for x, e in zip(point, exp):
-            for _ in range(e):
-                v = v * x
-        total = total + c.scalar_mul(v)
-    return total.lossy() if f.tail_lost else total
+    terms = f.terms
+    d = lcm(*[x.denominator for c in point for x in (c.re, c.im)])
+    powers = []
+    for c, high in zip(point, map(max, zip(*terms))):
+        xr, xi = (x.numerator * (d // x.denominator) for x in (c.re, c.im))
+        p = [(1, 0)]
+        for _ in range(high):
+            pr, pi = p[-1]
+            p.append((pr * xr - pi * xi, pr * xi + pi * xr))
+        powers.append(p)
+    top = f.total_degree()
+    scale = lcm(*[c._d for c in terms.values()])
+    acc = [0] * (2 * f.order)
+    for exp, c in terms.items():
+        mr, mi = scale // c._d * d ** (top - sum(exp)), 0
+        for p, e in zip(powers, exp):
+            if e:
+                pr, pi = p[e]
+                mr, mi = mr * pr - mi * pi, mr * pi + mi * pr
+        _convolve((mr, mi), c._v, acc)
+    return _reduced(f.order, f.tail_lost or any(
+        c.tail_lost for c in terms.values()), scale * d ** top, acc)
 
 
 def monomials_up_to(signature, degree, order=None):

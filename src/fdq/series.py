@@ -306,11 +306,11 @@ class FormalSeries:
         return _make(self.order, self.tail_lost, self._d,
                      tuple([-x for x in self._v]))
 
-    def __mul__(self, other):
-        """Truncated product: the integer convolution of the two vectors over
-        the product of the denominators, reduced once.  The result has lost
-        its tail when an operand has, or when a pair of nonzero terms lands
-        at l^K or beyond."""
+    def scaled_product(self, other, num=1, den=1):
+        """Truncated num/den * self * other (``a * b`` has num = den = 1): the
+        integer convolution over the product of the denominators and den,
+        reduced once.  The result has lost its tail when an operand has, or
+        when a pair of nonzero terms lands at l^K or beyond."""
         if not isinstance(other, FormalSeries):
             return NotImplemented
         self._check(other)
@@ -318,9 +318,12 @@ class FormalSeries:
         lost = self.tail_lost or other.tail_lost
         if not self._v or not other._v:
             return _make(K, lost, 1, ())
+        a = self._v if num == 1 else [x * num for x in self._v]
         acc = [0] * (2 * K)
-        lost = _convolve(self._v, other._v, acc) or lost
-        return _reduced(K, lost, self._d * other._d, acc)
+        lost = _convolve(a, other._v, acc) or lost
+        return _reduced(K, lost, self._d * other._d * den, acc)
+
+    __mul__ = scaled_product
 
     def scalar_mul(self, c):
         """c * self for an int, a Fraction or a GaussianRational c."""
@@ -410,7 +413,7 @@ class FormalSeries:
             if power.is_exact_zero():
                 break
             result = result + power.scalar_mul(coeff)
-        return result if u.is_zero() else result.lossy()
+        return result if u.is_exact_zero() else result.lossy()
 
     def classical_limit(self):
         """Coefficient at lambda^0."""

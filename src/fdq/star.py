@@ -11,7 +11,9 @@ constant-coefficient D = sum c_alpha d^alpha to a term map.  ``apply_equiv``
 runs it on an observable's terms with the generator's multi-indices (S, N
 and the deformed functionals delta_x o exp(D) all go through it).
 ``star_multiply`` runs it on the tensor {exp_f + exp_g: c_f c_g} with one
-alpha = e_a + e_b per pairing entry L_ab and folds the image back with mu.
+alpha = e_a + e_b per pairing entry L_ab, a list each spec builds once, and
+folds the image back with mu.  The kernel folds 1/k! into the contraction
+scalar: one scaled series product per contraction.
 ``check_star_axioms`` computes each monomial product once, into a table that
 its unit, correspondence, Hermitian and associativity checks read.
 """
@@ -23,7 +25,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from operator import add
 
-from .errors import SignatureMismatch, TruncationMismatch
+from .errors import PrecisionExhausted, SignatureMismatch, TruncationMismatch
 from .observables import (PhaseSpaceSignature, PolyObservable, _derive,
                           involution, monomials_up_to, poisson_bracket)
 from .series import DEFAULT_ORDER, FormalSeries, GaussianRational
@@ -32,7 +34,7 @@ from .series import DEFAULT_ORDER, FormalSeries, GaussianRational
 class StarProductSpec:
     """Constant-coefficient bidifferential exponential star product."""
 
-    __slots__ = ("signature", "order", "pairing", "name")
+    __slots__ = ("signature", "order", "pairing", "name", "_contractions")
 
     def __init__(self, signature, pairing, order=None, name="custom"):
         w = signature.width
@@ -54,14 +56,10 @@ class StarProductSpec:
         self.order = K if K is not None else DEFAULT_ORDER
         self.pairing = tuple(tuple(row) for row in pairing)
         self.name = name
-
-    def _sparse_pairing(self):
-        out = []
-        for a, row in enumerate(self.pairing):
-            for b, entry in enumerate(row):
-                if not entry.is_zero() or entry.tail_lost:
-                    out.append((a, b, entry))
-        return out
+        # star_multiply's D: one d_a (x) d_b per L_ab that is not exactly 0.
+        self._contractions = tuple(
+            (((a, 1), (w + b, 1)), e) for a, row in enumerate(self.pairing)
+            for b, e in enumerate(row) if not e.is_exact_zero())
 
     def __eq__(self, other):
         if not isinstance(other, StarProductSpec):
@@ -241,9 +239,9 @@ def _exp_terms(terms, ops, K, prune):
     D = sum_alpha c_alpha d^alpha is ``ops``, a list of (alpha, c_alpha) with
     alpha a tuple of (variable index, times) pairs.  Every c_alpha is O(l), so
     D^k starts at l^k and the sum stops at K, or earlier once D^k kills every
-    term.  A contraction costs one series product and one ``scalar_mul`` by
-    the falling factorial of d^alpha, an absorbed term one ``scalar_mul`` by
-    1/k!.
+    term.  Step k holds D^k/k!: a contraction is one ``scaled_product``
+    c_alpha * c * ff/k, ff the falling factorial of d^alpha, and a term is
+    absorbed unscaled.
 
     Returns the image and whether a tail was lost outside it.  With ``prune``
     the arithmetic is PolyObservable's, generator by generator: a zero is
@@ -252,10 +250,10 @@ def _exp_terms(terms, ops, K, prune):
     stays in the map and flags the coefficient it is later added to.
     """
     result, lost = {}, False
-    current, fact, k = terms, Fraction(1), 0
+    current, k = terms, 0
     while True:
         for e, c in current.items():
-            lost = _accumulate(result, e, c.scalar_mul(fact), prune) or lost
+            lost = _accumulate(result, e, c, prune) or lost
         k += 1
         if not current or k >= K:
             return result, lost
@@ -266,12 +264,11 @@ def _exp_terms(terms, ops, K, prune):
                 ff, d = _derive(e, alpha)
                 if ff:
                     hit = True
-                    lost = _accumulate(new, d, (coeff * c).scalar_mul(ff),
-                                       prune) or lost
+                    lost = _accumulate(new, d, coeff.scaled_product(
+                        c, ff, k), prune) or lost
             lost = lost or (prune and hit and coeff.tail_lost)
         current = new if prune else {
             e: c for e, c in new.items() if not c.is_zero() or c.tail_lost}
-        fact = fact / k
 
 
 def _accumulate(terms, e, c, prune):
@@ -304,8 +301,8 @@ def star_multiply(spec: StarProductSpec, f: PolyObservable,
     if g.order != K:
         g = g.reduce_order(K)
     w = spec.signature.width
-    ops = [(((a, 1), (w + b, 1)), e if e.order == K else e.reduce_order(K))
-           for a, b, e in spec._sparse_pairing()]
+    ops = spec._contractions if K == spec.order else [
+        (alpha, e.reduce_order(K)) for alpha, e in spec._contractions]
     tensor = {e1 + e2: c1 * c2 for e1, c1 in f.terms.items()
               for e2, c2 in g.terms.items()}
     result = {}
@@ -408,10 +405,14 @@ def check_star_axioms(spec, sample_degree=3):
     unit law, C_0(f,g) = fg, antisymmetric C_1 = i{f,g}, the Hermitian
     property, and associativity on all monomial triples.  Every product of
     two monomials is computed once, into a table the checks read; each check
-    reports its first failing tuple in graded-lex order.
+    reports its first failing tuple in graded-lex order.  On the real chart
+    C_1 is read from the l^1 coefficients, so K = 1 raises PrecisionExhausted.
     """
     from .exprio import observable_text
 
+    if spec.signature.chart == "real" and spec.order < 2:
+        raise PrecisionExhausted("correspondence_c1 needs K >= 2: the l^1 "
+                                 "coefficient is not stored at K = 1")
     monos = monomials_up_to(spec.signature, sample_degree, spec.order)
     table = [[star_multiply(spec, f, g) for g in monos] for f in monos]
     index = {e: i for i, m in enumerate(monos) for e in m.terms}

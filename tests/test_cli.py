@@ -316,6 +316,15 @@ def test_precision_exhausted_reachable(tmp_path):
     assert err.startswith("error: PrecisionExhausted:")
 
 
+def test_axioms_at_k1_exhausts_precision():
+    # C_1 is read from the l^1 coefficients, which K = 1 does not store.
+    code, out, err = run(["axioms", "--product", "weyl", "--degree", "2",
+                          "--K", "1"])
+    assert (code, out) == (3, "")
+    assert err == ("error: PrecisionExhausted: correspondence_c1 needs "
+                   "K >= 2: the l^1 coefficient is not stored at K = 1\n")
+
+
 def test_unknown_suite_error():
     cfg = RunConfig()
     with pytest.raises(UnknownSuite):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fdq.errors import DimensionMismatch, SignatureMismatch
 from fdq.exprio import parse
@@ -169,6 +169,50 @@ def test_eval_is_multiplicative(f, g):
     point = (Fraction(1, 2), Fraction(-2, 3))
     assert eval_at_point(f * g, point) == \
         eval_at_point(f, point) * eval_at_point(g, point)
+
+
+def _ref_eval_at_point(f, point):
+    """The earlier coding: each monomial by repeated GaussianRational
+    products, scaled into a running series sum."""
+    point = [c if isinstance(c, GaussianRational) else GaussianRational(c)
+             for c in point]
+    total = FormalSeries.zero(f.order)
+    for exp, c in f.terms.items():
+        v = GaussianRational(1)
+        for x, e in zip(point, exp):
+            for _ in range(e):
+                v = v * x
+        total = total + c.scalar_mul(v)
+    return total.lossy() if f.tail_lost else total
+
+
+# Zero, integer, non-integer and non-real coordinates, as ints, Fractions
+# and GaussianRationals.
+_COORDS = st.one_of(st.just(0), st.integers(-3, 3), rationals, gaussians)
+
+
+@st.composite
+def _points_and_observables(draw):
+    sig = PhaseSpaceSignature(draw(st.integers(1, 2)), draw(
+        st.sampled_from(["real", "holo", "fock", "wave"])))
+    K = draw(st.integers(1, 6))
+    coeff = st.one_of(st.just(0), gaussians)
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * sig.width),
+                         max_size=4, unique=True))
+    terms = {e: FormalSeries(draw(st.lists(coeff, min_size=K, max_size=K)),
+                             K, draw(st.booleans())) for e in exps}
+    f = PolyObservable(sig, terms, K, draw(st.booleans()))
+    return f, draw(st.lists(_COORDS, min_size=sig.width,
+                            max_size=sig.width))
+
+
+@settings(max_examples=400)
+@given(_points_and_observables())
+def test_eval_matches_reference(case):
+    f, point = case
+    got, want = eval_at_point(f, point), _ref_eval_at_point(f, point)
+    assert (got.order, got._d, got._v, got.tail_lost) == \
+        (want.order, want._d, want._v, want.tail_lost)
 
 
 # -- monomial enumeration -------------------------------------------------------------------------

@@ -279,8 +279,7 @@ def reference_sqrt_binomial(a, exponent):
         binom = binom * (exponent - (k - 1)) / k
         power, _ = _list_mul(power, u, False)
         out = tuple(x + binom * y for x, y in zip(out, power))
-    # At K = 1 no power of u is taken, so the input's flag is not passed on.
-    return tuple(out), a.tail_lost and K > 1 or any(cs[1:])
+    return tuple(out), a.tail_lost or any(cs[1:])
 
 
 def reference_valuation(cs):
@@ -376,6 +375,10 @@ def test_add_sub_mul_match_full_loops(pair):
                     (lambda x, y: x * y, reference_mul)):
         for x, y in ((a, b), (b, a)):
             assert_matches(op(x, y), ref(x, y))
+    # The scaled product of the exp(D) kernel: a product, then a scalar.
+    cs, lost = reference_mul(a, b)
+    assert_matches(a.scaled_product(b, 6, 5),
+                   (tuple(Fraction(6, 5) * c for c in cs), lost))
 
 
 scalars = st.one_of(st.integers(-6, 6), rationals, gaussians)
@@ -384,6 +387,7 @@ scalars = st.one_of(st.integers(-6, 6), rationals, gaussians)
 @settings(max_examples=400)
 @given(series_pairs(), scalars, st.integers(0, 13), st.integers(1, 6))
 @example(MIXED, GaussianRational(Fraction(1, 6), Fraction(-5, 7)), 5, 2)
+@example((FormalSeries((1,), 1, True),) * 2, 1, 0, 1)
 def test_unary_operations_match_reference(pair, c, power, order):
     for a in pair:
         K = a.order

@@ -267,7 +267,8 @@ def _ref_star_multiply(spec, f, g):
     if g.order != K:
         g = g.reduce_order(K)
     pairing = [(a, b, e if e.order == K else e.reduce_order(K))
-               for a, b, e in spec._sparse_pairing()]
+               for a, row in enumerate(spec.pairing)
+               for b, e in enumerate(row) if not e.is_exact_zero()]
 
     tensor = {}
     for e1, c1 in f.terms.items():
@@ -486,7 +487,7 @@ def _operand(draw, sig, K):
 @given(st.data())
 def test_star_multiply_matches_reference(data):
     n = data.draw(st.sampled_from([1, 2]))
-    K = data.draw(st.integers(1, 5))
+    K = data.draw(st.integers(1, 6))
     spec = data.draw(_star_specs(n, K))
     f = _operand(data.draw, spec.signature, K)
     g = _operand(data.draw, spec.signature, K)
@@ -498,10 +499,22 @@ def test_star_multiply_matches_reference(data):
 @given(st.data())
 def test_apply_equiv_matches_reference(data):
     n = data.draw(st.sampled_from([1, 2]))
-    K = data.draw(st.integers(1, 5))
+    K = data.draw(st.integers(1, 6))
     op = data.draw(_equiv_ops(n, K))
     f = _operand(data.draw, op.signature, K)
     assert _state(apply_equiv(op, f)) == _state(_ref_apply_equiv(op, f))
+
+
+def test_kernel_step_five_matches_reference():
+    # At K = 6 the l^5 coefficient of these comes from D^5/5!, the last step
+    # of the kernel, which the strategies above rarely reach with a nonzero.
+    f, g = parse("q1^5 + p1", 1, 6), parse("p1^5 - 2*q1*p1^4", 1, 6)
+    for spec in (weyl(1, 6), wick(1, 6), std(1, 6)):
+        assert _state(star_multiply(spec, f, g)) == \
+            _state(_ref_star_multiply(spec, f, g))
+    h = parse("q1^5*p1^5 + q1^10", 1, 6)
+    for op in (op_n(1, 6), op_s(1, 6)):
+        assert _state(apply_equiv(op, h)) == _state(_ref_apply_equiv(op, h))
 
 
 def _wave(K, generator, terms, tail_lost=False):
