@@ -284,17 +284,21 @@ def involution(f: PolyObservable) -> PolyObservable:
 
 
 def poisson_bracket(f: PolyObservable, g: PolyObservable) -> PolyObservable:
-    """Canonical bracket sum_k (df/dq^k dg/dp_k - df/dp_k dg/dq^k)."""
+    """Canonical bracket sum_k (df/dq^k dg/dp_k - df/dp_k dg/dq^k); on the
+    holomorphic chart, where {z_k, zb_k} = -2i, it is
+    -2i sum_k (df/dz_k dg/dzb_k - df/dzb_k dg/dz_k)."""
     if f.signature != g.signature:
         raise SignatureMismatch(f"{f.signature!r} vs {g.signature!r}")
-    if f.signature.chart != "real":
-        raise SignatureMismatch("Poisson bracket lives on the real chart")
+    chart = f.signature.chart
+    if chart not in ("real", "holo"):
+        raise SignatureMismatch(
+            "Poisson bracket lives on the real and holomorphic charts")
     n = f.signature.n
     out = PolyObservable.zero(f.signature, f.order)
     for k in range(n):
         out = out + f.derivative(k) * g.derivative(n + k)
         out = out - f.derivative(n + k) * g.derivative(k)
-    return out
+    return out if chart == "real" else out.scale_scalar(GaussianRational(0, -2))
 
 
 def _substitute(f: PolyObservable, target, images) -> PolyObservable:

@@ -14,8 +14,9 @@ and the deformed functionals delta_x o exp(D) all go through it).
 alpha = e_a + e_b per pairing entry L_ab, a list each spec builds once, and
 folds the image back with mu.  The kernel folds 1/k! into the contraction
 scalar: one scaled series product per contraction.
-``check_star_axioms`` computes each monomial product once, into a table that
-its unit, correspondence, Hermitian and associativity checks read.
+``check_star_axioms`` computes every monomial product it reads once, into a
+table, and decides associativity by a bilinear expansion over the table's
+Gaussian-integer vectors, not by two star products per triple.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 from operator import add
 
 from .errors import PrecisionExhausted, SignatureMismatch, TruncationMismatch
 from .observables import (PhaseSpaceSignature, PolyObservable, _derive,
                           involution, monomials_up_to, poisson_bracket)
-from .series import DEFAULT_ORDER, FormalSeries, GaussianRational
+from .series import DEFAULT_ORDER, FormalSeries, GaussianRational, _convolve
 
 
 class StarProductSpec:
@@ -403,22 +405,55 @@ def check_star_axioms(spec, sample_degree=3):
 
     Bilinearity makes monomial verification a complete proof at that degree:
     unit law, C_0(f,g) = fg, antisymmetric C_1 = i{f,g}, the Hermitian
-    property, and associativity on all monomial triples.  Every product of
-    two monomials is computed once, into a table the checks read; each check
-    reports its first failing tuple in graded-lex order.  On the real chart
-    C_1 is read from the l^1 coefficients, so K = 1 raises PrecisionExhausted.
+    property, and associativity on all monomial triples.  Each check reports
+    its first failing tuple in graded-lex order.  On the real and holomorphic
+    charts C_1 is read from the l^1 coefficients, so K = 1 raises
+    PrecisionExhausted.
+
+    Every monomial product is computed once, into a table: the N^2 products
+    of the sample monomials, which the first four checks read, and m_e * m_k
+    and m_i * m_e for each exponent e in their support above the degree.
+    Values mod l^K are bilinear and associativity compares values only, so
+    (m_i m_j) m_k is sum_e T_ij[e] (m_e * m_k) and m_i (m_j m_k) is
+    sum_e T_jk[e] (m_i * m_e): the table's coefficients are put over one
+    denominator D and both sides are compared as integer vectors over D^2.
     """
     from .exprio import observable_text
 
-    if spec.signature.chart == "real" and spec.order < 2:
+    sig, K = spec.signature, spec.order
+    bracket = sig.chart in ("real", "holo")
+    if bracket and K < 2:
         raise PrecisionExhausted("correspondence_c1 needs K >= 2: the l^1 "
                                  "coefficient is not stored at K = 1")
-    monos = monomials_up_to(spec.signature, sample_degree, spec.order)
+    monos = monomials_up_to(sig, sample_degree, K)
     table = [[star_multiply(spec, f, g) for g in monos] for f in monos]
     index = {e: i for i, m in enumerate(monos) for e in m.terms}
     # monos[0] is 1, and conj(monos[i]) is again a monomial: monos[bar[i]].
     bar = [index[e] for m in monos for e in involution(m).terms]
     i_one = GaussianRational(0, 1)
+
+    exps = list(index)
+    products = {(a, b): table[i][j] for i, a in enumerate(exps)
+                for j, b in enumerate(exps)}
+    for e in {e for row in table for p in row for e in p.terms} - index.keys():
+        m = PolyObservable.monomial(sig, e, K)
+        for a, mono in zip(exps, monos):
+            products[e, a] = star_multiply(spec, m, mono)
+            products[a, e] = star_multiply(spec, mono, m)
+    D = lcm(*[c._d for p in products.values() for c in p.terms.values()])
+    vec = {key: [(e, [x * (D // c._d) for x in c._v])
+                 for e, c in p.terms.items()] for key, p in products.items()}
+
+    def expand(outer, inner):
+        """sum_e outer[e] * vec[inner(e)] as {exp: nonzero vector over D^2}."""
+        acc = {}
+        for e, v in outer:
+            for d, u in vec[inner(e)]:
+                a = acc.get(d)
+                if a is None:
+                    a = acc[d] = [0] * (2 * K)
+                _convolve(v, u, a)
+        return {d: a for d, a in acc.items() if any(a)}
 
     def first_failure(fails, arity=2):
         for idx in iproduct(range(len(monos)), repeat=arity):
@@ -438,10 +473,11 @@ def check_star_axioms(spec, sample_degree=3):
             - table[j][i].lambda_coefficient(1)
             != poisson_bracket(monos[i], monos[j]).lambda_coefficient(0)
             .scale_scalar(i_one))
-        if spec.signature.chart == "real" else (True, None),
+        if bracket else (True, None),
         "hermitian": first_failure(
             lambda i, j: involution(table[i][j]) != table[bar[j]][bar[i]]),
         "associativity": first_failure(
-            lambda i, j, k: star_multiply(spec, table[i][j], monos[k])
-            != star_multiply(spec, monos[i], table[j][k]), 3),
+            lambda i, j, k:
+            expand(vec[exps[i], exps[j]], lambda e: (e, exps[k]))
+            != expand(vec[exps[j], exps[k]], lambda e: (exps[i], e)), 3),
     })

@@ -325,6 +325,33 @@ def test_axioms_at_k1_exhausts_precision():
                    "K >= 2: the l^1 coefficient is not stored at K = 1\n")
 
 
+def _holo_flat_spec(K):
+    """l (d_z (x) d_z + d_zb (x) d_zb) as a custom star_product payload."""
+    zero = [0, 1, 0, 1]
+    l = {"type": "series", "K": K, "coeffs": ([zero, [1, 1, 0, 1]]
+                                              + [zero] * (K - 2))[:K]}
+    o = {"type": "series", "K": K, "coeffs": [zero] * K}
+    return {"type": "star_product", "kind": "custom", "n": 1, "chart": "holo",
+            "K": K, "pairing": [[l, o], [o, l]]}
+
+
+def test_axioms_check_c1_on_the_holomorphic_chart(tmp_path):
+    # The l^1 commutator of this product vanishes, so C_1 is not i{z, zb}.
+    for K in (4, 1):
+        (tmp_path / f"holo{K}.json").write_text(json.dumps(_holo_flat_spec(K)))
+    code, out, err = run(["axioms", "--product", f"custom:{tmp_path}/holo4.json",
+                          "--degree", "2", "--K", "4"])
+    assert (code, err) == (0, "")
+    assert out == ("unit: pass\ncorrespondence_c0: pass\n"
+                   "correspondence_c1: FAIL witness (z1, zb1)\nhermitian: pass\n"
+                   "associativity: pass\n")
+    code, out, err = run(["axioms", "--product", f"custom:{tmp_path}/holo1.json",
+                          "--degree", "2", "--K", "1"])
+    assert (code, out) == (3, "")
+    assert err == ("error: PrecisionExhausted: correspondence_c1 needs "
+                   "K >= 2: the l^1 coefficient is not stored at K = 1\n")
+
+
 def test_unknown_suite_error():
     cfg = RunConfig()
     with pytest.raises(UnknownSuite):

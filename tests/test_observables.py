@@ -91,6 +91,23 @@ def test_jacobi_identity(f, g, h):
 def test_signature_mismatch():
     with pytest.raises(SignatureMismatch):
         poisson_bracket(obs("q1"), obs("q1", n=2))
+    with pytest.raises(SignatureMismatch):
+        poisson_bracket(obs("yb1"), obs("yb1"))
+
+
+def test_holomorphic_canonical_pair():
+    # z = q + ip, zb = q - ip: {z, zb} = -i{q, p} + i{p, q} = -2i.
+    z, zb = obs("z1", chart="holo"), obs("zb1", chart="holo")
+    assert poisson_bracket(z, zb) == obs("-2*i", chart="holo")
+    assert poisson_bracket(zb, z) == obs("2*i", chart="holo")
+    assert poisson_bracket(z, z).is_zero()
+
+
+@given(observables(n=2, chart="holo", degree=2),
+       observables(n=2, chart="holo", degree=2))
+def test_holomorphic_bracket_is_the_real_bracket(f, g):
+    assert poisson_bracket(f, g) == \
+        to_holomorphic(poisson_bracket(to_real(f), to_real(g)))
 
 
 # -- chart conversion ------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdq.star
-from fdq.errors import SignatureMismatch
+from fdq.errors import PrecisionExhausted, SignatureMismatch
 from fdq.exprio import observable_text, parse
 from fdq.observables import (PhaseSpaceSignature, PolyObservable, involution,
-                             monomials_up_to, poisson_bracket)
+                             monomials_up_to, poisson_bracket, to_holomorphic,
+                             to_real)
 from fdq.series import FormalSeries, GaussianRational
 from fdq.star import (AxiomReport, EquivOperatorSpec, StarProductSpec,
                       apply_equiv, check_star_axioms, commutator,
@@ -368,14 +370,20 @@ def _ref_check_star_axioms(spec, sample_degree=3):
             break
     checks["correspondence_c0"] = (witness is None, witness)
 
+    def bracket(f, g):
+        # The holomorphic bracket is the real one carried through z = q + ip.
+        if sig.chart == "real":
+            return poisson_bracket(f, g)
+        return to_holomorphic(poisson_bracket(to_real(f), to_real(g)))
+
     witness = None
-    if sig.chart == "real":
+    if sig.chart in ("real", "holo"):
         i_one = GaussianRational(0, 1)
         for f in monos:
             for g in monos:
                 c1 = star(spec, f, g).lambda_coefficient(1)
                 c1r = star(spec, g, f).lambda_coefficient(1)
-                expected = poisson_bracket(f, g).lambda_coefficient(0) \
+                expected = bracket(f, g).lambda_coefficient(0) \
                     .scale_scalar(i_one)
                 if c1 - c1r != expected:
                     witness = f"({observable_text(f)}, {observable_text(g)})"
@@ -587,13 +595,37 @@ _CORRUPTED = StarProductSpec(
           [FormalSeries.zero(K), FormalSeries.zero(K)]], K, name="bad")
 
 
+def _holo_flat(order):
+    """l (d_z (x) d_z + d_zb (x) d_zb): associative and Hermitian, but its
+    l^1 commutator vanishes, so C_1 is not i{f, g}."""
+    l, zero = FormalSeries.lam(1, order), FormalSeries.zero(order)
+    return StarProductSpec(PhaseSpaceSignature(1, "holo"),
+                           [[l, zero], [zero, l]], order, name="holo-flat")
+
+
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 @pytest.mark.parametrize("spec", [W, WK, ST, wick(1, K, chart="holo"),
-                                  _CORRUPTED],
-                         ids=["weyl", "wick", "std", "holo-wick", "corrupted"])
+                                  _CORRUPTED, _holo_flat(K)],
+                         ids=["weyl", "wick", "std", "holo-wick", "corrupted",
+                              "holo-flat"])
 def test_axiom_report_matches_reference(spec, degree):
     assert check_star_axioms(spec, degree).to_json() == \
         _ref_check_star_axioms(spec, degree).to_json()
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+def test_holomorphic_c1_is_checked(order):
+    assert check_star_axioms(wick(1, order, chart="holo"), 2).all_passed()
+    report = check_star_axioms(_holo_flat(order), 2)
+    assert report.checks["correspondence_c1"] == (False, "(z1, zb1)")
+    assert [name for name, (ok, _) in report.checks.items() if not ok] == \
+        ["correspondence_c1"]
+
+
+def test_holomorphic_c1_at_k1_exhausts_precision():
+    for spec in (wick(1, 1, chart="holo"), _holo_flat(1)):
+        with pytest.raises(PrecisionExhausted):
+            check_star_axioms(spec, 2)
 
 
 @pytest.mark.parametrize("spec", [W, ST, wick(1, K, chart="holo")],
@@ -601,11 +633,57 @@ def test_axiom_report_matches_reference(spec, degree):
 def test_axiom_battery_reads_one_product_table(spec, monkeypatch):
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return star_multiply(*args)
+    def counting(s, f, g):
+        calls.append((f, g))
+        return star_multiply(s, f, g)
 
     monkeypatch.setattr(fdq.star, "star_multiply", counting)
-    N = len(monomials_up_to(spec.signature, 2, K))
     check_star_axioms(spec, 2)
-    assert N * N < len(calls) <= N * N + 2 * N ** 3
+    # Each monomial product once: the N^2 of the sample monomials, then
+    # m_e * m_k and m_i * m_e for every e of higher degree in their support.
+    monos = monomials_up_to(spec.signature, 2, K)
+    support = {e for f in monos for g in monos
+               for e in star_multiply(spec, f, g).terms}
+    extra = support - {e for m in monos for e in m.terms}
+    N = len(monos)
+    assert len(set(calls)) == len(calls) == N * N + 2 * N * len(extra)
+    assert spec is not W or len(calls) == 144
+
+
+def _perturbed(a, b, delta):
+    """star_multiply plus f[a] g[b] delta: a bilinear product that differs
+    from the star product on the monomial pair (x^a, x^b) only."""
+    def product(spec, f, g):
+        out = star_multiply(spec, f, g)
+        if a in f.terms and b in g.terms:
+            out = out + delta.scale(f.terms[a] * g.terms[b])
+        return out
+    return product
+
+
+@pytest.mark.parametrize("pair", [((3, 0), (0, 1)), ((0, 1), (3, 0)),
+                                  ((2, 2), (1, 0))],
+                         ids=["q3-p", "p-q3", "q2p2-q"])
+@pytest.mark.parametrize("spec", [W, WK, ST], ids=["weyl", "wick", "std"])
+def test_associativity_reads_the_products_above_the_degree(spec, pair,
+                                                           monkeypatch):
+    # One product of a degree-3 or -4 monomial is wrong, so every product of
+    # two sample monomials is right and only associativity can see it.  Its
+    # first witness is the one a plain loop over triples finds with the
+    # same product.
+    delta = PolyObservable.monomial(SIG, (1, 0), K, FormalSeries.lam(2, K))
+    product = _perturbed(*pair, delta)
+    monkeypatch.setattr(fdq.star, "star_multiply", product)
+    report = check_star_axioms(spec, 2)
+    monos = monomials_up_to(SIG, 2, K)
+    witness = next(
+        "(" + ", ".join(observable_text(m) for m in triple) + ")"
+        for triple in iproduct(monos, repeat=3)
+        if product(spec, product(spec, *triple[:2]), triple[2])
+        != product(spec, triple[0], product(spec, *triple[1:])))
+    assert report.checks["associativity"] == (False, witness)
+    monkeypatch.undo()
+    assert {name: check for name, check in report.checks.items()
+            if name != "associativity"} == \
+        {name: check for name, check in check_star_axioms(spec, 2)
+         .checks.items() if name != "associativity"}
