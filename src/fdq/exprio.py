@@ -12,9 +12,10 @@ expressions.  The lexer scans a text once; a token keeps its offset, and an
 error's line and column are computed from it only when the error is raised.
 Variable names resolve through ``PhaseSpaceSignature.variables()``, the one
 table from chart to names.  Every parsed value is one sparse term map,
-{exponent: {power of l: scalar}}, whose sums, products and powers follow
-PolyObservable arithmetic: the same terms, term order and ``tail_lost`` flags.
-The observable and each coefficient series are built once, at the end.
+{exponent: {power of l: (re, im, d)}}, for scalars (re + i*im)/d, whose sums,
+products and powers follow PolyObservable arithmetic: the same terms, term
+order and ``tail_lost`` flags.  The observable and each coefficient series
+are built once, at the end; the printer and JSON read their ints directly.
 
 Canonical printing emits terms in descending graded-lex order with ascending
 powers of l inside each term; ``parse(print(x)) == x`` holds for every value.
@@ -25,47 +26,52 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
 from .errors import MixedChart, ParseError, SchemaError, UnknownVariable
 from .observables import PhaseSpaceSignature, PolyObservable
-from .series import (DEFAULT_ORDER, GR_I, GR_ONE, GR_ZERO, FormalSeries,
-                     GaussianRational)
+from .series import DEFAULT_ORDER, FormalSeries, GaussianRational, _reduced
 
 # -- canonical printing ---------------------------------------------------------
 
 
-def gaussian_text(c: GaussianRational) -> str:
-    """Canonical scalar form: ``3``, ``-1/4``, ``i``, ``1/2*i``, ``1 - 2*i``."""
-    re_, im = c.re, c.im
+def _lowest(n, d):
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _rational_text(n, d):
+    n, d = _lowest(n, d)
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _scalar_text(re_, im, d):
+    """Canonical form of (re_ + i*im)/d, as ``gaussian_text`` gives it."""
+    rtext = _rational_text(re_, d)
     if not im:
-        return str(re_)
-    if im == 1:
-        istr = "i"
-    elif im == -1:
-        istr = "-i"
-    else:
-        istr = f"{im!s}*i"
+        return rtext
+    istr = "i" if im == d else "-i" if im == -d \
+        else f"{_rational_text(im, d)}*i"
     if not re_:
         return istr
-    if im > 0:
-        return f"{re_!s} + {istr}"
-    return f"{re_!s} - {istr.lstrip('-')}"
+    return f"{rtext} + {istr}" if im > 0 else f"{rtext} - {istr.lstrip('-')}"
 
 
-def _atom_text(c: GaussianRational, var_factors, leading=False) -> str:
+def gaussian_text(c: GaussianRational) -> str:
+    """Canonical scalar form: ``3``, ``-1/4``, ``i``, ``1/2*i``, ``1 - 2*i``."""
+    return series_text(FormalSeries((c,), 1))
+
+
+def _atom_text(re_, im, d, var_factors, leading=False) -> str:
     if not var_factors:
-        text = gaussian_text(c)
-        if text.startswith("-") and not leading:
-            return f"({text})"
-        return text
+        text = _scalar_text(re_, im, d)
+        return f"({text})" if text.startswith("-") and not leading else text
     var_str = "*".join(var_factors)
-    if c == GaussianRational(1):
+    if re_ == d and not im:
         return var_str
-    ctext = gaussian_text(c)
-    if c.is_real() and c.re > 0:
-        return f"{ctext}*{var_str}"
-    return f"({ctext})*{var_str}"
+    text = _scalar_text(re_, im, d)
+    return f"{text}*{var_str}" if not im and re_ > 0 else f"({text})*{var_str}"
 
 
 def _graded_lex(exp):
@@ -78,30 +84,27 @@ def _power_factor(name, k):
 
 
 def series_text(s: FormalSeries) -> str:
-    parts = []
-    for r, c in enumerate(s.coeffs):
-        if not c:
-            continue
-        factors = [] if r == 0 else [_power_factor("l", r)]
-        parts.append(_atom_text(c, factors, leading=not parts))
+    v, parts = s._v, []
+    for k in range(0, len(v), 2):
+        if v[k] or v[k + 1]:
+            factors = [_power_factor("l", k // 2)] if k else []
+            parts.append(_atom_text(v[k], v[k + 1], s._d, factors, not parts))
     return " + ".join(parts) if parts else "0"
 
 
 def observable_text(f: PolyObservable) -> str:
     names = f.signature.variables()
-    atoms = []
-    for exp, coeff in f.terms.items():
-        for r, c in enumerate(coeff.coeffs):
-            if c:
-                atoms.append((exp, r, c))
+    atoms = [(exp, k // 2, c._v[k], c._v[k + 1], c._d)
+             for exp, c in f.terms.items()
+             for k in range(0, len(c._v), 2) if c._v[k] or c._v[k + 1]]
     atoms.sort(key=lambda a: (*_graded_lex(a[0]), a[1]))
     parts = []
-    for exp, r, c in atoms:
+    for exp, r, re_, im, d in atoms:
         factors = [_power_factor(names[k], e)
                    for k, e in enumerate(exp) if e]
         if r:
             factors.append(_power_factor("l", r))
-        parts.append(_atom_text(c, factors, leading=not parts))
+        parts.append(_atom_text(re_, im, d, factors, leading=not parts))
     return " + ".join(parts) if parts else "0"
 
 
@@ -146,7 +149,8 @@ def _error(cls, message, src, offset):
 
 
 def _tokenize(src):
-    tokens = []
+    # tuple.__new__ skips the namedtuple's own __new__, a Python-level call.
+    new, tokens = tuple.__new__, []
     for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
         value = m.group(kind)
@@ -155,11 +159,11 @@ def _tokenize(src):
             num, _, den = value.partition("/")
             if den and not int(den):
                 raise _error(ParseError, "zero denominator", src, offset)
-            value = Fraction(int(num), int(den)) if den else Fraction(int(num))
+            value = _lowest(int(num), int(den or 1))
         elif kind == "other":
             raise _error(ParseError, f"unexpected character {value!r}", src,
                          offset)
-        tokens.append(_Token(kind, value, offset))
+        tokens.append(new(_Token, (kind, value, offset)))
     tokens.append(_Token("end", "", len(src)))
     return tokens
 
@@ -197,30 +201,52 @@ def _classify_variables(tokens, n, chart, src):
     return chart
 
 
+_ONE = (1, 0, 1)
+
+
+def _scalar_mul(a, b):
+    (ar, ai, ad), (br, bi, bd) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br, ad * bd
+
+
 def _scalar_power(c, k):
     """c^k by repeated squaring: exact, so equal to k sequential products."""
-    result = GR_ONE
+    result = _ONE
     while k:
         if k & 1:
-            result = result * c
+            result = _scalar_mul(result, c)
         k >>= 1
         if k:
-            c = c * c
+            c = _scalar_mul(c, c)
     return result
 
 
 def _accumulate(powers, r, c):
-    """powers[r] += c for a nonzero c, keeping only nonzero powers."""
-    c = powers[r] + c if r in powers else c
-    if c:
+    """powers[r] += c for a nonzero c, over the lcm of the denominators,
+    keeping only nonzero powers."""
+    if r in powers:
+        (ar, ai, ad), (br, bi, bd) = powers[r], c
+        d = lcm(ad, bd)
+        c = (ar * (d // ad) + br * (d // bd),
+             ai * (d // ad) + bi * (d // bd), d)
+    if c[0] or c[1]:
         powers[r] = c
     else:
         del powers[r]
 
 
+def _series(powers, order, lost):
+    """sum_r powers[r] l^r as a series over the lcm of the denominators."""
+    d = lcm(*[c[2] for c in powers.values()])
+    v = [0] * (2 * order)
+    for r, (re_, im, cd) in powers.items():
+        v[2 * r], v[2 * r + 1] = re_ * (d // cd), im * (d // cd)
+    return _reduced(order, lost, d, v)
+
+
 class _Terms:
     """A parsed value: ``terms`` maps an exponent to [powers, coeff_lost],
-    powers being {power of l: nonzero GaussianRational}; ``coeff_lost`` and
+    powers being {power of l: nonzero scalar}; ``coeff_lost`` and
     ``lost`` are the tail_lost flags of the coefficient and the observable.
     Each operation gives the terms, term order and flags of its PolyObservable
     counterpart; a vanished coefficient is dropped, its flag put in ``lost``.
@@ -237,7 +263,8 @@ class _Terms:
         return cls({exp: [{lpow: c}, False]})
 
     def __neg__(self):
-        return _Terms({exp: [{r: -c for r, c in powers.items()}, flag]
+        return _Terms({exp: [{r: (-re_, -im, d)
+                              for r, (re_, im, d) in powers.items()}, flag]
                        for exp, (powers, flag) in self.terms.items()},
                       self.lost)
 
@@ -273,8 +300,9 @@ class _Terms:
                         if r1 + r2 >= order:
                             flag = True
                         else:
-                            _accumulate(powers, r1 + r2, b if a is GR_ONE
-                                        else a if b is GR_ONE else a * b)
+                            _accumulate(powers, r1 + r2, b if a is _ONE
+                                        else a if b is _ONE
+                                        else _scalar_mul(a, b))
                 slot[1] = flag
         lost = self.lost or other.lost
         for exp in [exp for exp, slot in terms.items() if not slot[0]]:
@@ -285,14 +313,14 @@ class _Terms:
         """k - 1 successive products, as PolyObservable.__pow__ takes them,
         in closed form for a single term c*l^r*x^exp."""
         if k == 0:
-            return _Terms.monomial(GR_ONE, 0, zero)
+            return _Terms.monomial(_ONE, 0, zero)
         if len(self.terms) == 1:
             [(exp, (powers, flag))] = self.terms.items()
             if len(powers) == 1:
                 [(r, c)] = powers.items()
                 if r * k >= order:
                     return _Terms({}, True)
-                if c is not GR_ONE:
+                if c is not _ONE:
                     c = _scalar_power(c, k)
                 return _Terms({tuple(e * k for e in exp): [{r * k: c}, flag]},
                               self.lost)
@@ -354,35 +382,35 @@ class _Parser:
         if self.at_op("^"):
             self.pos += 1
             exp_tok = self.next()
-            if exp_tok.kind != "number" or exp_tok.value.denominator != 1 \
-                    or exp_tok.value < 0:
+            if exp_tok.kind != "number" or exp_tok.value[1] != 1:
                 raise _error(ParseError,
                              "exponent must be a nonnegative integer",
                              self.src, exp_tok.offset)
-            value = value.power(int(exp_tok.value), self.order, self.zero_exp)
+            value = value.power(exp_tok.value[0], self.order, self.zero_exp)
         return value
 
     def parse_atom(self):
         tok = self.next()
         zero = self.zero_exp
         if tok.kind == "number":
-            return _Terms.monomial(GaussianRational(tok.value), 0, zero) \
-                if tok.value else _Terms({})
+            num, den = tok.value
+            return _Terms.monomial((num, 0, den), 0, zero) if num \
+                else _Terms({})
         if tok.kind == "name":
             if tok.value == "i":
-                return _Terms.monomial(GR_I, 0, zero)
+                return _Terms.monomial((0, 1, 1), 0, zero)
             if tok.value == "l":
                 # l is the zero series with a lost tail when K = 1.
                 if self.order == 1:
                     return _Terms({}, True)
-                return _Terms.monomial(GR_ONE, 1, zero)
+                return _Terms.monomial(_ONE, 1, zero)
             index = self.index.get(tok.value)
             if index is None:
                 raise _error(UnknownVariable, f"variable {tok.value!r} not in "
                              f"chart {self.chart!r}", self.src, tok.offset)
             exp = list(zero)
             exp[index] = 1
-            return _Terms.monomial(GR_ONE, 0, tuple(exp))
+            return _Terms.monomial(_ONE, 0, tuple(exp))
         if tok.kind == "op" and tok.value == "(":
             value = self.parse_expr()
             self.expect_op(")")
@@ -399,11 +427,10 @@ def _parse_tokens(src, tokens, n, order, chart):
     value = parser.parse_expr()
     end = parser.next()
     if end.kind != "end":
-        # The token as written: a number's value is a Fraction.
+        # The token as written: a number's value is a reduced int pair.
         text = _TOKEN_RE.match(src, end.offset).group(end.kind)
         raise _error(ParseError, f"trailing input {text!r}", src, end.offset)
-    terms = {exp: FormalSeries([powers.get(r, GR_ZERO) for r in range(order)],
-                               order, flag)
+    terms = {exp: _series(powers, order, flag)
              for exp, (powers, flag) in value.terms.items()}
     return PolyObservable(signature, terms, order, value.lost)
 
@@ -441,18 +468,25 @@ def gaussian_to_json(c: GaussianRational):
     return [c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
 
 
-def gaussian_from_json(obj, pointer=""):
+def _checked_gaussian(obj, pointer):
     _require(isinstance(obj, list) and len(obj) == 4, "expected [re_num, "
              "re_den, im_num, im_den]", pointer)
     for k, v in enumerate(obj):
         _require(isinstance(v, int), "expected integer", f"{pointer}/{k}")
     _require(obj[1] > 0 and obj[3] > 0, "denominators must be positive",
              pointer)
-    return GaussianRational(Fraction(obj[0], obj[1]), Fraction(obj[2], obj[3]))
+    return obj
+
+
+def gaussian_from_json(obj, pointer=""):
+    a, b, c, d = _checked_gaussian(obj, pointer)
+    return GaussianRational(Fraction(a, b), Fraction(c, d))
 
 
 def series_to_json(s: FormalSeries):
-    return {"K": s.order, "coeffs": [gaussian_to_json(c) for c in s.coeffs]}
+    d, v = s._d, s._v + (0, 0) * (s.order - len(s._v) // 2)
+    return {"K": s.order, "coeffs": [[*_lowest(v[k], d), *_lowest(v[k + 1], d)]
+                                     for k in range(0, len(v), 2)]}
 
 
 def series_from_json(obj, pointer="", expect_order=None):
@@ -469,9 +503,10 @@ def series_from_json(obj, pointer="", expect_order=None):
     coeffs = obj["coeffs"]
     _require(isinstance(coeffs, list) and len(coeffs) == K,
              "coeffs must list exactly K entries", f"{pointer}/coeffs")
-    return FormalSeries(
-        tuple(gaussian_from_json(c, f"{pointer}/coeffs/{k}")
-              for k, c in enumerate(coeffs)), K)
+    parts = [_checked_gaussian(c, f"{pointer}/coeffs/{k}")
+             for k, c in enumerate(coeffs)]
+    return _series({k: (a * d, c * b, b * d)
+                    for k, (a, b, c, d) in enumerate(parts)}, K, False)
 
 
 def _terms_to_json(terms):

@@ -9,8 +9,8 @@ are exact.  Every operation runs on Python ints: a sum takes one lcm, a
 product is the K^2 integer convolution over the product of the denominators,
 and each result is reduced by one gcd.  ``GaussianRational`` (a pair of
 ``fractions.Fraction``) is the boundary type: the constructor takes it, the
-``coeffs`` property builds it on each read for the printer and JSON, and
-scalars may be given as one.
+``coeffs`` property builds it on each read, and scalars may be given as one;
+the parser, printer and JSON forms of ``fdq.exprio`` use the ints directly.
 
 A series remembers whether any computation that produced it discarded a
 nonzero coefficient beyond the truncation order (``tail_lost``); rank
@@ -195,11 +195,14 @@ class FormalSeries:
 
     @classmethod
     def zero(cls, order=None):
-        return cls((), order or DEFAULT_ORDER)
+        order = order or DEFAULT_ORDER
+        if order < 1:
+            raise ValueError("truncation order must be >= 1")
+        return _make(order, False, 1, ())
 
     @classmethod
     def one(cls, order=None):
-        return cls((GR_ONE,), order or DEFAULT_ORDER)
+        return _make(cls.zero(order).order, False, 1, (1, 0))
 
     @classmethod
     def from_scalar(cls, c, order=None):

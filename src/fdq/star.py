@@ -406,9 +406,10 @@ def check_star_axioms(spec, sample_degree=3):
     Bilinearity makes monomial verification a complete proof at that degree:
     unit law, C_0(f,g) = fg, antisymmetric C_1 = i{f,g}, the Hermitian
     property, and associativity on all monomial triples.  Each check reports
-    its first failing tuple in graded-lex order.  On the real and holomorphic
-    charts C_1 is read from the l^1 coefficients, so K = 1 raises
-    PrecisionExhausted.
+    its first failing tuple in graded-lex order.  C_1 is read from the l^1
+    coefficients, so K = 1 raises PrecisionExhausted, and is compared with
+    the Poisson bracket, so a spec on the fock or wave chart, which has
+    none, raises SignatureMismatch; both before any product is computed.
 
     Every monomial product is computed once, into a table: the N^2 products
     of the sample monomials, which the first four checks read, and m_e * m_k
@@ -421,8 +422,10 @@ def check_star_axioms(spec, sample_degree=3):
     from .exprio import observable_text
 
     sig, K = spec.signature, spec.order
-    bracket = sig.chart in ("real", "holo")
-    if bracket and K < 2:
+    if sig.chart not in ("real", "holo"):
+        raise SignatureMismatch("correspondence_c1 needs the Poisson bracket, "
+                                f"which chart {sig.chart!r} does not have")
+    if K < 2:
         raise PrecisionExhausted("correspondence_c1 needs K >= 2: the l^1 "
                                  "coefficient is not stored at K = 1")
     monos = monomials_up_to(sig, sample_degree, K)
@@ -472,8 +475,7 @@ def check_star_axioms(spec, sample_degree=3):
             lambda i, j: table[i][j].lambda_coefficient(1)
             - table[j][i].lambda_coefficient(1)
             != poisson_bracket(monos[i], monos[j]).lambda_coefficient(0)
-            .scale_scalar(i_one))
-        if bracket else (True, None),
+            .scale_scalar(i_one)),
         "hermitian": first_failure(
             lambda i, j: involution(table[i][j]) != table[bar[j]][bar[i]]),
         "associativity": first_failure(

@@ -352,6 +352,18 @@ def test_axioms_check_c1_on_the_holomorphic_chart(tmp_path):
                    "K >= 2: the l^1 coefficient is not stored at K = 1\n")
 
 
+@pytest.mark.parametrize("chart", ["fock", "wave"])
+def test_axioms_reject_a_chart_without_a_bracket(tmp_path, chart):
+    l = {"type": "series", "K": 4,
+         "coeffs": [[0, 1, 0, 1], [1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1]]}
+    spec = {"type": "star_product", "kind": "custom", "n": 1, "chart": chart,
+            "K": 4, "pairing": [[l]]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert run(["axioms", "--product", f"custom:{tmp_path}/spec.json"]) == (
+        3, "", "error: SignatureMismatch: correspondence_c1 needs the Poisson "
+        f"bracket, which chart '{chart}' does not have\n")
+
+
 def test_unknown_suite_error():
     cfg = RunConfig()
     with pytest.raises(UnknownSuite):

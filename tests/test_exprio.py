@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fdq import exprio
 from fdq.errors import (FdqError, MixedChart, ParseError, SchemaError,
                         UnknownVariable)
-from fdq.exprio import (deserialize, gaussian_text, observable_text, parse,
-                        parse_series, serialize, series_from_json,
-                        series_text, series_to_json)
+from fdq.exprio import (_graded_lex, _power_factor, _require, deserialize,
+                        gaussian_text, observable_text, parse, parse_series,
+                        serialize, series_from_json, series_text,
+                        series_to_json)
 from fdq.observables import PhaseSpaceSignature, PolyObservable
 from fdq.series import FormalSeries, GaussianRational
 from fdq.star import op_s, weyl, wick
@@ -422,6 +424,11 @@ def test_parse_matches_polyobservable_arithmetic(case):
     ("(q1 + l)^4", 1, 2, None),
     ("(l*l)^0*q1", 1, 2, None),
     ("1 + l*(l + l*l)", 1, 2, None),
+    ("q1^4/2 + p1^0/5", 1, K, None),
+    ("q1^(4/2)", 1, K, None),
+    ("q1^3/2", 1, K, None),
+    ("0/7", 1, K, None),
+    ("0/7*q1 + 2/4*i*l - 0/7*l^9", 1, K, None),
 ])
 def test_parse_matches_reference_on_edge_cases(src, n, order, chart):
     assert_parses_like_reference(src, n, order, chart)
@@ -449,6 +456,19 @@ def test_lexer_matches_reference_on_arbitrary_text(src, n, order):
 def test_lexer_matches_reference_on_edge_cases(src):
     for chart in (None, "real", "holo", "fock", "wave"):
         assert_parses_like_reference(src, 2, K, chart)
+
+
+def test_fractional_exponent_and_zero_numerator():
+    # An exponent literal is a rational equal to an integer; a parenthesised
+    # one is not a number token.
+    assert parse("q1^4/2", 1, K) == parse("q1^2", 1, K)
+    for src in ("q1^(4/2)", "q1^3/2"):
+        with pytest.raises(ParseError) as exc:
+            parse(src, 1, K)
+        assert (str(exc.value), exc.value.column) == (
+            "exponent must be a nonnegative integer (line 1, column 4)", 4)
+    assert parse("0/7", 1, K) == PolyObservable.zero(PhaseSpaceSignature(1), K)
+    assert parse("0/7*q1 + 3/6", 1, K) == parse("1/2", 1, K)
 
 
 def test_flag_rules_of_direct_terms():
@@ -505,13 +525,13 @@ def test_canonical_text_parses_without_series_products(monkeypatch):
 
 def test_large_power_of_a_variable_is_closed_form(monkeypatch):
     series_products = _CountCalls(monkeypatch, FormalSeries, "__mul__")
-    scalar_products = _CountCalls(monkeypatch, GaussianRational, "__mul__")
+    scalar_products = _CountCalls(monkeypatch, exprio, "_scalar_mul")
     f = parse("q1^100000", 1, K)
     assert list(f.terms) == [(100000, 0)]
     assert f.terms[(100000, 0)] == FormalSeries.one(K)
     assert series_products.count == 0 and scalar_products.count == 0
     g = parse("(2*i*l)^3", 1, K)
-    assert series_products.count == 0 and scalar_products.count < 10
+    assert series_products.count == 0 and 0 < scalar_products.count < 10
     assert g == reference_parse("(2*i*l)^3", 1, K)
 
 
@@ -651,6 +671,193 @@ def test_series_json_schema_errors():
         series_from_json({"coeffs": []})
     with pytest.raises(SchemaError):
         series_from_json({"K": 1, "coeffs": [[0, 0, 0, 0]]})
+
+
+# -- the printer and JSON forms against their GaussianRational versions -----------------
+
+
+# The printer and the JSON forms as they were when they read and built
+# GaussianRationals, kept verbatim as the reference.
+
+def ref_gaussian_text(c: GaussianRational) -> str:
+    """Canonical scalar form: ``3``, ``-1/4``, ``i``, ``1/2*i``, ``1 - 2*i``."""
+    re_, im = c.re, c.im
+    if not im:
+        return str(re_)
+    if im == 1:
+        istr = "i"
+    elif im == -1:
+        istr = "-i"
+    else:
+        istr = f"{im!s}*i"
+    if not re_:
+        return istr
+    if im > 0:
+        return f"{re_!s} + {istr}"
+    return f"{re_!s} - {istr.lstrip('-')}"
+
+
+def _ref_atom_text(c: GaussianRational, var_factors, leading=False) -> str:
+    if not var_factors:
+        text = ref_gaussian_text(c)
+        if text.startswith("-") and not leading:
+            return f"({text})"
+        return text
+    var_str = "*".join(var_factors)
+    if c == GaussianRational(1):
+        return var_str
+    ctext = ref_gaussian_text(c)
+    if c.is_real() and c.re > 0:
+        return f"{ctext}*{var_str}"
+    return f"({ctext})*{var_str}"
+
+
+def ref_series_text(s: FormalSeries) -> str:
+    parts = []
+    for r, c in enumerate(s.coeffs):
+        if not c:
+            continue
+        factors = [] if r == 0 else [_power_factor("l", r)]
+        parts.append(_ref_atom_text(c, factors, leading=not parts))
+    return " + ".join(parts) if parts else "0"
+
+
+def ref_observable_text(f: PolyObservable) -> str:
+    names = f.signature.variables()
+    atoms = []
+    for exp, coeff in f.terms.items():
+        for r, c in enumerate(coeff.coeffs):
+            if c:
+                atoms.append((exp, r, c))
+    atoms.sort(key=lambda a: (*_graded_lex(a[0]), a[1]))
+    parts = []
+    for exp, r, c in atoms:
+        factors = [_power_factor(names[k], e)
+                   for k, e in enumerate(exp) if e]
+        if r:
+            factors.append(_power_factor("l", r))
+        parts.append(_ref_atom_text(c, factors, leading=not parts))
+    return " + ".join(parts) if parts else "0"
+
+
+def _ref_gaussian_to_json(c: GaussianRational):
+    return [c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
+
+
+def _ref_gaussian_from_json(obj, pointer=""):
+    _require(isinstance(obj, list) and len(obj) == 4, "expected [re_num, "
+             "re_den, im_num, im_den]", pointer)
+    for k, v in enumerate(obj):
+        _require(isinstance(v, int), "expected integer", f"{pointer}/{k}")
+    _require(obj[1] > 0 and obj[3] > 0, "denominators must be positive",
+             pointer)
+    return GaussianRational(Fraction(obj[0], obj[1]), Fraction(obj[2], obj[3]))
+
+
+def ref_series_to_json(s: FormalSeries):
+    return {"K": s.order, "coeffs": [_ref_gaussian_to_json(c) for c in s.coeffs]}
+
+
+def ref_series_from_json(obj, pointer="", expect_order=None):
+    _require(isinstance(obj, dict), "expected series object", pointer)
+    _require("K" in obj and "coeffs" in obj, "series needs K and coeffs",
+             pointer)
+    K = obj["K"]
+    _require(isinstance(K, int) and K >= 1, "K must be a positive integer",
+             f"{pointer}/K")
+    if expect_order is not None:
+        _require(K == expect_order,
+                 f"truncation order {K} does not match expected "
+                 f"{expect_order}", f"{pointer}/K")
+    coeffs = obj["coeffs"]
+    _require(isinstance(coeffs, list) and len(coeffs) == K,
+             "coeffs must list exactly K entries", f"{pointer}/coeffs")
+    return FormalSeries(
+        tuple(_ref_gaussian_from_json(c, f"{pointer}/coeffs/{k}")
+              for k, c in enumerate(coeffs)), K)
+
+
+_BIG = 10 ** 40
+# Zero, small and large components of either sign.
+_components = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-8, max_value=8, max_denominator=9),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)))
+_scalars = st.builds(GaussianRational, _components, _components)
+
+
+@st.composite
+def _any_series(draw, order=None):
+    """A series with about a third of its coefficients zero."""
+    order = order or draw(st.integers(1, 6))
+    return FormalSeries([draw(_scalars) if draw(st.integers(0, 2)) else 0
+                         for _ in range(order)], order, draw(st.booleans()))
+
+
+@st.composite
+def _any_observable(draw):
+    sig = PhaseSpaceSignature(draw(st.integers(1, 2)), draw(st.sampled_from(
+        ("real", "holo", "fock", "wave"))))
+    order = draw(st.integers(1, 6))
+    exps = st.lists(st.integers(0, 3), min_size=sig.width,
+                    max_size=sig.width).map(tuple)
+    terms = draw(st.dictionaries(exps, _any_series(order), max_size=5))
+    return PolyObservable(sig, terms, order)
+
+
+def _json_bytes(s):
+    return json.dumps(series_to_json(s)), json.dumps(ref_series_to_json(s))
+
+
+@settings(max_examples=300)
+@given(_any_series(), _scalars)
+def test_series_text_and_json_match_reference(s, c):
+    assert series_text(s) == ref_series_text(s)
+    new, ref = _json_bytes(s)
+    assert new == ref
+    assert gaussian_text(c) == ref_gaussian_text(c)
+
+
+@settings(max_examples=200)
+@given(_any_observable())
+def test_observable_text_and_json_match_reference(f):
+    assert observable_text(f) == ref_observable_text(f)
+    for c in f.terms.values():
+        new, ref = _json_bytes(c)
+        assert new == ref
+
+
+def _read_outcome(reader, payload, expect_order):
+    try:
+        s = reader(payload, "/x", expect_order)
+    except SchemaError as exc:
+        return ("error", str(exc), exc.pointer)
+    return ("value", s.order, s._d, s._v, s.tail_lost)
+
+
+_MALFORMED = (None, True, False, 0, -1, 2, 2 ** 70, -2 ** 70, 1.5, "1", [],
+              [0, 1, 0], [0, 0, 0, 1], [1, 1, 1, -1], [True, True, False, 1],
+              {}, {"K": 1})
+
+
+@st.composite
+def _series_payloads(draw):
+    """A series payload with up to two nodes replaced by malformed values,
+    and the order the reader is told to expect."""
+    s = draw(_any_series())
+    payload = ref_series_to_json(s)
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(_paths(payload)))
+        payload = _replaced(payload, path, draw(st.sampled_from(_MALFORMED)))
+    return payload, draw(st.sampled_from((None, s.order, s.order + 1)))
+
+
+@settings(max_examples=400)
+@given(_series_payloads())
+def test_series_from_json_matches_reference(case):
+    payload, expect_order = case
+    assert _read_outcome(series_from_json, payload, expect_order) == \
+        _read_outcome(ref_series_from_json, payload, expect_order)
 
 
 def test_serialize_roundtrips():

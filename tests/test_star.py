@@ -628,6 +628,22 @@ def test_holomorphic_c1_at_k1_exhausts_precision():
             check_star_axioms(spec, 2)
 
 
+@pytest.mark.parametrize("chart", ["fock", "wave"])
+@pytest.mark.parametrize("order", [1, K])
+def test_axioms_reject_a_chart_without_a_bracket(chart, order, monkeypatch):
+    # C_1 = i{f, g} needs the Poisson bracket, which fock and wave lack; the
+    # battery refuses before it computes any product.
+    calls = []
+    monkeypatch.setattr(fdq.star, "star_multiply",
+                        lambda *args: calls.append(args))
+    sig = PhaseSpaceSignature(1, chart)
+    l = FormalSeries.lam(1, order)
+    spec = StarProductSpec(sig, [[l]], order)
+    with pytest.raises(SignatureMismatch, match=f"chart '{chart}'"):
+        check_star_axioms(spec, 2)
+    assert calls == []
+
+
 @pytest.mark.parametrize("spec", [W, ST, wick(1, K, chart="holo")],
                          ids=["weyl", "std", "holo-wick"])
 def test_axiom_battery_reads_one_product_table(spec, monkeypatch):
