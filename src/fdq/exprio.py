@@ -31,7 +31,7 @@ from operator import add
 
 from .errors import MixedChart, ParseError, SchemaError, UnknownVariable
 from .observables import PhaseSpaceSignature, PolyObservable
-from .series import DEFAULT_ORDER, FormalSeries, GaussianRational, _reduced
+from .series import FormalSeries, GaussianRational, _order, _reduced
 
 # -- canonical printing ---------------------------------------------------------
 
@@ -438,8 +438,7 @@ def _parse_tokens(src, tokens, n, order, chart):
 def parse(src, n=1, order=None, chart=None) -> PolyObservable:
     """Parse an expression into an observable; the chart is inferred from the
     variables unless given explicitly."""
-    return _parse_tokens(src, _tokenize(src), n, order or DEFAULT_ORDER,
-                         chart)
+    return _parse_tokens(src, _tokenize(src), n, _order(order), chart)
 
 
 def parse_series(src, order=None) -> FormalSeries:
@@ -449,7 +448,7 @@ def parse_series(src, order=None) -> FormalSeries:
         if tok.kind == "name" and tok.value not in ("i", "l"):
             raise _error(ParseError, f"variable {tok.value!r} not allowed in "
                          "a scalar", src, tok.offset)
-    order = order or DEFAULT_ORDER
+    order = _order(order)
     obs = _parse_tokens(src, tokens, 1, order, "real")
     return obs.terms.get((0, 0), FormalSeries.zero(order))
 

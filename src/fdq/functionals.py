@@ -15,8 +15,7 @@ from math import factorial
 from .errors import InvalidWeights, PositivityRefuted, SignatureMismatch
 from .observables import (PolyObservable, eval_at_point, involution,
                           monomials_up_to)
-from .series import (DEFAULT_ORDER, GR_I, FormalSeries, GaussianRational,
-                     Sign)
+from .series import GR_I, FormalSeries, GaussianRational, Sign
 from .star import apply_equiv, op_s, star_multiply
 
 
@@ -65,7 +64,7 @@ def deform_delta(signature, point=None, order=None):
         raise SignatureMismatch("deformed delta is built on the real chart")
     if point is None:
         point = (0,) * signature.width
-    return Functional(signature, point, op_s(signature.n, order or DEFAULT_ORDER))
+    return Functional(signature, point, op_s(signature.n, order))
 
 
 def evaluate(w: Functional, f: PolyObservable) -> FormalSeries:
@@ -214,7 +213,7 @@ def wick_value_oracle(f: PolyObservable, order=None) -> FormalSeries:
     if sig.chart != "holo":
         raise SignatureMismatch("oracle expects a holomorphic-chart observable")
     n = sig.n
-    K = order or f.order
+    K = f.order if order is None else order
     origin = (0,) * sig.width
     total = FormalSeries.zero(K)
     for r in range(min(f.total_degree(), K - 1) + 1):

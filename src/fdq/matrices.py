@@ -2,8 +2,11 @@
 
 Rank decisions over C[[l]]/l^K must be precision-honest: a stored-zero entry
 counts as zero only when no computation lost a nonzero tail (``is_exact_zero``).
-Elimination therefore raises PrecisionExhausted instead of guessing whenever
-the remaining block is zero only up to the truncation order.
+One elimination pass (``_echelonize``) serves rank, kernel and solve: a single
+scan per pivot picks the entry of least valuation and notes lossy zeros, and
+when no pivot is left a lossy zero raises PrecisionExhausted instead of a
+guess.  Row operations skip the exact zeros of the pivot row, so an entry
+that is an exact zero stays one and a rank known exactly is decided.
 
 Matrix products run on the integer kernel of series products.  The vectors
 of each left row and each right column are rescaled once to the lcm of their
@@ -22,8 +25,8 @@ from __future__ import annotations
 
 from .errors import (NotUnit, PrecisionExhausted, ShapeMismatch,
                      TruncationMismatch)
-from .series import (DEFAULT_ORDER, FormalSeries, GaussianRational,
-                     _convolve, _over_lcm, _reduced)
+from .series import (FormalSeries, GaussianRational, _convolve, _order,
+                     _over_lcm, _reduced)
 
 
 class SeriesMatrix:
@@ -54,13 +57,13 @@ class SeriesMatrix:
 
     @classmethod
     def zero(cls, nrows, ncols, order=None):
-        K = order or DEFAULT_ORDER
+        K = _order(order)
         z = FormalSeries.zero(K)
         return cls([[z] * ncols for _ in range(nrows)], K)
 
     @classmethod
     def identity(cls, n, order=None):
-        K = order or DEFAULT_ORDER
+        K = _order(order)
         z, one = FormalSeries.zero(K), FormalSeries.one(K)
         return cls([[one if i == j else z for j in range(n)]
                     for i in range(n)], K)
@@ -68,7 +71,7 @@ class SeriesMatrix:
     @classmethod
     def from_scalar_rows(cls, rows, order=None):
         """Build from ints/Fractions/GaussianRationals."""
-        K = order or DEFAULT_ORDER
+        K = _order(order)
         return cls([[FormalSeries.from_scalar(
             v if isinstance(v, GaussianRational) else GaussianRational(v), K)
             for v in row] for row in rows], K)
@@ -81,7 +84,7 @@ class SeriesMatrix:
     @classmethod
     def unit(cls, n, i, j, order=None):
         """Matrix unit E_ij (1-based would be confusing; i, j are 0-based)."""
-        K = order or DEFAULT_ORDER
+        K = _order(order)
         z, one = FormalSeries.zero(K), FormalSeries.one(K)
         return cls([[one if (r, c) == (i, j) else z for c in range(n)]
                     for r in range(n)], K)
@@ -259,71 +262,45 @@ class _Divisor:
         return a * self.inverse
 
 
-class Echelon:
-    """Row-echelon data from elimination with valuation-minimal pivoting.
-
-    ``pivots`` is in chronological (nondecreasing valuation) order; each pivot
-    row has exact zeros in all earlier pivot columns.
-    """
-
-    __slots__ = ("rows", "pivots", "divisors", "free_cols", "ncols", "order")
-
-    def __init__(self, rows, pivots, divisors, free_cols, ncols, order):
-        self.rows = rows
-        self.pivots = pivots          # chronological list of (row, col)
-        self.divisors = divisors      # (row, col) -> _Divisor of that pivot
-        self.free_cols = free_cols
-        self.ncols = ncols
-        self.order = order
-
-
-def _min_valuation_pivot(rows, used_rows, used_cols, ncols):
-    best = None
-    for i, row in enumerate(rows):
-        if i in used_rows:
-            continue
-        for j in range(ncols):
-            if j in used_cols:
-                continue
-            v = row[j].valuation()
-            if v is None:
-                continue
-            if best is None or v < best[0]:
-                best = (v, i, j)
-    return best
-
-
 def _echelonize(rows, ncols, divisors, certify_rank=True):
-    """In-place row echelon with global min-valuation pivots.
+    """In-place row echelon with global min-valuation pivots.  Returns the
+    pivots as (row, col) in chronological (nondecreasing valuation) order;
+    each pivot row has exact zeros in all earlier pivot columns.
 
     Rows may be longer than ncols (augmented systems); pivots are only chosen
-    among the first ncols columns.  When certify_rank is set, a remaining
-    block that vanishes only up to the truncation order raises
-    PrecisionExhausted instead of being declared zero.  The dict
-    ``divisors`` receives the ``_Divisor`` of each pivot, keyed by (row,
-    col): a pivot row is never changed after it is chosen, so
+    among the first ncols columns.  One scan of the remaining block per pivot
+    finds its first entry of least valuation and notes any entry that is zero
+    only up to l^K.  With certify_rank, such an entry left when no pivot
+    remains raises PrecisionExhausted instead of being declared zero.  Row
+    operations skip the exact zeros of the pivot row, so exact zeros stay
+    exact.  The dict ``divisors`` receives the ``_Divisor`` of each pivot,
+    keyed by (row, col): a pivot row is never changed after it is chosen, so
     back-substitution reuses the pivot inverses taken here.
     """
     pivots = []
     used_rows, used_cols = set(), set()
     while True:
-        best = _min_valuation_pivot(rows, used_rows, used_cols, ncols)
+        best, lossy = None, False
+        for i, row in enumerate(rows):
+            if i in used_rows:
+                continue
+            for j in range(ncols):
+                if j in used_cols:
+                    continue
+                v = row[j].valuation()
+                if v is None:
+                    lossy = lossy or row[j].tail_lost
+                elif best is None or v < best[0]:
+                    best = (v, i, j)
         if best is None:
-            if certify_rank:
-                for i, row in enumerate(rows):
-                    if i in used_rows:
-                        continue
-                    for j in range(ncols):
-                        if j in used_cols:
-                            continue
-                        if not row[j].is_exact_zero():
-                            raise PrecisionExhausted(
-                                "pivot valuation reaches the truncation "
-                                "order; rank not determined at this "
-                                "truncation")
+            if certify_rank and lossy:
+                raise PrecisionExhausted(
+                    "pivot valuation reaches the truncation order; rank not "
+                    "determined at this truncation")
             return pivots
         _, pi, pj = best
-        divide = divisors[pi, pj] = _Divisor(rows[pi][pj])
+        prow = rows[pi]
+        divide = divisors[pi, pj] = _Divisor(prow[pj])
         for i, row in enumerate(rows):
             if i in used_rows or i == pi:
                 continue
@@ -331,19 +308,11 @@ def _echelonize(rows, ncols, divisors, certify_rank=True):
             if e.is_exact_zero():
                 continue
             factor = divide(e)
-            rows[i] = [x - factor * y for x, y in zip(row, rows[pi])]
+            rows[i] = [x if y.is_exact_zero() else x - factor * y
+                       for x, y in zip(row, prow)]
         used_rows.add(pi)
         used_cols.add(pj)
         pivots.append((pi, pj))
-
-
-def echelon(mat: SeriesMatrix) -> Echelon:
-    rows = [list(r) for r in mat.rows]
-    divisors = {}
-    pivots = _echelonize(rows, mat.ncols, divisors)
-    used_cols = {pj for _, pj in pivots}
-    free_cols = [j for j in range(mat.ncols) if j not in used_cols]
-    return Echelon(rows, pivots, divisors, free_cols, mat.ncols, mat.order)
 
 
 def _residual(row, x, pj, ncols):
@@ -368,18 +337,23 @@ def radical_quotient(mat: SeriesMatrix):
     column still available when the pivot was chosen has valuation at least
     the pivot's, and solved components have valuation >= 0 inductively.
     """
-    ech = echelon(mat)
-    K = mat.order
+    rows = [list(r) for r in mat.rows]
+    divisors = {}
+    pivots = _echelonize(rows, mat.ncols, divisors)
+    K, ncols = mat.order, mat.ncols
+    kept = sorted(pj for _, pj in pivots)
     kernel = []
-    for f in ech.free_cols:
-        vec = [FormalSeries.zero(K)] * ech.ncols
+    for f in range(ncols):
+        if f in kept:
+            continue
+        vec = [FormalSeries.zero(K)] * ncols
         vec[f] = FormalSeries.one(K)
-        for pi, pj in reversed(ech.pivots):
-            s = _residual(ech.rows[pi], vec, pj, ech.ncols)
+        for pi, pj in reversed(pivots):
+            s = _residual(rows[pi], vec, pj, ncols)
             if not s.is_exact_zero():
-                vec[pj] = -ech.divisors[pi, pj](s)
+                vec[pj] = -divisors[pi, pj](s)
         kernel.append((f, vec))
-    return sorted(pj for _, pj in ech.pivots), kernel
+    return kept, kernel
 
 
 def reduce_coords(coords, kept, kernel):
@@ -478,7 +452,7 @@ def solve_in_ring(mat: SeriesMatrix, rhs):
 
 
 def rank_certified(mat: SeriesMatrix) -> int:
-    return len(echelon(mat).pivots)
+    return len(_echelonize([list(r) for r in mat.rows], mat.ncols, {}))
 
 
 def series_matrix_inverse(m: SeriesMatrix) -> SeriesMatrix:
@@ -508,7 +482,7 @@ class MatrixStarAlgebra:
 
     def __init__(self, m, order=None, deform=None, name=None):
         self.m = m
-        self.order = order or DEFAULT_ORDER
+        self.order = _order(order)
         if deform is not None:
             if deform.nrows != m or deform.ncols != m:
                 raise ShapeMismatch("deformation matrix must be m x m")

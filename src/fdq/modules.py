@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from .errors import (AlgebraMismatch, DefectNotSmall, NotHermitian,
                      PrecisionExhausted, RankMismatch, ShapeMismatch)
-from .matrices import (MatrixStarAlgebra, SeriesMatrix, nullspace,
-                       radical_quotient, reduce_coords, solve_in_ring)
+from .matrices import (MatrixStarAlgebra, SeriesMatrix, radical_quotient,
+                       reduce_coords, solve_in_ring)
 from .reps import ClassicalLimit, classical_limit_rep
 from .series import FormalSeries, GaussianRational, Sign
 
@@ -280,34 +280,28 @@ def rieffel_tensor(F: PreHilbertModule, E: PreHilbertModule) -> PreHilbertModule
     if dF * dE == 0:
         return PreHilbertModule(A, 0, [], left_algebra=F.left_algebra)
 
+    # The degeneracy space at scalar level.  Over the unknowns (pair, matrix
+    # unit E_ab) its system has rows (pair, entry r c) of ghat E_ab, which is
+    # column a of ghat moved to column b: ghat[r][a] where c = b and an exact
+    # zero elsewhere.  That system is m_A copies of ``flat``, rows (pair, r)
+    # and columns (pair, a), so one elimination of ``flat`` decides it; for a
+    # scalar base ``flat`` is the pair-indexed Gram.
+    flat = SeriesMatrix([[ghat[(ip, jq)].rows[r][a]
+                          for jq in pairs for a in range(mA)]
+                         for ip in pairs for r in range(mA)], K)
+    pivot_cols, kernel = radical_quotient(flat)
     if mA == 1:
-        # Scalar base: the degeneracy space is the radical of the
-        # pair-indexed Gram.
-        flat = SeriesMatrix([[ghat[(ip, jq)].rows[0][0] for jq in pairs]
-                             for ip in pairs], K)
-        pivot_cols, kernel = radical_quotient(flat)
         kept_pairs = [pairs[t] for t in pivot_cols]
-        gram = [[ghat[(pi, pj)] for pj in kept_pairs] for pi in kept_pairs]
-        reducer = ("scalar", kernel, pivot_cols)
     else:
-        # Degeneracy space at scalar level: unknowns (pair, matrix unit
-        # E_ab), rows (pair, entry r c) of ghat E_ab, which is column a of
-        # ghat moved to column b.  Matrix base: only block-supported
-        # degeneracy is presentable.
-        zero = FormalSeries.zero(K)
-        rows = [[ghat[(ip, jq)].rows[r][a] if c == b else zero
-                 for jq in pairs for a in range(mA) for b in range(mA)]
-                for ip in pairs for r in range(mA) for c in range(mA)]
-        kern = nullspace(SeriesMatrix(rows, K))
+        # Matrix base: only block-supported degeneracy is presentable.
         dead = [jq for jq in pairs
                 if all(ghat[(ip, jq)].is_exact_zero() for ip in pairs)]
-        if len(kern) != len(dead) * mA * mA:
+        if len(kernel) != len(dead) * mA:
             raise PrecisionExhausted(
                 "degeneracy space not presentable on the product basis at "
                 "this truncation")
         kept_pairs = [pair for pair in pairs if pair not in dead]
-        gram = [[ghat[(pi, pj)] for pj in kept_pairs] for pi in kept_pairs]
-        reducer = ("block", [], [pairs.index(p) for p in kept_pairs])
+    gram = [[ghat[(pi, pj)] for pj in kept_pairs] for pi in kept_pairs]
 
     induced = PreHilbertModule(A, len(kept_pairs), gram,
                                left_algebra=F.left_algebra)
@@ -329,18 +323,15 @@ def rieffel_tensor(F: PreHilbertModule, E: PreHilbertModule) -> PreHilbertModule
                         key = (i, p)
                         col[key] = col[key] + entry if key in col else entry
                 big[(j, q)] = col
-            mode, kernel, kept = reducer
             zero = SeriesMatrix.zero(mA, mA, K)
             out = [[zero for _ in kept_pairs] for _ in kept_pairs]
             for cidx, jq in enumerate(kept_pairs):
                 col = big[jq]
-                if mode == "scalar":
-                    coords = [col.get(pair,
-                                      zero).rows[0][0] for pair in pairs]
-                    reduced = reduce_coords(coords, kept, kernel)
+                if mA == 1:
+                    coords = [col.get(pair, zero).rows[0][0] for pair in pairs]
+                    reduced = reduce_coords(coords, pivot_cols, kernel)
                     for ridx, val in enumerate(reduced):
-                        one = SeriesMatrix([[val]], K)
-                        out[ridx][cidx] = one
+                        out[ridx][cidx] = SeriesMatrix([[val]], K)
                 else:
                     for ridx, pair in enumerate(kept_pairs):
                         out[ridx][cidx] = col.get(pair, zero)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm, perm
 
 from .errors import DimensionMismatch, SignatureMismatch, TruncationMismatch
-from .series import (DEFAULT_ORDER, FormalSeries, GaussianRational, _convolve,
+from .series import (FormalSeries, GaussianRational, _convolve, _order,
                      _reduced)
 
 _CHART_WIDTH = {"real": 2, "holo": 2, "fock": 1, "wave": 1}
@@ -102,7 +102,7 @@ class PolyObservable:
             else:
                 exp = tuple(exp)
                 clean[_EXPONENTS.setdefault(exp, exp)] = coeff
-        self.order = K if K is not None else DEFAULT_ORDER
+        self.order = _order(K)
         self.terms = clean
         self.tail_lost = tail_lost
 
@@ -110,7 +110,7 @@ class PolyObservable:
 
     @classmethod
     def zero(cls, signature, order=None):
-        return cls(signature, {}, order or DEFAULT_ORDER)
+        return cls(signature, {}, order)
 
     @classmethod
     def constant(cls, signature, series):
@@ -118,18 +118,18 @@ class PolyObservable:
 
     @classmethod
     def one(cls, signature, order=None):
-        return cls.constant(signature, FormalSeries.one(order or DEFAULT_ORDER))
+        return cls.constant(signature, FormalSeries.one(order))
 
     @classmethod
     def variable(cls, signature, index, order=None):
         """The coordinate monomial for variable ``index`` (0-based)."""
         exp = [0] * signature.width
         exp[index] = 1
-        return cls(signature, {tuple(exp): FormalSeries.one(order or DEFAULT_ORDER)})
+        return cls(signature, {tuple(exp): FormalSeries.one(order)})
 
     @classmethod
     def monomial(cls, signature, exp, order=None, coeff=None):
-        c = coeff if coeff is not None else FormalSeries.one(order or DEFAULT_ORDER)
+        c = coeff if coeff is not None else FormalSeries.one(order)
         return cls(signature, {tuple(exp): c})
 
     # -- basics ---------------------------------------------------------------
@@ -216,17 +216,11 @@ class PolyObservable:
 
     def derivative(self, index, times=1):
         """Exact partial derivative with respect to variable ``index``."""
-        terms = self.terms
-        for _ in range(times):
-            new = {}
-            for exp, c in terms.items():
-                k = exp[index]
-                if k == 0:
-                    continue
-                e = list(exp)
-                e[index] = k - 1
-                new[tuple(e)] = c.scalar_mul(k)
-            terms = new
+        terms, alpha = {}, ((index, times),)
+        for exp, c in self.terms.items():
+            ff, d = _derive(exp, alpha)
+            if ff:
+                terms[d] = c.scalar_mul(ff)
         return PolyObservable(self.signature, terms, self.order, self.tail_lost)
 
     def reduce_order(self, order):

@@ -30,6 +30,16 @@ from .errors import BadLeadingTerm, NotReal, NotUnit, TruncationMismatch
 #: Global default truncation order; constructors use it when K is omitted.
 DEFAULT_ORDER = 6
 
+
+def _order(order):
+    """``order``, or DEFAULT_ORDER when it is None; an order below 1 raises
+    the ValueError of the FormalSeries constructor."""
+    if order is None:
+        return DEFAULT_ORDER
+    if order < 1:
+        raise ValueError("truncation order must be >= 1")
+    return order
+
 _new = object.__new__
 
 
@@ -195,18 +205,15 @@ class FormalSeries:
 
     @classmethod
     def zero(cls, order=None):
-        order = order or DEFAULT_ORDER
-        if order < 1:
-            raise ValueError("truncation order must be >= 1")
-        return _make(order, False, 1, ())
+        return _make(_order(order), False, 1, ())
 
     @classmethod
     def one(cls, order=None):
-        return _make(cls.zero(order).order, False, 1, (1, 0))
+        return _make(_order(order), False, 1, (1, 0))
 
     @classmethod
     def from_scalar(cls, c, order=None):
-        return cls((c,), order or DEFAULT_ORDER)
+        return cls((c,), _order(order))
 
     @classmethod
     def lam(cls, power=1, order=None):

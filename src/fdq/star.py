@@ -30,7 +30,7 @@ from operator import add
 from .errors import PrecisionExhausted, SignatureMismatch, TruncationMismatch
 from .observables import (PhaseSpaceSignature, PolyObservable, _derive,
                           involution, monomials_up_to, poisson_bracket)
-from .series import DEFAULT_ORDER, FormalSeries, GaussianRational, _convolve
+from .series import FormalSeries, GaussianRational, _convolve, _order
 
 
 class StarProductSpec:
@@ -55,7 +55,7 @@ class StarProductSpec:
                         "pairing entries must be O(l): C_0 must be the "
                         "pointwise product")
         self.signature = signature
-        self.order = K if K is not None else DEFAULT_ORDER
+        self.order = _order(K)
         self.pairing = tuple(tuple(row) for row in pairing)
         self.name = name
         # star_multiply's D: one d_a (x) d_b per L_ab that is not exactly 0.
@@ -99,7 +99,7 @@ class EquivOperatorSpec:
             if not coeff.is_zero() or coeff.tail_lost:
                 clean[tuple(exp)] = coeff
         self.signature = signature
-        self.order = K if K is not None else DEFAULT_ORDER
+        self.order = _order(K)
         self.generator = clean
         self.name = name
 
@@ -122,79 +122,60 @@ class EquivOperatorSpec:
 # -- built-in constructors -------------------------------------------------------
 
 
+# Each built-in pairing by (name, chart), as (row half, column half, c)
+# entries: L has c l at (row half * n + r, column half * n + r) for every r
+# and zeros elsewhere.
+_I_HALF = GaussianRational(0, Fraction(1, 2))
+_PAIRINGS = {
+    ("weyl", "real"): ((0, 1, _I_HALF), (1, 0, -_I_HALF)),
+    ("wick", "real"): ((0, 0, Fraction(1, 2)), (1, 1, Fraction(1, 2)),
+                       (0, 1, _I_HALF), (1, 0, -_I_HALF)),
+    ("wick", "holo"): ((0, 1, 2),),
+    ("std", "real"): ((1, 0, GaussianRational(0, -1)),),
+}
+
+
+def _builtin(name, n, order, chart="real"):
+    sig = PhaseSpaceSignature(n, chart)
+    l = FormalSeries.lam(1, order)
+    pairing = [[FormalSeries.zero(order)] * sig.width
+               for _ in range(sig.width)]
+    for row, col, c in _PAIRINGS[name, chart]:
+        entry = l.scalar_mul(c)
+        for r in range(n):
+            pairing[row * n + r][col * n + r] = entry
+    return StarProductSpec(sig, pairing, order, name=name)
+
+
 def weyl(n, order=None):
     """Totally symmetrized product: pairing (il/2)(d_q (x) d_p - d_p (x) d_q)."""
-    order = order or DEFAULT_ORDER
-    sig = PhaseSpaceSignature(n, "real")
-    w = sig.width
-    zero = FormalSeries.zero(order)
-    half_i_l = FormalSeries.lam(1, order).scalar_mul(
-        GaussianRational(0, Fraction(1, 2)))
-    pairing = [[zero] * w for _ in range(w)]
-    for r in range(n):
-        pairing[r][n + r] = half_i_l
-        pairing[n + r][r] = -half_i_l
-    return StarProductSpec(sig, pairing, order, name="weyl")
+    return _builtin("weyl", n, order)
 
 
 def wick(n, order=None, chart="real"):
-    """Normal-ordered product 2l d_z (x) d_zb, expressed in the requested chart.
+    """Normal-ordered product 2l d_z (x) d_zb, expressed in the requested chart
+    (the real one unless ``chart`` is "holo").
 
     On the real chart the z-substitution gives
     (l/2)(d_q (x) d_q + d_p (x) d_p) + (il/2)(d_q (x) d_p - d_p (x) d_q).
     """
-    order = order or DEFAULT_ORDER
-    if chart == "holo":
-        sig = PhaseSpaceSignature(n, "holo")
-        w = sig.width
-        zero = FormalSeries.zero(order)
-        two_l = FormalSeries.lam(1, order).scalar_mul(2)
-        pairing = [[zero] * w for _ in range(w)]
-        for r in range(n):
-            pairing[r][n + r] = two_l
-        return StarProductSpec(sig, pairing, order, name="wick")
-    sig = PhaseSpaceSignature(n, "real")
-    w = sig.width
-    zero = FormalSeries.zero(order)
-    l = FormalSeries.lam(1, order)
-    half_l = l.scalar_mul(Fraction(1, 2))
-    half_i_l = l.scalar_mul(GaussianRational(0, Fraction(1, 2)))
-    pairing = [[zero] * w for _ in range(w)]
-    for r in range(n):
-        pairing[r][r] = half_l
-        pairing[n + r][n + r] = half_l
-        pairing[r][n + r] = half_i_l
-        pairing[n + r][r] = -half_i_l
-    return StarProductSpec(sig, pairing, order, name="wick")
+    return _builtin("wick", n, order, "holo" if chart == "holo" else "real")
 
 
 def std(n, order=None):
     """Standard-ordered product (momenta to the right): (l/i) d_p (x) d_q."""
-    order = order or DEFAULT_ORDER
-    sig = PhaseSpaceSignature(n, "real")
-    w = sig.width
-    zero = FormalSeries.zero(order)
-    minus_i_l = FormalSeries.lam(1, order).scalar_mul(GaussianRational(0, -1))
-    pairing = [[zero] * w for _ in range(w)]
-    for r in range(n):
-        pairing[n + r][r] = minus_i_l
-    return StarProductSpec(sig, pairing, order, name="std")
+    return _builtin("std", n, order)
 
 
 def builtin_spec(kind, n, order=None):
-    if kind == "weyl":
-        return weyl(n, order)
-    if kind == "wick":
-        return wick(n, order)
-    if kind == "std":
-        return std(n, order)
-    raise ValueError(f"unknown built-in star product {kind!r}")
+    if kind not in ("weyl", "wick", "std"):
+        raise ValueError(f"unknown built-in star product {kind!r}")
+    return _builtin(kind, n, order)
 
 
 def op_s(n, order=None):
     """S = exp(l Delta) with Delta the z-zb Laplacian, on the real chart:
     Delta = (1/4) sum_r (d_q^2 + d_p^2)."""
-    order = order or DEFAULT_ORDER
     sig = PhaseSpaceSignature(n, "real")
     quarter_l = FormalSeries.lam(1, order).scalar_mul(Fraction(1, 4))
     gen = {}
@@ -210,7 +191,6 @@ def op_s(n, order=None):
 
 def op_n(n, order=None):
     """N = exp((l/2i) sum_k d_p d_q), the Weyl-to-standard-ordering operator."""
-    order = order or DEFAULT_ORDER
     sig = PhaseSpaceSignature(n, "real")
     c = FormalSeries.lam(1, order).scalar_mul(
         GaussianRational(0, Fraction(-1, 2)))
@@ -224,8 +204,8 @@ def op_n(n, order=None):
 
 
 def identity_op(n, order=None, chart="real"):
-    return EquivOperatorSpec(PhaseSpaceSignature(n, chart), {},
-                             order or DEFAULT_ORDER, name="id")
+    return EquivOperatorSpec(PhaseSpaceSignature(n, chart), {}, order,
+                             name="id")
 
 
 # -- core operations --------------------------------------------------------------

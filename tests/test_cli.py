@@ -83,6 +83,19 @@ def test_gns_command_json():
     assert payload["basis"] == ["E11", "E21"]
 
 
+def test_gns_of_a_definite_deformed_functional():
+    # det = 2l + l^2: the Gram is definite, and its elimination divides by
+    # the non-constant pivot 1 + l next to exact zeros.
+    code, out, err = run(["gns", "--omega", '[["1+l","l"],["l","2*l"]]',
+                          "--K", "3"])
+    assert (code, err) == (0, "")
+    assert out == ("dimension 4; basis E11 E12 E21 E22\n"
+                   "gram[0] = 1 + l, l, 0, 0\n"
+                   "gram[1] = l, 2*l, 0, 0\n"
+                   "gram[2] = 0, 0, 1 + l, l\n"
+                   "gram[3] = 0, 0, l, 2*l\n")
+
+
 def test_project_command():
     code, out, _ = run(["project", "--K", "3",
                         "--p0", '[["1/2","1/2"],["1/2","1/2"]]',

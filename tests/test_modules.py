@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fdq.errors import (AlgebraMismatch, DefectNotSmall, NotHermitian,
                         PrecisionExhausted, RankMismatch, ShapeMismatch)
 from fdq.exprio import parse_series
-from fdq.matrices import MatrixStarAlgebra, SeriesMatrix
+from fdq.matrices import MatrixStarAlgebra, SeriesMatrix, nullspace
 from fdq.modules import (GramVerdict, MoritaClassData, MoritaVerdict,
                          PreHilbertModule, classical_limit_module,
                          fedosov_project, fullness_check, gram_psd_check,
@@ -339,6 +339,113 @@ def test_induced_gram_psd():
     f = scalar_module([[ONE + LAM, LAM], [LAM, ONE]])
     ind = rieffel_tensor(f, unit_bimodule())
     assert gram_psd_check(ind.flatten_gram()) is not GramVerdict.NOT_PSD
+
+
+def reference_block_rieffel(F, E):
+    """Rank and Gram of ``rieffel_tensor(F, E)`` over an undeformed matrix
+    base, with the degeneracy decided on the P m_A^2-square system over the
+    unknowns (pair, E_ab): row (pair, r c) of ghat E_ab is ghat[r][a] where
+    c = b and an exact zero elsewhere."""
+    A = E.base
+    dF, dE, mA, K = F.rank, E.rank, A.m, A.order
+    pairs = [(i, p) for i in range(dF) for p in range(dE)]
+    lact = [[E.left_action(F.gram[i][j]) for j in range(dF)]
+            for i in range(dF)]
+    ghat = {}
+    for (i, p) in pairs:
+        for (j, q) in pairs:
+            acc = SeriesMatrix.zero(mA, mA, K)
+            for r in range(dE):
+                acc = acc + A.product(E.gram[p][r], lact[i][j][r][q])
+            ghat[((i, p), (j, q))] = acc
+    zero = FormalSeries.zero(K)
+    rows = [[ghat[(ip, jq)].rows[r][a] if c == b else zero
+             for jq in pairs for a in range(mA) for b in range(mA)]
+            for ip in pairs for r in range(mA) for c in range(mA)]
+    kern = nullspace(SeriesMatrix(rows, K))
+    dead = [jq for jq in pairs
+            if all(ghat[(ip, jq)].is_exact_zero() for ip in pairs)]
+    if len(kern) != len(dead) * mA * mA:
+        raise PrecisionExhausted(
+            "degeneracy space not presentable on the product basis at "
+            "this truncation")
+    kept = [pair for pair in pairs if pair not in dead]
+    return len(kept), [[ghat[(pi, pj)] for pj in kept] for pi in kept]
+
+
+def block_entry(draw, k):
+    """An exact zero, a lossy zero, or a nonzero series of order k with small
+    Gaussian coefficients, possibly lossy and possibly l-divisible."""
+    kind = draw(st.sampled_from(["exact-zero"] * 2 + ["lossy-zero", "lossy"]
+                                + ["plain"] * 4))
+    if kind == "exact-zero":
+        return FormalSeries.zero(k)
+    if kind == "lossy-zero":
+        return FormalSeries((), k, tail_lost=True)
+    cs = [GaussianRational(draw(st.integers(-2, 2)), draw(st.integers(-1, 1)))
+          for _ in range(k)]
+    cs[draw(st.integers(0, k - 1))] = GaussianRational(1)
+    return FormalSeries(cs, k, tail_lost=kind == "lossy").shift(
+        draw(st.sampled_from([0, 0, 1, 2])))
+
+
+@st.composite
+def matrix_base_inductions(draw):
+    """(F, E) over M1 -> M_mA, mA in {2, 3}, K in 1..4: E has rank P <= 3
+    and a Hermitian Gram of random blocks, some pairs dead (an exact-zero row
+    and column of blocks); F has rank 1 and a real Gram entry, mostly 1."""
+    k = draw(st.sampled_from([1, 2, 3, 4]))
+    mA = draw(st.sampled_from([2, 3]))
+    P = draw(st.integers(1, 3))
+    base, scalars = MatrixStarAlgebra(mA, k), MatrixStarAlgebra(1, k)
+    dead = {p for p in range(P) if draw(st.integers(0, 3)) == 0}
+    zero = SeriesMatrix.zero(mA, mA, k)
+    gram = [[zero] * P for _ in range(P)]
+    for p in range(P):
+        for q in range(p, P):
+            if p in dead or q in dead:
+                continue
+            block = SeriesMatrix([[block_entry(draw, k) for _ in range(mA)]
+                                  for _ in range(mA)], k)
+            if p == q:
+                block = block + block.adjoint()
+            gram[p][q], gram[q][p] = block, block.adjoint()
+
+    def action(b):
+        return [[base.unit().scale(b.rows[0][0]) if r == q else zero
+                 for q in range(P)] for r in range(P)]
+
+    e = PreHilbertModule(base, P, gram, left_algebra=scalars,
+                         left_action=action)
+    c = FormalSeries.one(k)
+    if draw(st.booleans()):
+        c = block_entry(draw, k)
+        c = c + c.conjugate()
+    f = PreHilbertModule(scalars, 1, [[SeriesMatrix([[c]], k)]])
+    return f, e
+
+
+def induction_outcome(f, *args):
+    try:
+        rank, gram = f(*args)
+    except PrecisionExhausted as exc:
+        return type(exc), str(exc)
+    return rank, gram, [[[[e.tail_lost for e in r] for r in g.rows]
+                         for g in row] for row in gram]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_base_inductions())
+def test_matrix_base_rieffel_matches_block_system(case):
+    """One elimination of the flattened Gram decides the degeneracy space
+    as the P m_A^2-square block system does: the same rank and Gram, or the
+    same error and message."""
+    def flattened(f, e):
+        ind = rieffel_tensor(f, e)
+        return ind.rank, ind.gram
+
+    assert induction_outcome(flattened, *case) == \
+        induction_outcome(reference_block_rieffel, *case)
 
 
 # -- classical limit of modules ------------------------------------------------------------

@@ -254,3 +254,33 @@ def test_term_maps_share_exponent_tuples():
     g = PolyObservable.monomial(sig, [1, 1], 3)
     (a,), (b,) = f.terms, g.terms
     assert a == b == (1, 1) and a is b
+
+
+def reference_derivative(f, index, times):
+    """``times`` passes of the first derivative, each scaling by the exponent."""
+    terms = f.terms
+    for _ in range(times):
+        new = {}
+        for exp, c in terms.items():
+            k = exp[index]
+            if k:
+                e = list(exp)
+                e[index] = k - 1
+                new[tuple(e)] = c.scalar_mul(k)
+        terms = new
+    return PolyObservable(f.signature, terms, f.order, f.tail_lost)
+
+
+@settings(max_examples=200)
+@given(observables(n=2, degree=5), st.integers(0, 3), st.integers(0, 4),
+       st.booleans())
+def test_derivative_matches_repeated_first_derivatives(f, index, times, lost):
+    if lost:
+        f = PolyObservable(f.signature, {e: c.lossy()
+                                         for e, c in f.terms.items()},
+                           f.order, True)
+    got, want = f.derivative(index, times), reference_derivative(f, index,
+                                                                 times)
+    assert got == want and got.tail_lost == want.tail_lost
+    assert {e: c.tail_lost for e, c in got.terms.items()} == \
+        {e: c.tail_lost for e, c in want.terms.items()}

@@ -467,3 +467,47 @@ def test_mul_out_of_range_terms_set_the_flag():
             third * half_i
         assert_mul_matches_reference(low, top)
 
+
+
+# -- truncation orders ---------------------------------------------------------------
+
+
+def order_constructors():
+    from fdq.exprio import parse, parse_series
+    from fdq.matrices import MatrixStarAlgebra, SeriesMatrix
+    from fdq.observables import PhaseSpaceSignature, PolyObservable
+    from fdq.star import identity_op, op_n, op_s, std, weyl, wick
+
+    sig = PhaseSpaceSignature(1)
+    return {
+        "FormalSeries.zero": FormalSeries.zero,
+        "FormalSeries.one": FormalSeries.one,
+        "FormalSeries.lam": lambda K: FormalSeries.lam(1, K),
+        "FormalSeries.from_scalar": lambda K: FormalSeries.from_scalar(2, K),
+        "parse": lambda K: parse("q1 + l", 1, K),
+        "parse_series": lambda K: parse_series("1 + l", K),
+        "SeriesMatrix.zero": lambda K: SeriesMatrix.zero(2, 2, K),
+        "SeriesMatrix.identity": lambda K: SeriesMatrix.identity(2, K),
+        "SeriesMatrix.unit": lambda K: SeriesMatrix.unit(2, 0, 1, K),
+        "MatrixStarAlgebra": lambda K: MatrixStarAlgebra(2, K),
+        "PolyObservable.zero": lambda K: PolyObservable.zero(sig, K),
+        "PolyObservable.one": lambda K: PolyObservable.one(sig, K),
+        "weyl": lambda K: weyl(1, K),
+        "wick": lambda K: wick(1, K),
+        "wick-holo": lambda K: wick(1, K, chart="holo"),
+        "std": lambda K: std(1, K),
+        "op_s": lambda K: op_s(1, K),
+        "op_n": lambda K: op_n(1, K),
+        "identity_op": lambda K: identity_op(1, K),
+    }
+
+
+@pytest.mark.parametrize("name", list(order_constructors()))
+def test_order_zero_is_rejected_and_none_is_the_default(name):
+    from fdq.series import DEFAULT_ORDER
+
+    build = order_constructors()[name]
+    with pytest.raises(ValueError, match="truncation order must be >= 1"):
+        build(0)
+    assert build(None).order == DEFAULT_ORDER
+    assert build(2).order == 2

@@ -703,3 +703,49 @@ def test_associativity_reads_the_products_above_the_degree(spec, pair,
             if name != "associativity"} == \
         {name: check for name, check in check_star_axioms(spec, 2)
          .checks.items() if name != "associativity"}
+
+
+def reference_pairing(kind, n, K, chart):
+    """The built-in pairing written out per degree of freedom r."""
+    l = FormalSeries.lam(1, K)
+    i_half = l.scalar_mul(GaussianRational(0, Fraction(1, 2)))
+    L = [[FormalSeries.zero(K)] * (2 * n) for _ in range(2 * n)]
+    for q in range(n):
+        p = n + q
+        if kind == "wick" and chart == "holo":
+            L[q][p] = l.scalar_mul(2)
+        elif kind == "std":
+            L[p][q] = l.scalar_mul(GaussianRational(0, -1))
+        else:
+            L[q][p], L[p][q] = i_half, -i_half
+            if kind == "wick":
+                L[q][q] = L[p][p] = l.scalar_mul(Fraction(1, 2))
+    return L
+
+
+@pytest.mark.parametrize("K", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind, chart", [
+    ("weyl", None), ("std", None), ("wick", "real"), ("wick", "holo"),
+    ("wick", "fock"), ("wick", None)])
+def test_builtin_pairings_match_their_formulas(kind, chart, n, K):
+    if chart is None:
+        spec = fdq.star.builtin_spec(kind, n, K)
+    else:
+        spec = wick(n, K, chart=chart)
+    want = reference_pairing(kind, n, K, chart)
+    assert spec.name == kind and spec.order == K
+    assert spec.signature == PhaseSpaceSignature(
+        n, "holo" if chart == "holo" else "real")
+    assert [list(row) for row in spec.pairing] == want
+    assert [[e.tail_lost for e in row] for row in spec.pairing] == \
+        [[e.tail_lost for e in row] for row in want]
+    assert spec == StarProductSpec(spec.signature, want, K, name=kind)
+    assert spec._contractions == StarProductSpec(
+        spec.signature, want, K)._contractions
+
+
+def test_builtin_spec_rejects_unknown_kinds():
+    for kind in ("custom", "wick-holo", "Weyl"):
+        with pytest.raises(ValueError, match="unknown built-in star product"):
+            fdq.star.builtin_spec(kind, 1, 4)
