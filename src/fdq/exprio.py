@@ -8,14 +8,17 @@ The text grammar (l is the deformation parameter, i the imaginary unit):
     atom   := rational | 'i' | 'l' | var | '(' expr ')'
 
 Division appears only inside rational literals (``3/4``), never between
-expressions.  The lexer scans a text once; a token keeps its offset, and an
-error's line and column are computed from it only when the error is raised.
-Variable names resolve through ``PhaseSpaceSignature.variables()``, the one
-table from chart to names.  Every parsed value is one sparse term map,
-{exponent: {power of l: (re, im, d)}}, for scalars (re + i*im)/d, whose sums,
-products and powers follow PolyObservable arithmetic: the same terms, term
-order and ``tail_lost`` flags.  The observable and each coefficient series
-are built once, at the end; the printer and JSON read their ints directly.
+expressions.  The lexer finds the token texts with one regex ``findall`` and
+checks each distinct text once; a token's line and column are found, by
+scanning the text again, only when an error is raised.  Variable names resolve
+through ``PhaseSpaceSignature.variables()``, the one table from chart to
+names.  Every parsed value is one sparse term map, {exponent: {power of l:
+(re, im, d)}}, for scalars (re + i*im)/d, whose sums, products and powers
+follow PolyObservable arithmetic: the same terms, term order and ``tail_lost``
+flags.  A term's sign and each run of plain factors (numbers, i, l and
+variables, each with an optional power) fold into one monomial, multiplied in
+once.  The observable and each coefficient series are built once, at the end;
+the printer and JSON read their ints directly.
 
 Canonical printing emits terms in descending graded-lex order with ascending
 powers of l inside each term; ``parse(print(x)) == x`` holds for every value.
@@ -24,8 +27,8 @@ powers of l inside each term; ``parse(print(x)) == x`` holds for every value.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from operator import add
 
@@ -129,43 +132,47 @@ def operator_text(op) -> str:
 
 # -- tokenizer -------------------------------------------------------------------
 
-# Optional whitespace, then one token; the last alternative takes any other
-# non-space character, so only trailing whitespace is left unmatched.
-_TOKEN_RE = re.compile(r"""\s*(?:
-    (?P<number>\d+(?:/\d+)?)
-  | (?P<name>[A-Za-z][A-Za-z0-9]*)
-  | (?P<op>[-+*^()])
-  | (?P<other>\S))""", re.VERBOSE)
+# Optional whitespace, then a number, a name or any other non-space character,
+# so only trailing whitespace is left unmatched.  The first character tells the
+# kind: ``\d`` is ``str.isdecimal``, and only ASCII letters start a name.
+_TOKEN_RE = re.compile(r"\s*(\d+(?:/\d+)?|[A-Za-z][A-Za-z0-9]*|\S)")
+
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_OPS = frozenset("-+*^()")
 
 _VAR_RE = re.compile(r"(qb|zb|yb|q|p|z)([1-9][0-9]*)$")
 
-_Token = namedtuple("_Token", "kind value offset")
 
-
-def _error(cls, message, src, offset):
-    """``cls(message)`` at the 1-based line and column of ``src[offset]``."""
+def _error(cls, message, src, index):
+    """``cls(message)`` at the 1-based line and column of token ``index`` (the
+    end of ``src`` past the last token); the text is scanned again for it."""
+    m = next(islice(_TOKEN_RE.finditer(src), index, None), None)
+    offset = m.start(1) if m else len(src)
     return cls(message, src.count("\n", 0, offset) + 1,
                offset - src.rfind("\n", 0, offset))
 
 
 def _tokenize(src):
-    # tuple.__new__ skips the namedtuple's own __new__, a Python-level call.
-    new, tokens = tuple.__new__, []
-    for m in _TOKEN_RE.finditer(src):
-        kind = m.lastgroup
-        value = m.group(kind)
-        offset = m.start(kind)
-        if kind == "number":
-            num, _, den = value.partition("/")
+    """The token texts and an empty end marker, each number text's reduced
+    (num, den), and the variable names in order of first occurrence.  A text
+    is checked at its first occurrence, where its first error would be."""
+    tokens = _TOKEN_RE.findall(src)
+    numbers, names = {}, []
+    for tok in dict.fromkeys(tokens):
+        if tok[0].isdecimal():
+            num, _, den = tok.partition("/")
             if den and not int(den):
-                raise _error(ParseError, "zero denominator", src, offset)
-            value = _lowest(int(num), int(den or 1))
-        elif kind == "other":
-            raise _error(ParseError, f"unexpected character {value!r}", src,
-                         offset)
-        tokens.append(new(_Token, (kind, value, offset)))
-    tokens.append(_Token("end", "", len(src)))
-    return tokens
+                raise _error(ParseError, "zero denominator", src,
+                             tokens.index(tok))
+            numbers[tok] = _lowest(int(num), int(den or 1))
+        elif tok[0] in _LETTERS:
+            if tok != "i" and tok != "l":
+                names.append(tok)
+        elif tok not in _OPS:
+            raise _error(ParseError, f"unexpected character {tok!r}", src,
+                         tokens.index(tok))
+    tokens.append("")
+    return tokens, numbers, names
 
 
 # Each name prefix and each chart mapped to its variable family.
@@ -173,31 +180,27 @@ _FAMILY_OF_PREFIX = dict(q="real", p="real", z="holo", zb="holo", yb="fock")
 _FAMILY_OF_CHART = dict(real="real", wave="real", holo="holo", fock="fock")
 
 
-def _classify_variables(tokens, n, chart, src):
-    """Check every variable name; infer the chart (named after its family)
-    or check that the given one fits."""
+def _classify_variables(tokens, names, n, chart, src):
+    """Check each name at its first occurrence, where all its errors sit;
+    infer the chart (named after its family) or check the given one."""
     seen = set()
-    for tok in tokens:
-        if tok.kind != "name" or tok.value in ("i", "l"):
-            continue
-        m = _VAR_RE.match(tok.value)
+    for name in names:
+        m = _VAR_RE.match(name)
         family = m and _FAMILY_OF_PREFIX.get(m.group(1))
         if not family:
-            raise _error(UnknownVariable, f"unknown variable {tok.value!r}",
-                         src, tok.offset)
+            raise _error(UnknownVariable, f"unknown variable {name!r}", src,
+                         tokens.index(name))
         if int(m.group(2)) > n:
-            raise _error(UnknownVariable,
-                         f"variable {tok.value!r} out of range for n={n}",
-                         src, tok.offset)
+            raise _error(UnknownVariable, f"variable {name!r} out of range "
+                         f"for n={n}", src, tokens.index(name))
         seen.add(family)
         if len(seen) > 1:
             raise _error(MixedChart, "variables from different charts in one "
-                         "expression", src, tok.offset)
+                         "expression", src, tokens.index(name))
     if chart is None:
         return seen.pop() if seen else "real"
     if seen - {_FAMILY_OF_CHART[chart]}:
-        raise _error(MixedChart, f"expression does not fit chart {chart!r}",
-                     src, 0)
+        raise MixedChart(f"expression does not fit chart {chart!r}")
     return chart
 
 
@@ -258,16 +261,6 @@ class _Terms:
         self.terms = terms
         self.lost = lost
 
-    @classmethod
-    def monomial(cls, c, lpow, exp):
-        return cls({exp: [{lpow: c}, False]})
-
-    def __neg__(self):
-        return _Terms({exp: [{r: (-re_, -im, d)
-                              for r, (re_, im, d) in powers.items()}, flag]
-                       for exp, (powers, flag) in self.terms.items()},
-                      self.lost)
-
     def __iadd__(self, other):
         """Add ``other`` in place; it is consumed."""
         terms = self.terms
@@ -313,7 +306,7 @@ class _Terms:
         """k - 1 successive products, as PolyObservable.__pow__ takes them,
         in closed form for a single term c*l^r*x^exp."""
         if k == 0:
-            return _Terms.monomial(_ONE, 0, zero)
+            return _Terms({zero: [{0: _ONE}, False]})
         if len(self.terms) == 1:
             [(exp, (powers, flag))] = self.terms.items()
             if len(powers) == 1:
@@ -331,105 +324,118 @@ class _Terms:
 
 
 class _Parser:
-    """Recursive descent over the token list; every value is a _Terms."""
+    """Recursive descent over the token texts; every value is a _Terms.
+    ``plain`` maps each number, i, l and variable to c*l^r*x_index as
+    (c, r, index): c is None for a zero, and index None for no variable."""
 
-    def __init__(self, src, tokens, signature, order):
+    def __init__(self, src, tokens, numbers, signature, order):
         self.src = src
         self.tokens = tokens
+        self.numbers = numbers
         self.pos = 0
-        self.index = {name: k for k, name in enumerate(signature.variables())}
+        self.plain = {text: ((num, 0, den) if num else None, 0, None)
+                      for text, (num, den) in numbers.items()}
+        self.plain.update({name: (_ONE, 0, k) for k, name in enumerate(
+            signature.variables())}, i=((0, 1, 1), 0, None), l=(_ONE, 1, None))
         self.chart = signature.chart
         self.order = order
         self.zero_exp = (0,) * signature.width
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def at_op(self, ops):
-        tok = self.tokens[self.pos]
-        return tok.kind == "op" and tok.value in ops
-
-    def expect_op(self, op):
-        tok = self.next()
-        if tok.kind != "op" or tok.value != op:
-            raise _error(ParseError, f"expected {op!r}", self.src,
-                         tok.offset)
-
     def parse_expr(self):
-        negate = self.at_op("-")
-        if negate:
+        tokens = self.tokens
+        negate = tokens[self.pos] == "-"
+        self.pos += negate
+        value = self.parse_term(negate)
+        while tokens[self.pos] in ("+", "-"):
             self.pos += 1
-        value = self.parse_term()
-        if negate:
-            value = -value
-        while self.at_op("+-"):
-            negate = self.next().value == "-"
-            term = self.parse_term()
-            value += -term if negate else term
+            value += self.parse_term(tokens[self.pos - 1] == "-")
         return value
 
-    def parse_term(self):
-        value = self.parse_factor()
-        while self.at_op("*"):
+    def parse_term(self, negate):
+        """factor ('*' factor)*, negated if asked.  The sign (c = -1) and each
+        run of plain factors are folded into one monomial c*l^r*x^exp and
+        multiplied in once: exact, flags included, below l^order.  A factor
+        that is no monomial, or that would carry the run to l^order, ends the
+        run first."""
+        tokens, order = self.tokens, self.order
+        value = exp = None  # exp is None while no run is open
+        if negate:
+            c, r, exp = (-1, 0, 1), 0, list(self.zero_exp)
+        while True:
+            atom = self.plain.get(tokens[self.pos])
+            self.pos += atom is not None
+            factor = None if atom else self.parse_atom()
+            k = self.parse_exponent() if tokens[self.pos] == "^" else 1
+            if factor is not None:
+                if k != 1:
+                    factor = factor.power(k, order, self.zero_exp)
+            else:
+                a, s, var = atom if k else (_ONE, 0, None)  # x^0 is 1
+                if a is None or s * k >= order:  # 0^k, or l^k past l^order
+                    factor = _Terms({}, a is not None)
+                elif k > 1 and a is not _ONE:
+                    a = _scalar_power(a, k)
+            if exp is not None and (factor is not None or r + s * k >= order):
+                value, exp = self.times_run(value, c, r, exp), None
+            if factor is not None:
+                value = factor if value is None else value.times(factor, order)
+            elif exp is None:
+                c, r, exp = a, s * k, list(self.zero_exp)
+            else:
+                c = c if a is _ONE else a if c is _ONE else _scalar_mul(c, a)
+                r += s * k
+            if factor is None and var is not None:
+                exp[var] += k
+            if tokens[self.pos] != "*":
+                break
             self.pos += 1
-            value = value.times(self.parse_factor(), self.order)
-        return value
+        return value if exp is None else self.times_run(value, c, r, exp)
 
-    def parse_factor(self):
-        value = self.parse_atom()
-        if self.at_op("^"):
-            self.pos += 1
-            exp_tok = self.next()
-            if exp_tok.kind != "number" or exp_tok.value[1] != 1:
-                raise _error(ParseError,
-                             "exponent must be a nonnegative integer",
-                             self.src, exp_tok.offset)
-            value = value.power(exp_tok.value[0], self.order, self.zero_exp)
-        return value
+    def times_run(self, value, c, r, exp):
+        run = _Terms({tuple(exp): [{r: c}, False]})
+        return run if value is None else value.times(run, self.order)
+
+    def parse_exponent(self):
+        """The k of '^k'."""
+        self.pos += 2
+        k = self.numbers.get(self.tokens[self.pos - 1])
+        if k is None or k[1] != 1:
+            raise _error(ParseError, "exponent must be a nonnegative integer",
+                         self.src, self.pos - 1)
+        return k[0]
 
     def parse_atom(self):
-        tok = self.next()
-        zero = self.zero_exp
-        if tok.kind == "number":
-            num, den = tok.value
-            return _Terms.monomial((num, 0, den), 0, zero) if num \
-                else _Terms({})
-        if tok.kind == "name":
-            if tok.value == "i":
-                return _Terms.monomial((0, 1, 1), 0, zero)
-            if tok.value == "l":
-                # l is the zero series with a lost tail when K = 1.
-                if self.order == 1:
-                    return _Terms({}, True)
-                return _Terms.monomial(_ONE, 1, zero)
-            index = self.index.get(tok.value)
-            if index is None:
-                raise _error(UnknownVariable, f"variable {tok.value!r} not in "
-                             f"chart {self.chart!r}", self.src, tok.offset)
-            exp = list(zero)
-            exp[index] = 1
-            return _Terms.monomial(_ONE, 0, tuple(exp))
-        if tok.kind == "op" and tok.value == "(":
+        """'(' expr ')' or an error: parse_term reads the plain atoms."""
+        tok = self.tokens[self.pos]
+        if tok == "(":
+            self.pos += 1
             value = self.parse_expr()
-            self.expect_op(")")
+            if self.tokens[self.pos] != ")":
+                raise _error(ParseError, "expected ')'", self.src, self.pos)
+            self.pos += 1
             return value
-        raise _error(ParseError, f"unexpected token {tok.value!r}", self.src,
-                     tok.offset)
+        if tok[:1] in _LETTERS:
+            raise _error(UnknownVariable, f"variable {tok!r} not in chart "
+                         f"{self.chart!r}", self.src, self.pos)
+        raise _error(ParseError, f"unexpected token {tok!r}", self.src,
+                     self.pos)
 
 
-def _parse_tokens(src, tokens, n, order, chart):
-    """The observable of ``tokens``; each coefficient's series is built once."""
-    signature = PhaseSpaceSignature(n, _classify_variables(tokens, n, chart,
-                                                           src))
-    parser = _Parser(src, tokens, signature, order)
+def _parse(src, n, order, chart, scalar=False):
+    """The observable of ``src``, each coefficient series built once; a
+    scalar admits no variable."""
+    tokens, numbers, names = _tokenize(src)
+    if scalar and names:
+        raise _error(ParseError, f"variable {names[0]!r} not allowed in a "
+                     "scalar", src, tokens.index(names[0]))
+    order = _order(order)
+    signature = PhaseSpaceSignature(n, _classify_variables(tokens, names, n,
+                                                           chart, src))
+    parser = _Parser(src, tokens, numbers, signature, order)
     value = parser.parse_expr()
-    end = parser.next()
-    if end.kind != "end":
-        # The token as written: a number's value is a reduced int pair.
-        text = _TOKEN_RE.match(src, end.offset).group(end.kind)
-        raise _error(ParseError, f"trailing input {text!r}", src, end.offset)
+    if parser.pos != len(tokens) - 1:
+        raise _error(ParseError, f"trailing input {tokens[parser.pos]!r}", src,
+                     parser.pos)
     terms = {exp: _series(powers, order, flag)
              for exp, (powers, flag) in value.terms.items()}
     return PolyObservable(signature, terms, order, value.lost)
@@ -438,19 +444,13 @@ def _parse_tokens(src, tokens, n, order, chart):
 def parse(src, n=1, order=None, chart=None) -> PolyObservable:
     """Parse an expression into an observable; the chart is inferred from the
     variables unless given explicitly."""
-    return _parse_tokens(src, _tokenize(src), n, _order(order), chart)
+    return _parse(src, n, order, chart)
 
 
 def parse_series(src, order=None) -> FormalSeries:
     """Parse a scalar expression (rationals, i, l only) into a series."""
-    tokens = _tokenize(src)
-    for tok in tokens:
-        if tok.kind == "name" and tok.value not in ("i", "l"):
-            raise _error(ParseError, f"variable {tok.value!r} not allowed in "
-                         "a scalar", src, tok.offset)
-    order = _order(order)
-    obs = _parse_tokens(src, tokens, 1, order, "real")
-    return obs.terms.get((0, 0), FormalSeries.zero(order))
+    obs = _parse(src, 1, order, "real", scalar=True)
+    return obs.terms.get((0, 0), FormalSeries.zero(obs.order))
 
 
 # -- JSON forms -------------------------------------------------------------------

@@ -207,13 +207,15 @@ def wick_value_oracle(f: PolyObservable, order=None) -> FormalSeries:
     product: sum_r (2l)^r / r! sum_{i_1..i_r} |d^r f / d zb^{i_1}..d zb^{i_r}(0)|^2.
 
     ``f`` must be a holomorphic-chart observable; the derivative sum is
-    computed directly, with no star machinery involved.
+    computed directly, with no star machinery involved.  An ``order`` below
+    ``f.order`` truncates ``f`` to it first.
     """
     sig = f.signature
     if sig.chart != "holo":
         raise SignatureMismatch("oracle expects a holomorphic-chart observable")
-    n = sig.n
-    K = f.order if order is None else order
+    if order is not None:
+        f = f.reduce_order(order)
+    n, K = sig.n, f.order
     origin = (0,) * sig.width
     total = FormalSeries.zero(K)
     for r in range(min(f.total_degree(), K - 1) + 1):

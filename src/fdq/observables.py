@@ -218,8 +218,8 @@ class PolyObservable:
         """Exact partial derivative with respect to variable ``index``."""
         terms, alpha = {}, ((index, times),)
         for exp, c in self.terms.items():
-            ff, d = _derive(exp, alpha)
-            if ff:
+            if exp[index] >= times:
+                ff, d = _derive(exp, alpha)
                 terms[d] = c.scalar_mul(ff)
         return PolyObservable(self.signature, terms, self.order, self.tail_lost)
 

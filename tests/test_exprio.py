@@ -344,7 +344,7 @@ def _expr_text(draw, names, depth):
     terms = []
     for k in range(draw(st.integers(1, 3))):
         factors = []
-        for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(1, 4))):
             kind = draw(st.sampled_from(
                 ("number", "i", "l", "var", "var", "paren") if depth
                 else ("number", "i", "l", "var", "var")))
@@ -429,6 +429,18 @@ def test_parse_matches_polyobservable_arithmetic(case):
     ("q1^3/2", 1, K, None),
     ("0/7", 1, K, None),
     ("0/7*q1 + 2/4*i*l - 0/7*l^9", 1, K, None),
+    # Runs of plain factors folded into one monomial: a zero after a run
+    # that follows a value, a run carried past l^order, x^0 inside a run,
+    # and a sign taken into the first run.
+    ("(l^3 + q1)*l^2*0", 1, 4, None),
+    ("(q1+1)*q1*0*l", 1, 3, None),
+    ("(l^3 + q1)*l*l^3", 1, 4, None),
+    ("2*(q1 + l)*l^2*p1^0*3", 1, 3, None),
+    ("-0*l*l*l - l*l*l", 1, 2, None),
+    ("q1 - (l^3 + q1)*l^2*0", 1, 4, None),
+    # A Unicode decimal digit is a number; a superscript digit is not.
+    ("\u0663*q1", 1, K, None),
+    ("\u00b2*q1", 1, K, None),
 ])
 def test_parse_matches_reference_on_edge_cases(src, n, order, chart):
     assert_parses_like_reference(src, n, order, chart)
@@ -452,7 +464,8 @@ def test_lexer_matches_reference_on_arbitrary_text(src, n, order):
 @pytest.mark.parametrize("src", [
     "q1 ", "  ", "", "(q1\n", "1/", "1/0", "q1 +\n  $ p1", "w1 $", "p1",
     "q1 +\n\t(p1 *\n 2", "\n\n  q1 q1", "1/00", "é", "q1.5", "z1\t+ q1",
-    "q1 + yb1\n", "q3", "q1 2", "q1 4/2"])
+    "q1 + yb1\n", "q3", "q1 2", "q1 4/2", "q1*p1 + q1*q9 + q9",
+    "(1/2 + i)*q1*p1 +\n  q2^2*z1", "1/0 + q1 + 1/0"])
 def test_lexer_matches_reference_on_edge_cases(src):
     for chart in (None, "real", "holo", "fock", "wave"):
         assert_parses_like_reference(src, 2, K, chart)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fdq.errors import InvalidWeights, PositivityRefuted
-from fdq.exprio import observable_text, parse, series_text
+from fdq.errors import InvalidWeights, PositivityRefuted, TruncationMismatch
+from fdq.exprio import observable_text, parse, parse_series, series_text
 from fdq.functionals import (PositivityCertificate, PositivityReport,
                              cauchy_schwarz_check, deform_delta, delta,
                              evaluate, positivity_scan, two_term_scan,
@@ -91,6 +91,16 @@ def test_delta_wick_scan_positive_and_matches_formula():
     for f in monomials_up_to(SIG, 3, K):
         value = evaluate(D0, star_multiply(WK, involution(f), f))
         assert value == wick_value_oracle(to_holomorphic(f), K)
+
+
+def test_wick_value_oracle_truncates_to_a_lower_order():
+    f = parse("zb1^2 + z1", 1, 4, "holo")
+    assert wick_value_oracle(f) == parse_series("8*l^2", 4)
+    assert wick_value_oracle(f, 3) == wick_value_oracle(f.reduce_order(3))
+    assert wick_value_oracle(f, 3).order == 3
+    with pytest.raises(TruncationMismatch) as exc:
+        wick_value_oracle(f, 5)
+    assert str(exc.value) == "cannot extend order 4 to 5"
 
 
 def test_deformed_delta_weyl_scan_positive():

@@ -284,3 +284,10 @@ def test_derivative_matches_repeated_first_derivatives(f, index, times, lost):
     assert got == want and got.tail_lost == want.tail_lost
     assert {e: c.tail_lost for e, c in got.terms.items()} == \
         {e: c.tail_lost for e, c in want.terms.items()}
+    # Terms the derivative kills are skipped before any work: t first
+    # derivatives give the same terms in the same order, values and flags.
+    for _ in range(times):
+        f = f.derivative(index)
+    assert f.tail_lost == got.tail_lost
+    assert [(e, c, c.tail_lost) for e, c in f.terms.items()] == \
+        [(e, c, c.tail_lost) for e, c in got.terms.items()]
