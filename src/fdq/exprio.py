@@ -10,15 +10,15 @@ The text grammar (l is the deformation parameter, i the imaginary unit):
 Division appears only inside rational literals (``3/4``), never between
 expressions.  The lexer finds the token texts with one regex ``findall`` and
 checks each distinct text once; a token's line and column are found, by
-scanning the text again, only when an error is raised.  Variable names resolve
-through ``PhaseSpaceSignature.variables()``, the one table from chart to
-names.  Every parsed value is one sparse term map, {exponent: {power of l:
-(re, im, d)}}, for scalars (re + i*im)/d, whose sums, products and powers
-follow PolyObservable arithmetic: the same terms, term order and ``tail_lost``
-flags.  A term's sign and each run of plain factors (numbers, i, l and
-variables, each with an optional power) fold into one monomial, multiplied in
-once.  The observable and each coefficient series are built once, at the end;
-the printer and JSON read their ints directly.
+scanning the text again, only when an error is raised.  The variable names
+that occur resolve through ``observables._CHART_PREFIXES``, the one table from
+chart to name prefixes.  Every parsed value is one sparse term map, {exponent:
+{power of l: (re, im, d)}}, for scalars (re + i*im)/d, whose sums, products
+and powers follow PolyObservable arithmetic: the same terms, term order and
+``tail_lost`` flags.  A term's sign and each run of plain factors (numbers,
+i, l and variables, each with an optional power) fold into one monomial,
+multiplied in once.  The observable and each coefficient series are built
+once, at the end; the printer and JSON read their ints directly.
 
 Canonical printing emits terms in descending graded-lex order with ascending
 powers of l inside each term; ``parse(print(x)) == x`` holds for every value.
@@ -33,7 +33,7 @@ from math import gcd, lcm
 from operator import add
 
 from .errors import MixedChart, ParseError, SchemaError, UnknownVariable
-from .observables import PhaseSpaceSignature, PolyObservable
+from .observables import _CHART_PREFIXES, PhaseSpaceSignature, PolyObservable
 from .series import FormalSeries, GaussianRational, _order, _reduced
 
 # -- canonical printing ---------------------------------------------------------
@@ -328,15 +328,20 @@ class _Parser:
     ``plain`` maps each number, i, l and variable to c*l^r*x_index as
     (c, r, index): c is None for a zero, and index None for no variable."""
 
-    def __init__(self, src, tokens, numbers, signature, order):
+    def __init__(self, src, tokens, numbers, names, signature, order):
         self.src = src
         self.tokens = tokens
         self.numbers = numbers
         self.pos = 0
         self.plain = {text: ((num, 0, den) if num else None, 0, None)
                       for text, (num, den) in numbers.items()}
-        self.plain.update({name: (_ONE, 0, k) for k, name in enumerate(
-            signature.variables())}, i=((0, 1, 1), 0, None), l=(_ONE, 1, None))
+        self.plain.update(i=((0, 1, 1), 0, None), l=(_ONE, 1, None))
+        n, prefixes = signature.n, _CHART_PREFIXES[signature.chart]
+        for name in names:  # parse_atom rejects a prefix of another chart
+            prefix, k = _VAR_RE.match(name).groups()
+            if prefix in prefixes:
+                self.plain[name] = (_ONE, 0,
+                                    prefixes.index(prefix) * n + int(k) - 1)
         self.chart = signature.chart
         self.order = order
         self.zero_exp = (0,) * signature.width
@@ -431,7 +436,7 @@ def _parse(src, n, order, chart, scalar=False):
     order = _order(order)
     signature = PhaseSpaceSignature(n, _classify_variables(tokens, names, n,
                                                            chart, src))
-    parser = _Parser(src, tokens, numbers, signature, order)
+    parser = _Parser(src, tokens, numbers, names, signature, order)
     value = parser.parse_expr()
     if parser.pos != len(tokens) - 1:
         raise _error(ParseError, f"trailing input {tokens[parser.pos]!r}", src,

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from .errors import (AlgebraMismatch, DefectNotSmall, NotHermitian,
                      PrecisionExhausted, RankMismatch, ShapeMismatch)
-from .matrices import (MatrixStarAlgebra, SeriesMatrix, radical_quotient,
-                       reduce_coords, solve_in_ring)
+from .matrices import (MatrixStarAlgebra, SeriesMatrix, _Divisor,
+                       radical_quotient, reduce_coords, solve_in_ring)
 from .reps import ClassicalLimit, classical_limit_rep
 from .series import FormalSeries, GaussianRational, Sign
 
@@ -24,59 +24,47 @@ class GramVerdict(enum.Enum):
     NOT_PSD = "not-psd"
 
 
-def _minor(mat: SeriesMatrix, rows, cols, minors):
-    """det of the submatrix rows x cols, read from or stored to ``minors``."""
-    key = (rows, cols)
-    det = minors.get(key)
-    if det is None:
-        det = minors[key] = _determinant(mat, rows, cols, minors)
-    return det
-
-
-def _determinant(mat: SeriesMatrix, rows, cols, minors):
-    """Exact determinant of the submatrix rows x cols (tuples) by cofactor
-    expansion along its first row.  Its minors go through ``minors``, a dict
-    keyed by (rows, cols) that one caller shares across determinants, so
-    each minor is expanded once."""
-    if len(rows) == 1:
-        return mat.rows[rows[0]][cols[0]]
-    total = FormalSeries.zero(mat.order)
-    r0 = rows[0]
-    rest = rows[1:]
-    for k, c in enumerate(cols):
-        e = mat.rows[r0][c]
-        if e.is_exact_zero():
-            continue
-        sub = _minor(mat, rest, cols[:k] + cols[k + 1:], minors)
-        term = e * sub
-        total = total + term if k % 2 == 0 else total - term
-    return total
-
-
 def gram_psd_check(h: SeriesMatrix) -> GramVerdict:
-    """Positivity over the ordered series field by principal-minor signs.
+    """Positivity over the ordered series ring by Hermitian Schur complements
+    (LDL*), pivoting on the first diagonal entry of least valuation.
 
-    Positive semidefinite iff every principal minor has sign in {positive,
-    zero-up-to-K}; positive definite iff all leading principal minors are
-    positive.  The 2^d - 1 principal minors share one memo of sub-minors, so
-    each minor of one call is expanded once; the cost is still exponential
-    in d, and no limit on d is enforced.
+    NOT_PSD: a negative diagonal entry, or an off-diagonal entry of valuation
+    below every diagonal one (zero up to l^K counts as valuation K).  The
+    pivot has the least valuation in its row, so each Schur entry is exact
+    mod l^K, and an entry zero up to l^K is skipped: its update vanishes.
+    NOT_PSD and POSITIVE_DEFINITE hold whatever the entries' terms beyond l^K
+    are; POSITIVE_SEMIDEFINITE, a remaining block zero up to l^K, means not
+    refuted at this K.
     """
     if not h.is_hermitian():
         raise NotHermitian("Gram positivity needs a Hermitian matrix")
-    d = h.nrows
-    pd = True
-    minors = {}
-    for mask in range(1, 1 << d):
-        idx = tuple(i for i in range(d) if mask & (1 << i))
-        verdict = _minor(h, idx, idx, minors).sign()
-        if verdict is Sign.NEGATIVE:
+    K = h.order
+    rows = [list(r) for r in h.rows]
+    left = list(range(h.nrows))
+    while left:
+        diag = []
+        for i in left:
+            if rows[i][i].sign() is Sign.NEGATIVE:
+                return GramVerdict.NOT_PSD
+            v = rows[i][i].valuation()
+            diag.append(K if v is None else v)
+        least = min(diag)
+        off = [rows[i][j].valuation() for i in left for j in left if i != j]
+        if any(v is not None and v < least for v in off):
             return GramVerdict.NOT_PSD
-        leading = idx == tuple(range(len(idx)))
-        if leading and verdict is not Sign.POSITIVE:
-            pd = False
-    return GramVerdict.POSITIVE_DEFINITE if pd \
-        else GramVerdict.POSITIVE_SEMIDEFINITE
+        if least == K:
+            return GramVerdict.POSITIVE_SEMIDEFINITE
+        p = left.pop(diag.index(least))
+        prow, divide = rows[p], _Divisor(rows[p][p])
+        for i in left:
+            row = rows[i]
+            if row[p].is_zero():
+                continue
+            factor = divide(row[p])
+            for j in left:
+                if not prow[j].is_zero():
+                    row[j] = row[j] - factor * prow[j]
+    return GramVerdict.POSITIVE_DEFINITE
 
 
 # -- pre-Hilbert modules ---------------------------------------------------------------

@@ -22,7 +22,10 @@ from .errors import DimensionMismatch, SignatureMismatch, TruncationMismatch
 from .series import (FormalSeries, GaussianRational, _convolve, _order,
                      _reduced)
 
-_CHART_WIDTH = {"real": 2, "holo": 2, "fock": 1, "wave": 1}
+# Each chart's name prefixes in variable order: variable j*n + k - 1 of a
+# chart is named prefixes[j] followed by k, for k = 1..n.
+_CHART_PREFIXES = {"real": ("q", "p"), "holo": ("z", "zb"), "fock": ("yb",),
+                   "wave": ("q",)}
 
 
 class PhaseSpaceSignature:
@@ -33,7 +36,7 @@ class PhaseSpaceSignature:
     def __init__(self, n, chart="real"):
         if n < 1:
             raise ValueError("need at least one degree of freedom")
-        if chart not in _CHART_WIDTH:
+        if chart not in _CHART_PREFIXES:
             raise ValueError(f"unknown chart {chart!r}")
         self.n = n
         self.chart = chart
@@ -41,19 +44,11 @@ class PhaseSpaceSignature:
     @property
     def width(self):
         """Number of polynomial variables in this chart."""
-        return _CHART_WIDTH[self.chart] * self.n
+        return len(_CHART_PREFIXES[self.chart]) * self.n
 
     def variables(self):
-        n = self.n
-        if self.chart == "real":
-            return tuple(f"q{k}" for k in range(1, n + 1)) + \
-                tuple(f"p{k}" for k in range(1, n + 1))
-        if self.chart == "holo":
-            return tuple(f"z{k}" for k in range(1, n + 1)) + \
-                tuple(f"zb{k}" for k in range(1, n + 1))
-        if self.chart == "fock":
-            return tuple(f"yb{k}" for k in range(1, n + 1))
-        return tuple(f"q{k}" for k in range(1, n + 1))
+        return tuple(f"{prefix}{k}" for prefix in _CHART_PREFIXES[self.chart]
+                     for k in range(1, self.n + 1))
 
     def __eq__(self, other):
         return (isinstance(other, PhaseSpaceSignature)

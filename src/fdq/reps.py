@@ -10,7 +10,7 @@ from math import factorial
 
 from .diffops import DiffOperator
 from .errors import (NotCyclic, PositivityRefuted, SchemaError,
-                     SignatureMismatch)
+                     ShapeMismatch, SignatureMismatch)
 from .functionals import two_term_scan
 from .matrices import (MatrixStarAlgebra, SeriesMatrix, nullspace,
                        radical_quotient, rank_certified, reduce_coords)
@@ -396,16 +396,19 @@ def gns_uniqueness_check(result: GNSResult, candidate: CandidateRep) -> bool:
 # -- commutant -----------------------------------------------------------------------
 
 
-def commutant(rep_matrices, d=None, order=None):
-    """Basis of {X : [pi(a_i), X] = 0} over the series ring.
+def commutant(rep_matrices):
+    """Basis of {X : [pi(a_i), X] = 0} over the series ring, for d x d
+    matrices of one order.
 
     The linear system is solved by valuation-pivoted elimination; the basis
     matrices are returned in a deterministic order.
     """
     if not rep_matrices:
         raise ValueError("need at least one representation matrix")
-    d = d or rep_matrices[0].nrows
-    K = order or rep_matrices[0].order
+    d, K = rep_matrices[0].nrows, rep_matrices[0].order
+    if any(a.nrows != d or a.ncols != d for a in rep_matrices):
+        raise ShapeMismatch("representation matrices must share one square "
+                            "shape")
     zero = FormalSeries.zero(K)
     rows = []
     for a in rep_matrices:

@@ -548,6 +548,21 @@ def test_large_power_of_a_variable_is_closed_form(monkeypatch):
     assert g == reference_parse("(2*i*l)^3", 1, K)
 
 
+@pytest.mark.parametrize("name, chart, index", [
+    ("q2000", None, 1999), ("p2000", None, 3999), ("zb2000", None, 3999),
+    ("yb2000", None, 1999), ("q2000", "wave", 1999)])
+def test_parse_indexes_only_the_names_that_occur(monkeypatch, name, chart,
+                                                 index):
+    def no_table(self):
+        raise AssertionError("parse built the chart's whole name table")
+
+    monkeypatch.setattr(PhaseSpaceSignature, "variables", no_table)
+    f = parse(f"{name}^3 + 1/2", 2000, K, chart)
+    exp = [0] * f.signature.width
+    exp[index] = 3
+    assert list(f.terms) == [tuple(exp), (0,) * f.signature.width]
+
+
 def test_parse_series_matches_reference():
     for src, order in (("1/2 + i*l + 3*l^2", K), ("l", 1), ("l - l", 3),
                        ("(1 + l)^3", 3), ("2*l^2*i", 2)):

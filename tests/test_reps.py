@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fdq.errors import (NotCyclic, PositivityRefuted, PrecisionExhausted,
-                        SchemaError)
+                        SchemaError, ShapeMismatch)
 from fdq.exprio import deserialize, parse, series_text
 from fdq.matrices import MatrixStarAlgebra, SeriesMatrix, radical_quotient
 from fdq.observables import (PhaseSpaceSignature, PolyObservable, involution,
@@ -465,6 +465,18 @@ def test_commutant_of_zero_rep():
     basis = commutant(zero_rep)
     assert len(basis) == 1
     assert basis[0] == SeriesMatrix([[ONE]], K)
+
+
+def test_commutant_reads_size_and_order_from_the_matrices():
+    m2, m3 = MatrixStarAlgebra(2, K), MatrixStarAlgebra(3, K)
+    with pytest.raises(TypeError):
+        commutant(m3.basis(), d=2)
+    with pytest.raises(TypeError):
+        commutant(m2.basis(), order=0)
+    with pytest.raises(ShapeMismatch):
+        commutant([m2.unit(), m3.unit()])
+    with pytest.raises(ShapeMismatch):
+        commutant([SeriesMatrix([[ONE, ZERO]], K)])
 
 
 # -- classical limit -----------------------------------------------------------------------
