@@ -453,9 +453,11 @@ def parse(src, n=1, order=None, chart=None) -> PolyObservable:
 
 
 def parse_series(src, order=None) -> FormalSeries:
-    """Parse a scalar expression (rationals, i, l only) into a series."""
+    """Parse a scalar expression (rationals, i, l only) into a series.  A
+    value that vanishes up to l^K keeps the parse's lost tail."""
     obs = _parse(src, 1, order, "real", scalar=True)
-    return obs.terms.get((0, 0), FormalSeries.zero(obs.order))
+    c = obs.terms.get((0, 0))
+    return FormalSeries((), obs.order, obs.tail_lost) if c is None else c
 
 
 # -- JSON forms -------------------------------------------------------------------

@@ -5,20 +5,24 @@ counts as zero only when no computation lost a nonzero tail (``is_exact_zero``).
 One elimination pass (``_echelonize``) serves rank, kernel and solve: a single
 scan per pivot picks the entry of least valuation and notes lossy zeros, and
 when no pivot is left a lossy zero raises PrecisionExhausted instead of a
-guess.  Row operations skip the exact zeros of the pivot row, so an entry
-that is an exact zero stays one and a rank known exactly is decided.
+guess.  An exact zero annihilates every product, so a row operation leaves
+an entry alone where the pivot row holds an exact zero, an exact zero stays
+one, and a rank known exactly is decided.
 
 Matrix products run on the integer kernel of series products.  The vectors
 of each left row and each right column are rescaled once to the lcm of their
 denominators; each output entry is convolved over the inner index in Python
-ints and reduced once over D_row * D_col.  An entry is flagged when a term
-with a left factor that is not an exact zero has a lossy factor or drops a
-product term at l^K, as summing the entry products one by one flags it.
+ints and reduced once over D_row * D_col.  A term adds a value or a flag
+only when neither factor is an exact zero: it is flagged when a factor is
+lossy or a product term lands at l^K, so an entry equals the sum of its
+products taken one by one.
 
-Products with matrix units have closed forms in ``MatrixStarAlgebra``: for
-E_s = E_ij and E_t = E_kl, E_s* x E_t = (delta_ik + l D_ik) E_jl, and a x E_kl
-is column k of a x 1 moved to column l.  Both give every entry, inside the
-support or not, the value and flag of the full product.
+Products with matrix units have closed forms in ``MatrixStarAlgebra``, since
+an exact zero annihilates every product.  For E_s = E_ij, E_t = E_kl and the
+deformation D, E_s* x E_t = C_ik E_jl with C = 1 + l D, so the GNS Gram of
+omega(a) = sum W_jl a_jl is the Kronecker product G = C (x) W.  And a x E_kl
+is column k of a x 1 placed at column l, with exact zeros elsewhere.  Both
+give every entry the value and flag of the full product.
 """
 
 from __future__ import annotations
@@ -149,11 +153,11 @@ class SeriesMatrix:
                 acc = [0] * (2 * K)
                 lost = False
                 for k, a, a_lost in live:
-                    if a_lost or col[k].tail_lost:
-                        lost = True
-                    b = b_vecs[k]
-                    if a and b:
-                        lost = _convolve(a, b, acc) or lost
+                    b, b_lost = b_vecs[k], col[k].tail_lost
+                    if b or b_lost:  # b_kj is not an exact zero
+                        lost = lost or a_lost or b_lost
+                        if a and b:
+                            lost = _convolve(a, b, acc) or lost
                 out_row.append(_reduced(K, lost, da * db, acc))
             out.append(out_row)
         return SeriesMatrix(out, K)
@@ -271,10 +275,11 @@ def _echelonize(rows, ncols, divisors, certify_rank=True):
     among the first ncols columns.  One scan of the remaining block per pivot
     finds its first entry of least valuation and notes any entry that is zero
     only up to l^K.  With certify_rank, such an entry left when no pivot
-    remains raises PrecisionExhausted instead of being declared zero.  Row
-    operations skip the exact zeros of the pivot row, so exact zeros stay
-    exact.  The dict ``divisors`` receives the ``_Divisor`` of each pivot,
-    keyed by (row, col): a pivot row is never changed after it is chosen, so
+    remains raises PrecisionExhausted instead of being declared zero.  An
+    exact zero of the pivot row annihilates its product with the factor, so
+    the row operation leaves the entry beneath it as it is.  The dict
+    ``divisors`` receives the ``_Divisor`` of each pivot, keyed by (row,
+    col): a pivot row is never changed after it is chosen, so
     back-substitution reuses the pivot inverses taken here.
     """
     pivots = []
@@ -306,17 +311,17 @@ def _echelonize(rows, ncols, divisors, certify_rank=True):
                 continue
             e = row[pj]
             if e.is_exact_zero():
-                continue
+                continue  # a shortcut: the factor is an exact zero
             factor = divide(e)
-            rows[i] = [x if y.is_exact_zero() else x - factor * y
-                       for x, y in zip(row, prow)]
+            rows[i] = [x - factor * y for x, y in zip(row, prow)]
         used_rows.add(pi)
         used_cols.add(pj)
         pivots.append((pi, pj))
 
 
 def _residual(row, x, pj, ncols):
-    """Sum of row[c] x[c] over the columns c < ncols other than pj."""
+    """Sum of row[c] x[c] over the columns c < ncols other than pj.  Skipping
+    the exact zeros is a shortcut: their products are exact zeros."""
     s = FormalSeries.zero(row[pj].order)
     for c in range(ncols):
         if c != pj and not (row[c].is_exact_zero() or x[c].is_exact_zero()):
@@ -364,7 +369,7 @@ def reduce_coords(coords, kept, kernel):
     for f, vec in kernel:
         cf = coords[f]
         if cf.is_exact_zero():
-            continue
+            continue  # a shortcut: cf * vec[t] is an exact zero
         for s, t in enumerate(kept):
             out[s] = out[s] - cf * vec[t]
     return out
@@ -499,16 +504,20 @@ class MatrixStarAlgebra:
     def dim(self):
         return self.m * self.m
 
+    def one_plus_l_deform(self):
+        """C = 1 + l E, the identity for the plain product: for the units
+        E_ij and E_kl, E_ij* x E_kl = C_ik E_jl."""
+        ident = SeriesMatrix.identity(self.m, self.order)
+        if self.deform is None:
+            return ident
+        return ident + self.deform.scale(FormalSeries.lam(1, self.order))
+
     def unit(self):
-        """The star-unit: the identity for the plain product, (1 + l E)^-1
-        for the deformed family (u * a = u (1 + l E) a)."""
+        """The star-unit: the identity for the plain product, C^-1 for the
+        deformed family (u * a = u (1 + l E) a)."""
         if self._unit is None:
-            ident = SeriesMatrix.identity(self.m, self.order)
-            if self.deform is None:
-                self._unit = ident
-            else:
-                t = ident + self.deform.scale(FormalSeries.lam(1, self.order))
-                self._unit = series_matrix_inverse(t)
+            c = self.one_plus_l_deform()
+            self._unit = c if self.deform is None else series_matrix_inverse(c)
         return self._unit
 
     def basis(self):
@@ -527,59 +536,17 @@ class MatrixStarAlgebra:
         corr = (a @ self.deform @ b).scale(FormalSeries.lam(1, self.order))
         return plain + corr
 
-    def adjoint_unit_product(self, s, t):
-        """e_s* x e_t for the basis units e_s = E_ij and e_t = E_kl: the
-        matrix (delta_ik + l D_ik) E_jl, D the deformation.  Each entry
-        carries the flag that ``product(involution(e_s), e_t)`` gives it."""
-        m, K = self.m, self.order
-        i, j = divmod(s, m)
-        k, l = divmod(t, m)
-        zero = FormalSeries.zero(K)
-        entry = FormalSeries.one(K) if i == k else zero
-        fill = rest = zero
-        if self.deform is not None:
-            # Row j of (E_ji D) E_kl is row i of D times E_kl: D_ik at column
-            # l and zeros elsewhere, all flagged when an entry of that row
-            # has lost its tail.  At K = 1, l itself is a lossy zero.
-            lam = FormalSeries.lam(1, K)
-            d_row = self.deform.rows[i]
-            row_lost = any(e.tail_lost for e in d_row)
-            d = d_row[k].lossy() if row_lost else d_row[k]
-            entry = entry + d * lam
-            fill = FormalSeries((), K, row_lost) * lam
-            rest = zero * lam
-        rows = [[rest] * m for _ in range(m)]
-        rows[j] = [fill] * m
-        rows[j][l] = entry
-        return SeriesMatrix(rows, K)
-
     def right_unit_coords(self, a, units):
         """Row-major coordinates of a x e_t for each basis index t in
-        ``units``.  A product acts on the columns of its right factor one by
-        one, so a x E_kl is column k of a x 1 moved to column l, and its other
-        columns equal the column of a x 0.  One product a x [1 | 0] thus
-        gives the values and flags for every unit."""
-        m, K = self.m, self.order
-        zero = FormalSeries.zero(K)
-        if self.deform is None:
-            # a [1 | 0] is a and a zero column, every entry of a row flagged
-            # when an entry of that row of a has lost its tail (as in ``@``).
-            rows = []
-            for row in a.rows:
-                if any(e.tail_lost for e in row):
-                    rows.append([e.lossy() for e in row]
-                                + [FormalSeries((), K, True)])
-                else:
-                    rows.append(list(row) + [zero])
-        else:
-            one = FormalSeries.one(K)
-            rows = self.product(a, SeriesMatrix(
-                [[one if i == j else zero for j in range(m + 1)]
-                 for i in range(m)], K)).rows
+        ``units``: for e_t = E_kl, column k of a x 1 (a itself for the plain
+        product) placed at column l, with exact zeros elsewhere."""
+        m, zero = self.m, FormalSeries.zero(self.order)
+        rows = a.rows if self.deform is None else self.product(
+            a, SeriesMatrix.identity(m, self.order)).rows
         out = []
         for t in units:
             k, l = divmod(t, m)
-            out.append([row[k] if c == l else row[m]
+            out.append([row[k] if c == l else zero
                         for row in rows for c in range(m)])
         return out
 

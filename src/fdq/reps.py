@@ -112,18 +112,16 @@ def schroedinger_rep(kind: str, f: PolyObservable) -> DiffOperator:
 class MatrixFunctional:
     """omega(a) = sum_ij W_ij a_ij, a lambda-linear functional on M_m."""
 
-    __slots__ = ("weights", "_support")
+    __slots__ = ("weights",)
 
     def __init__(self, weights: SeriesMatrix):
         self.weights = weights
-        # Exact-zero weights contribute nothing, not even a flag.
-        self._support = [(i, j, w) for i, row in enumerate(weights.rows)
-                         for j, w in enumerate(row) if not w.is_exact_zero()]
 
     def __call__(self, a: SeriesMatrix) -> FormalSeries:
         total = FormalSeries.zero(a.order)
-        for i, j, w in self._support:
-            total = total + w * a.rows[i][j]
+        for w_row, a_row in zip(self.weights.rows, a.rows):
+            for w, x in zip(w_row, a_row):
+                total = total + w * x
         return total
 
     def classical_limit(self):
@@ -138,13 +136,16 @@ class MatrixFunctional:
         return f"<matrix functional {self.weights!r}>"
 
 
-def _gram_and_witnesses(algebra: MatrixStarAlgebra, omega):
+def _gram_and_witnesses(algebra: MatrixStarAlgebra, omega: MatrixFunctional):
     """The Gram G_st = omega(e_s* x e_t) on the matrix-unit basis, and the
-    positivity-scan witnesses read off it (see ``matrix_positivity_scan``)."""
+    positivity-scan witnesses read off it (see ``matrix_positivity_scan``).
+    For e_s = E_ij and e_t = E_kl, e_s* x e_t = C_ik E_jl with C = 1 + l E
+    for the deformation E, so G is the Kronecker product C (x) W of C and
+    the weights W of omega: G_st = C_ik W_jl."""
     labels = algebra.basis_labels()
-    n = algebra.dim
-    g = [[omega(algebra.adjoint_unit_product(s, t)) for t in range(n)]
-         for s in range(n)]
+    c, w = algebra.one_plus_l_deform().rows, omega.weights.rows
+    g = [[c_ik * w_jl for c_ik in c_i for w_jl in w_j]
+         for c_i in c for w_j in w]
     rows = two_term_scan(
         g, lambda t: labels[t],
         lambda s, t, u: f"{labels[s]}+({u.re}+{u.im}i){labels[t]}")
@@ -153,13 +154,16 @@ def _gram_and_witnesses(algebra: MatrixStarAlgebra, omega):
     return SeriesMatrix(g, algebra.order), witnesses
 
 
-def matrix_positivity_scan(algebra: MatrixStarAlgebra, omega) -> list:
-    """omega(b* x b) over matrix units and two-term unit combinations.
+def matrix_positivity_scan(algebra: MatrixStarAlgebra,
+                           omega: MatrixFunctional) -> list:
+    """omega(b* x b) over matrix units and two-term unit combinations, for a
+    ``MatrixFunctional`` omega.
 
     Returns the list of negative/imaginary witnesses (empty when the scan
     passes).  Each sample is read off the Gram G_st = omega(e_s* x e_t) by
     ``two_term_scan``, exactly: the product, plain or ab + l aEb, is
-    bilinear.
+    bilinear.  The Gram is the Kronecker product (1 + l E) (x) W of the
+    weights W of omega (see ``_gram_and_witnesses``).
     """
     return _gram_and_witnesses(algebra, omega)[1]
 
@@ -255,19 +259,19 @@ def _inner(gram: SeriesMatrix, x, y):
     """<x, y> = sum conj(x_i) G_ij y_j."""
     total = FormalSeries.zero(gram.order)
     for i in range(gram.nrows):
-        xi = x[i]
-        if xi.is_exact_zero():
-            continue
+        xi = x[i].conjugate()
         for j in range(gram.ncols):
-            total = total + (xi.conjugate() * gram.rows[i][j]) * y[j]
+            total = total + (xi * gram.rows[i][j]) * y[j]
     return total
 
 
-def gns_build(algebra: MatrixStarAlgebra, omega, generators=None) -> GNSResult:
-    """GNS data of a positive functional on a (possibly deformed) matrix
-    algebra over truncated series.
+def gns_build(algebra: MatrixStarAlgebra, omega: MatrixFunctional,
+              generators=None) -> GNSResult:
+    """GNS data of a positive ``MatrixFunctional`` omega on a (possibly
+    deformed) matrix algebra over truncated series.
 
-    The Gram on the full matrix-unit basis is built once; the positivity
+    The Gram on the full matrix-unit basis is built once, as the Kronecker
+    product (1 + l E) (x) W of the weights W of omega; the positivity
     scan reads its samples off it and raises PositivityRefuted before any
     elimination.  One valuation-pivoted elimination (``radical_quotient``)
     then certifies the kernel, the ideal of null vectors, or raises

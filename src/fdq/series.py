@@ -15,7 +15,11 @@ the parser, printer and JSON forms of ``fdq.exprio`` use the ints directly.
 A series remembers whether any computation that produced it discarded a
 nonzero coefficient beyond the truncation order (``tail_lost``); rank
 decisions elsewhere consult that flag to stay precision-honest.  The flag
-never takes part in equality or printing.
+never takes part in equality or printing.  A series that is zero with no
+tail lost is an exact zero, and an exact zero annihilates every product,
+flag included: 0 * x is an exact zero even when x has lost its tail.  Adding
+an exact zero returns the other operand itself.  These two rules keep exact
+identities exact; a caller that skips exact zeros only saves time.
 """
 
 from __future__ import annotations
@@ -319,14 +323,18 @@ class FormalSeries:
     def scaled_product(self, other, num=1, den=1):
         """Truncated num/den * self * other (``a * b`` has num = den = 1): the
         integer convolution over the product of the denominators and den,
-        reduced once.  The result has lost its tail when an operand has, or
-        when a pair of nonzero terms lands at l^K or beyond."""
+        reduced once.  An exact-zero factor makes the product an exact zero.
+        Otherwise the result has lost its tail when an operand has, or when a
+        pair of nonzero terms lands at l^K or beyond."""
         if not isinstance(other, FormalSeries):
             return NotImplemented
         self._check(other)
         K = self.order
         lost = self.tail_lost or other.tail_lost
         if not self._v or not other._v:
+            # 0 * x = 0 whatever x is; a lossy zero times a series that is
+            # not an exact zero is a lossy zero.
+            lost = lost and not (self.is_exact_zero() or other.is_exact_zero())
             return _make(K, lost, 1, ())
         a = self._v if num == 1 else [x * num for x in self._v]
         acc = [0] * (2 * K)

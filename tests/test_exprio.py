@@ -570,7 +570,7 @@ def test_parse_series_matches_reference():
         got = parse_series(src, order)
         assert got == want.terms.get((0, 0), FormalSeries.zero(order))
         assert got.tail_lost == (want.terms[(0, 0)].tail_lost
-                                 if want.terms else False)
+                                 if want.terms else want.tail_lost)
 
 
 def reference_parse_series(src, order):
@@ -580,7 +580,7 @@ def reference_parse_series(src, order):
             raise ParseError(f"variable {tok.value!r} not allowed in a scalar",
                              tok.line, tok.column)
     f = reference_parse(src, 1, order, "real")
-    return f.terms.get((0, 0), FormalSeries.zero(order))
+    return f.terms.get((0, 0), FormalSeries((), order, f.tail_lost))
 
 
 def _series_outcome(parser, src):

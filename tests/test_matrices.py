@@ -1,14 +1,22 @@
+import operator
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fdq.errors import (NotUnit, PrecisionExhausted, ShapeMismatch,
+import fdq.reps as reps
+from fdq.errors import (FdqError, NotUnit, PrecisionExhausted, ShapeMismatch,
                         TruncationMismatch)
+from fdq.functionals import two_term_scan
 from fdq.matrices import (MatrixStarAlgebra, SeriesMatrix,
                           matrix_from_json, nullspace,
                           one_plus_adjoint_times_self_invertible,
                           radical_quotient, rank_certified,
                           series_matrix_inverse, solve_in_ring)
-from fdq.series import FormalSeries, GaussianRational
+from fdq.modules import (PreHilbertModule, fedosov_project, fullness_check,
+                         rieffel_tensor)
+from fdq.reps import GNSResult, MatrixFunctional, gns_build
+from fdq.series import FormalSeries, GaussianRational, Sign
 
 K = 4
 LAM = FormalSeries.lam(1, K)
@@ -310,8 +318,10 @@ def matmul_pairs(draw):
 
 def reference_matmul(a, b):
     """Triple loop: entry (i, j) is 0 + sum of a_ik * b_kj over the k whose
-    a_ik is not an exact zero (``@`` has always skipped those terms, so
-    their b_kj flags do not reach the entry)."""
+    a_ik is not an exact zero.  Skipping those is a shortcut now that an
+    exact zero annihilates every product; under the earlier product rule
+    this loop is the earlier ``@``, which let a b_kj flag reach the entry
+    only through an a_ik that is not an exact zero."""
     out = []
     for i in range(a.nrows):
         row = []
@@ -358,20 +368,6 @@ def unit_algebra(draw, m, k, kind):
 
 
 @pytest.mark.parametrize("m, k, kind", UNIT_CASES)
-@settings(max_examples=4)
-@given(st.data())
-def test_adjoint_unit_product_matches_product(m, k, kind, data):
-    alg = unit_algebra(data.draw, m, k, kind)
-    basis = alg.basis()
-    for s, bs in enumerate(basis):
-        for t, bt in enumerate(basis):
-            got = alg.adjoint_unit_product(s, t)
-            want = alg.product(alg.involution(bs), bt)
-            assert got == want
-            assert flags(got) == flags(want)
-
-
-@pytest.mark.parametrize("m, k, kind", UNIT_CASES)
 @settings(max_examples=6)
 @given(st.data())
 def test_right_unit_coords_match_products(m, k, kind, data):
@@ -390,11 +386,19 @@ SWAP_1 = MatrixStarAlgebra(2, 1, deform=SeriesMatrix.from_scalar_rows(
 
 
 def test_right_unit_coords_at_k1_are_lossy():
-    # At K = 1 the deformation term l a D E_t is a lossy zero in every
-    # entry, so every coordinate of a x E_t has lost its tail.
+    # At K = 1, l is a lossy zero.  The deformation term l (a D)[r][k] of
+    # a x E_kl at (r, l) has lost its tail exactly where (a D)[r][k] is not
+    # an exact zero; every other coordinate is an exact zero.
     a = SeriesMatrix.from_scalar_rows([[1, 0], [0, 0]], 1)
-    for coords in SWAP_1.right_unit_coords(a, range(4)):
-        assert all(e.tail_lost for e in coords)
+    ad = a @ SWAP_1.deform
+    flagged = 0
+    for t, coords in enumerate(SWAP_1.right_unit_coords(a, range(4))):
+        k, l = divmod(t, 2)
+        assert [e.tail_lost for e in coords] == [
+            c == l and not ad.rows[r][k].is_exact_zero()
+            for r in range(2) for c in range(2)]
+        flagged += sum(e.tail_lost for e in coords)
+    assert flagged == 2  # (a D)[0][1] = 1, in a x E21 and a x E22
     assert not any(e.tail_lost for coords in MatrixStarAlgebra(2, 1)
                    .right_unit_coords(a, range(4)) for e in coords)
 
@@ -613,8 +617,13 @@ def test_exact_zero_column_is_certified():
     assert not any(e.tail_lost for e in kernel[0][1])
     lost = (PrecisionExhausted, "pivot valuation reaches the truncation "
             "order; rank not determined at this truncation")
-    assert with_reference_rule(rank_certified, m) == lost
-    assert with_reference_rule(radical_quotient, m) == lost
+    # The earlier row rule raises only under the earlier product rule: now
+    # the factor times an exact zero is an exact zero in either row rule.
+    assert with_reference_rule(rank_certified, m) == 1
+    assert with_reference_rule(radical_quotient, m) == (kept, kernel)
+    with earlier_product_rule():
+        assert with_reference_rule(rank_certified, m) == lost
+        assert with_reference_rule(radical_quotient, m) == lost
 
 
 @st.composite
@@ -691,3 +700,314 @@ def test_elimination_matches_the_earlier_rule_where_it_answered(case):
         elif f is solve_in_ring and res is not None:
             assert_flags_within(*(values_and_flags([out])[1]
                                   for out in (res, ref)))
+
+
+# -- an exact zero annihilates every product ------------------------------------------
+
+REAL_SCALED_PRODUCT = FormalSeries.scaled_product
+
+
+def earlier_scaled_product(a, b, num=1, den=1):
+    """The earlier series product: a zero factor gave a zero that kept
+    either operand's lost tail, so 0 * x was lossy for a lossy x."""
+    if isinstance(b, FormalSeries) and (a.is_zero() or b.is_zero()):
+        a._check(b)
+        return FormalSeries((), a.order, a.tail_lost or b.tail_lost)
+    return REAL_SCALED_PRODUCT(a, b, num, den)
+
+
+def unit_loop_gram_and_witnesses(algebra, omega):
+    """``reps._gram_and_witnesses`` as one full product per pair of units,
+    omega skipping its exact-zero weights as it did."""
+    def omega_of(a):
+        total = FormalSeries.zero(algebra.order)
+        for w_row, a_row in zip(omega.weights.rows, a.rows):
+            for w, x in zip(w_row, a_row):
+                if not w.is_exact_zero():
+                    total = total + w * x
+        return total
+
+    basis, labels = algebra.basis(), algebra.basis_labels()
+    g = [[omega_of(algebra.product(algebra.involution(bs), bt))
+          for bt in basis] for bs in basis]
+    rows = two_term_scan(
+        g, lambda t: labels[t],
+        lambda s, t, u: f"{labels[s]}+({u.re}+{u.im}i){labels[t]}")
+    return SeriesMatrix(g, algebra.order), [
+        (label, value) for label, value, verdict in rows
+        if verdict is Sign.NEGATIVE]
+
+
+def unit_loop_coords(algebra, a, units):
+    """``right_unit_coords`` as one full product a x e_t per unit."""
+    basis = algebra.basis()
+    return [algebra.to_coords(algebra.product(a, basis[t])) for t in units]
+
+
+@contextmanager
+def earlier_product_rule():
+    """Products as they were before an exact zero annihilated them: the
+    earlier series product, ``@`` as the triple loop over it, and the GNS
+    Gram and a x e_t as full products, which the earlier closed forms
+    matched in value and flag."""
+    saved = (FormalSeries.scaled_product, SeriesMatrix.__matmul__,
+             reps._gram_and_witnesses, MatrixStarAlgebra.right_unit_coords)
+    FormalSeries.scaled_product = FormalSeries.__mul__ = \
+        earlier_scaled_product
+    SeriesMatrix.__matmul__ = reference_matmul
+    reps._gram_and_witnesses = unit_loop_gram_and_witnesses
+    MatrixStarAlgebra.right_unit_coords = unit_loop_coords
+    try:
+        yield
+    finally:
+        FormalSeries.scaled_product = FormalSeries.__mul__ = saved[0]
+        SeriesMatrix.__matmul__ = saved[1]
+        reps._gram_and_witnesses = saved[2]
+        MatrixStarAlgebra.right_unit_coords = saved[3]
+
+
+def split(result):
+    """(values, flags) of a result: its structure with every series in
+    place, and the series' flags in order."""
+    flags = []
+
+    def walk(x):
+        if isinstance(x, FormalSeries):
+            flags.append(x.tail_lost)
+            return x
+        if isinstance(x, SeriesMatrix):
+            return walk(x.rows)
+        if isinstance(x, GNSResult):
+            return walk((x.basis_indices, x.kernel, x.gram, x.pi, x.cyclic))
+        if isinstance(x, PreHilbertModule):
+            return walk((x.rank, x.gram))
+        if isinstance(x, (list, tuple)):
+            return [walk(y) for y in x]
+        return x
+
+    return walk(result), flags
+
+
+def run(f, build):
+    """``f`` on freshly built arguments (an algebra caches its unit), as
+    ("value", values, flags) or ("error", class, message)."""
+    try:
+        return ("value", *split(f(*build())))
+    except FdqError as exc:
+        return "error", type(exc), str(exc)
+
+
+def hermitian_blocks(draw, algebra, rank):
+    """A Hermitian rank x rank Gram of algebra elements."""
+    m, k = algebra.m, algebra.order
+
+    def block():
+        return SeriesMatrix([[entry_kinds(draw, k) for _ in range(m)]
+                             for _ in range(m)], k)
+
+    gram = [[None] * rank for _ in range(rank)]
+    for i in range(rank):
+        x = block()
+        gram[i][i] = x + x.adjoint()
+        for j in range(i + 1, rank):
+            gram[i][j] = block()
+            gram[j][i] = gram[i][j].adjoint()
+    return gram
+
+
+@st.composite
+def differential_cases(draw):
+    """(function, builder of its arguments) over exact zeros, lossy zeros
+    and lossy entries, K 1-4, plain and deformed algebras."""
+    name = draw(st.sampled_from(["matmul", "gns", "radical", "solve",
+                                 "inverse", "fedosov", "rieffel",
+                                 "fullness"]))
+    if name == "matmul":
+        a, b = draw(matmul_pairs())
+        return operator.matmul, lambda: (a, b)
+    if name in ("radical", "solve"):
+        mat, rhs = draw(elimination_inputs())
+        if name == "radical":
+            return radical_quotient, lambda: (mat,)
+        return solve_in_ring, lambda: (mat, rhs)
+    if name == "inverse":
+        mat = draw(square_matrices())
+        return series_matrix_inverse, lambda: (mat,)
+    k = draw(st.sampled_from([1, 2, 3, 4]))
+    m = draw(st.integers(1, 3 if name in ("gns", "fedosov") else 2))
+    kind = draw(st.sampled_from(["none", "exact", "lossy"]))
+    alg = unit_algebra(draw, m, k, kind)
+
+    def algebra():
+        return MatrixStarAlgebra(m, k, deform=alg.deform)
+
+    if name == "gns":
+        # A Hermitian D and Hermitian weights with a diagonal of zeros,
+        # lossy zeros and positive leading terms, so that the scan often
+        # passes.
+        def real():
+            e = entry_kinds(draw, k)
+            return e + e.conjugate()
+
+        w = [[FormalSeries.zero(k)] * m for _ in range(m)]
+        for i in range(m):
+            w[i][i] = draw(st.sampled_from([
+                FormalSeries.zero(k), FormalSeries((), k, True),
+                FormalSeries.one(k), FormalSeries.one(k) + real().shift(1),
+                real().shift(1)]))
+            for j in range(i + 1, m):
+                if draw(st.booleans()):
+                    w[i][j] = entry_kinds(draw, k).shift(1)
+                    w[j][i] = w[i][j].conjugate()
+        omega = MatrixFunctional(SeriesMatrix(w, k))
+        deform = None if alg.deform is None else \
+            alg.deform + alg.deform.adjoint()
+        return gns_build, lambda: (MatrixStarAlgebra(m, k, deform=deform),
+                                   omega)
+    if name == "fedosov":
+        p0 = SeriesMatrix(
+            [[entry_kinds(draw, k).shift(1)
+              + (FormalSeries.one(k) if i == j and draw(st.booleans())
+                 else FormalSeries.zero(k)) for j in range(m)]
+             for i in range(m)], k)
+        return fedosov_project, lambda: (p0, algebra())
+    if name == "fullness":
+        rank = draw(st.integers(1, 2))
+        gram = hermitian_blocks(draw, alg, rank)
+        return fullness_check, lambda: (
+            PreHilbertModule(algebra(), rank, gram),)
+    # rieffel: F over the scalars, E over plain M_m with the scalars
+    # acting as multiples of the unit.
+    r_f, r_e = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    f_gram = hermitian_blocks(draw, MatrixStarAlgebra(1, k), r_f)
+    e_gram = hermitian_blocks(draw, MatrixStarAlgebra(m, k), r_e)
+
+    def build():
+        scalars, base = MatrixStarAlgebra(1, k), MatrixStarAlgebra(m, k)
+        zero = SeriesMatrix.zero(m, m, k)
+
+        def act(b):
+            return [[base.unit().scale(b.rows[0][0]) if p == q else zero
+                     for q in range(r_e)] for p in range(r_e)]
+
+        return (PreHilbertModule(scalars, r_f, f_gram),
+                PreHilbertModule(base, r_e, e_gram, left_algebra=scalars,
+                                 left_action=act))
+
+    return rieffel_tensor, build
+
+
+@settings(max_examples=400, deadline=None)
+@given(differential_cases())
+def test_exact_zero_rule_only_drops_flags(case):
+    """Against the earlier product rule: values are equal, every flag set
+    now was set before, and an outcome differs only where the earlier rule
+    raised PrecisionExhausted (an answer now, or a decided NotUnit)."""
+    f, build = case
+    new = run(f, build)
+    with earlier_product_rule():
+        old = run(f, build)
+    if old[:2] == ("error", PrecisionExhausted):
+        return
+    if new[0] == "error":
+        assert new == old
+    else:
+        assert old[0] == "value"
+        assert new[1] == old[1]
+        assert all(was for now, was in zip(new[2], old[2]) if now)
+
+
+def test_exact_zero_rule_decides_a_deformed_gns_at_k1():
+    # At K = 1, l is a lossy zero.  The earlier rule flagged every entry of
+    # C = 1 + l D and of the Gram; now only the C_ii of a nonzero D_ii are.
+    alg = MatrixStarAlgebra(2, 1, deform=SeriesMatrix.identity(2, 1))
+    omega = MatrixFunctional(SeriesMatrix.from_scalar_rows(
+        [[1, 0], [0, 0]], 1))
+
+    def build():
+        return MatrixStarAlgebra(2, 1, deform=alg.deform), omega
+
+    res = gns_build(*build())
+    assert res.basis_labels() == ["E11", "E21"]
+    assert res.gram == SeriesMatrix.identity(2, 1)
+    assert [[e.tail_lost for e in r] for r in res.gram.rows] == \
+        [[True, False], [False, True]]
+    with earlier_product_rule():
+        assert run(gns_build, build) == (
+            "error", PrecisionExhausted, "pivot valuation reaches the "
+            "truncation order; rank not determined at this truncation")
+
+
+@st.composite
+def polynomial_matrices(draw, k, nrows, ncols):
+    """Untruncated polynomials of degree < k with small integer
+    coefficients, exact zeros among them."""
+    def entry():
+        if draw(st.booleans()):
+            return FormalSeries.zero(k)
+        return FormalSeries(draw(st.lists(st.integers(-2, 2), min_size=k,
+                                          max_size=k)), k)
+
+    return SeriesMatrix([[entry() for _ in range(ncols)]
+                         for _ in range(nrows)], k)
+
+
+def lift(mat, k):
+    """The same polynomial entries at order k."""
+    return SeriesMatrix([[FormalSeries(e.coeffs, k) for e in r]
+                         for r in mat.rows], k)
+
+
+def assert_unflagged_entries_are_exact(low, high):
+    """Each entry of ``low`` that has not lost its tail agrees with ``high``,
+    computed at a higher order, and ``high`` has no term beyond it."""
+    k = low.order
+    for r_low, r_high in zip(low.rows, high.rows):
+        for e, h in zip(r_low, r_high):
+            assert h.coeffs[:k] == e.coeffs
+            if not e.tail_lost:
+                assert not any(h.coeffs[k:]), (e, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_unflagged_products_are_exact_beyond_k(data):
+    """On polynomial inputs, an ``@`` or Gram entry with no lost tail at K
+    has no nonzero term in [K, 3K): the exact-zero rule drops only flags
+    that mark nothing."""
+    k = data.draw(st.sampled_from([1, 2, 3, 4]))
+    n, m, p = (data.draw(st.integers(1, 3)) for _ in range(3))
+    a = data.draw(polynomial_matrices(k, n, m))
+    b = data.draw(polynomial_matrices(k, m, p))
+    assert_unflagged_entries_are_exact(a @ b, lift(a, 3 * k) @ lift(b, 3 * k))
+    m = data.draw(st.integers(1, 3))
+    d = data.draw(st.one_of(st.none(), polynomial_matrices(k, m, m)))
+    w = data.draw(polynomial_matrices(k, m, m))
+
+    def gram(order):
+        alg = MatrixStarAlgebra(m, order,
+                                deform=None if d is None else lift(d, order))
+        return reps._gram_and_witnesses(
+            alg, MatrixFunctional(lift(w, order)))[0]
+
+    assert_unflagged_entries_are_exact(gram(k), gram(3 * k))
+
+
+def test_the_exactness_check_sees_dropped_and_kept_flags():
+    # At K = 1 the Gram of D = 1, W = E11 has C_ii = 1 + l flagged, and
+    # exact zeros wherever W has one, which the earlier rule flagged.
+    def gram(order):
+        alg = MatrixStarAlgebra(2, order,
+                                deform=SeriesMatrix.identity(2, order))
+        return reps._gram_and_witnesses(alg, MatrixFunctional(
+            SeriesMatrix.from_scalar_rows([[1, 0], [0, 0]], order)))[0]
+
+    low, high = gram(1), gram(3)
+    assert_unflagged_entries_are_exact(low, high)
+    assert low.rows[0][0].tail_lost and any(high.rows[0][0].coeffs[1:])
+    with earlier_product_rule():
+        before = gram(1)
+    dropped = [(s, t) for s in range(4) for t in range(4)
+               if before.rows[s][t].tail_lost
+               and not low.rows[s][t].tail_lost]
+    assert len(dropped) == 14  # all but the two entries C_ii W_11

@@ -212,7 +212,9 @@ def reference_neg(a):
 
 def reference_mul(a, b):
     """The full K x K convolution; a nonzero product term beyond l^K marks
-    the tail lost."""
+    the tail lost.  An exact-zero factor gives an exact zero."""
+    if a.is_exact_zero() or b.is_exact_zero():
+        return (ZERO,) * a.order, False
     return _list_mul(a.coeffs, b.coeffs, a.tail_lost or b.tail_lost)
 
 
