@@ -281,7 +281,10 @@ class _Terms:
 
     def times(self, other, order):
         """The pointwise product: every pair of terms in order, a pair of
-        powers at l^order or beyond marking its coefficient lost."""
+        powers at l^order or beyond marking its coefficient lost.  An
+        exact-zero factor (no terms, nothing lost) gives an exact zero."""
+        if not (self.terms or self.lost) or not (other.terms or other.lost):
+            return _Terms({})
         terms = {}
         for e1, (p1, f1) in self.terms.items():
             for e2, (p2, f2) in other.terms.items():

@@ -1,6 +1,14 @@
 """Pre-Hilbert modules over truncated-series algebras: Gram positivity,
 rank-one operators, Rieffel induction, deformed projections, fullness, and
 the characteristic-class equivalence decision.
+
+Block matrices over the base algebra share two helpers: ``_block_product``
+adds x[i][k] * y[k][j] to an exact zero in order of k, and ``_flatten`` puts
+entry (r, c) of block (i, j) at row (i, r) and column (j, c).  Rank-one
+operators u (v* G), ``AdjointableOp.apply`` and the induced Gram of F (x)_B E,
+<x_i (x) phi_p, x_j (x) phi_q> = (G_E L(<x_i, x_j>_B))[p][q] for the left
+action L of B on E, are block products.  ``inner`` is not: summing over i
+before multiplying by y_j would change the association, and so the flags.
 """
 
 from __future__ import annotations
@@ -67,6 +75,25 @@ def gram_psd_check(h: SeriesMatrix) -> GramVerdict:
     return GramVerdict.POSITIVE_DEFINITE
 
 
+# -- block matrices over the base algebra ---------------------------------------------
+
+
+def _block_product(alg, x, cols):
+    """x y over ``alg`` for y given by its columns: entry (i, j) adds
+    x[i][k] * cols[j][k] to an exact zero in order of k.  Given by columns, a
+    y without rows keeps its width: A e = 0 for A from a rank-0 module."""
+    zero = SeriesMatrix.zero(alg.m, alg.m, alg.order)
+    return [[sum((alg.product(xi[k], b) for k, b in enumerate(col)), zero)
+             for col in cols] for xi in x]
+
+
+def _flatten(blocks, K):
+    """The scalar matrix of a block matrix: row (i, r) and column (j, c)
+    hold entry (r, c) of block (i, j)."""
+    return SeriesMatrix([[e for b in brow for e in b.rows[r]]
+                         for brow in blocks for r in range(brow[0].nrows)], K)
+
+
 # -- pre-Hilbert modules ---------------------------------------------------------------
 
 
@@ -84,10 +111,9 @@ class PreHilbertModule:
             raise RankMismatch("rank must be nonnegative")
         if len(gram) != rank or any(len(row) != rank for row in gram):
             raise ShapeMismatch("Gram must be rank x rank")
-        for i in range(rank):
-            for j in range(rank):
-                if gram[i][j] != base.involution(gram[j][i]):
-                    raise NotHermitian("module Gram must be Hermitian")
+        if any(gram[i][j] != base.involution(gram[j][i])
+               for i in range(rank) for j in range(rank)):
+            raise NotHermitian("module Gram must be Hermitian")
         self.base = base
         self.rank = rank
         self.gram = [list(row) for row in gram]
@@ -97,9 +123,8 @@ class PreHilbertModule:
     @classmethod
     def free(cls, base, rank, **kw):
         """The canonical module base^rank with <x, y> = sum x_i* y_i."""
-        unit, = [base.unit()]
         zero = SeriesMatrix.zero(base.m, base.m, base.order)
-        gram = [[unit if i == j else zero for j in range(rank)]
+        gram = [[base.unit() if i == j else zero for j in range(rank)]
                 for i in range(rank)]
         return cls(base, rank, gram, **kw)
 
@@ -129,29 +154,12 @@ class PreHilbertModule:
         """The Gram as one scalar matrix of size rank*m."""
         if self.rank == 0:
             raise ShapeMismatch("rank-0 module has no Gram matrix")
-        m = self.base.m
-        K = self.order
-        rows = []
-        for i in range(self.rank):
-            for r in range(m):
-                row = []
-                for j in range(self.rank):
-                    for c in range(m):
-                        row.append(self.gram[i][j].rows[r][c])
-                rows.append(row)
-        return SeriesMatrix(rows, K)
+        return _flatten(self.gram, self.order)
 
     def pair_gram(self, x, y) -> SeriesMatrix:
         """Flattened 2m x 2m Gram of the pair (x, y), for PSD sampling."""
-        gxx, gxy = self.inner(x, x), self.inner(x, y)
-        gyx, gyy = self.inner(y, x), self.inner(y, y)
-        m = self.base.m
-        rows = []
-        for r in range(m):
-            rows.append(list(gxx.rows[r]) + list(gxy.rows[r]))
-        for r in range(m):
-            rows.append(list(gyx.rows[r]) + list(gyy.rows[r]))
-        return SeriesMatrix(rows, self.order)
+        return _flatten([[self.inner(a, b) for b in (x, y)] for a in (x, y)],
+                        self.order)
 
     def __repr__(self):
         return (f"<module rank {self.rank} over {self.base.name} "
@@ -177,14 +185,7 @@ class AdjointableOp:
         self.base = base
 
     def apply(self, vec):
-        alg = self.base
-        out = []
-        for i in range(len(self.entries)):
-            acc = SeriesMatrix.zero(alg.m, alg.m, alg.order)
-            for j, v in enumerate(vec):
-                acc = acc + alg.product(self.entries[i][j], v)
-            out.append(acc)
-        return out
+        return [acc for acc, in _block_product(self.base, self.entries, [vec])]
 
     def adjoint(self):
         return AdjointableOp(self.adjoint_entries, self.entries, self.base)
@@ -192,15 +193,10 @@ class AdjointableOp:
     def adjoint_law_holds(self, source: PreHilbertModule,
                           target: PreHilbertModule) -> bool:
         """<e_i, A e_j>_target == <A* e_i, e_j>_source on all basis pairs."""
-        for i in range(target.rank):
-            phi = target.basis_vector(i)
-            for j in range(source.rank):
-                psi = source.basis_vector(j)
-                lhs = target.inner(phi, self.apply(psi))
-                rhs = source.inner(self.adjoint().apply(phi), psi)
-                if lhs != rhs:
-                    return False
-        return True
+        return all(target.inner(phi, self.apply(psi))
+                   == source.inner(self.adjoint().apply(phi), psi)
+                   for phi in map(target.basis_vector, range(target.rank))
+                   for psi in map(source.basis_vector, range(source.rank)))
 
     def __eq__(self, other):
         if not isinstance(other, AdjointableOp):
@@ -213,20 +209,12 @@ def rank_one(psi, phi, module: PreHilbertModule) -> AdjointableOp:
     if len(psi) != module.rank or len(phi) != module.rank:
         raise RankMismatch("coordinate length must equal the rank")
     alg = module.base
+    gram_cols = list(zip(*module.gram))
 
     def build(u, v):
-        # Theta_{u,v}[i][l] = u_i (x) (sum_k v_k* (x) G[k][l])
-        rows = []
-        for i in range(module.rank):
-            row = []
-            for l in range(module.rank):
-                acc = SeriesMatrix.zero(alg.m, alg.m, alg.order)
-                for k in range(module.rank):
-                    acc = acc + alg.product(alg.involution(v[k]),
-                                            module.gram[k][l])
-                row.append(alg.product(u[i], acc))
-            rows.append(row)
-        return rows
+        # Theta_{u,v}[i][l] = u_i (x) w_l, w_l = sum_k v_k* (x) G[k][l].
+        w, = _block_product(alg, [[alg.involution(x) for x in v]], gram_cols)
+        return _block_product(alg, [[x] for x in u], [[x] for x in w])
 
     return AdjointableOp(build(psi, phi), build(phi, psi), alg)
 
@@ -250,80 +238,49 @@ def rieffel_tensor(F: PreHilbertModule, E: PreHilbertModule) -> PreHilbertModule
     if A.deform is not None:
         raise AlgebraMismatch(
             "induction over deformed matrix bases is not supported")
-    dF, dE, mA = F.rank, E.rank, A.m
-    K = A.order
-    pairs = [(i, p) for i in range(dF) for p in range(dE)]
+    dE, mA, K = E.rank, A.m, A.order
 
-    # L[i][j] = action of <x_i, x_j>_B on E as a dE x dE block matrix over A.
-    lact = [[E.left_action(F.gram[i][j]) for j in range(dF)]
-            for i in range(dF)]
-    ghat = {}
-    for (i, p) in pairs:
-        for (j, q) in pairs:
-            acc = SeriesMatrix.zero(mA, mA, K)
-            for r in range(dE):
-                acc = acc + A.product(E.gram[p][r], lact[i][j][r][q])
-            ghat[((i, p), (j, q))] = acc
+    def by_pairs(blocks):
+        # Entry (i p, j q), pair (i, p) at index i dE + p, is entry (p, q)
+        # of block (i, j): a dF x dF block matrix of dE x dE blocks.
+        return [[e for b in brow for e in b[p]]
+                for brow in blocks for p in range(dE)]
 
-    if dF * dE == 0:
+    # Block (i, j) is E.gram times the action of <x_i, x_j>_B on E.
+    ghat = by_pairs([[_block_product(A, E.gram, list(zip(*E.left_action(g))))
+                      for g in row] for row in F.gram])
+    if not ghat:
         return PreHilbertModule(A, 0, [], left_algebra=F.left_algebra)
 
-    # The degeneracy space at scalar level.  Over the unknowns (pair, matrix
-    # unit E_ab) its system has rows (pair, entry r c) of ghat E_ab, which is
-    # column a of ghat moved to column b: ghat[r][a] where c = b and an exact
-    # zero elsewhere.  That system is m_A copies of ``flat``, rows (pair, r)
-    # and columns (pair, a), so one elimination of ``flat`` decides it; for a
-    # scalar base ``flat`` is the pair-indexed Gram.
-    flat = SeriesMatrix([[ghat[(ip, jq)].rows[r][a]
-                          for jq in pairs for a in range(mA)]
-                         for ip in pairs for r in range(mA)], K)
-    pivot_cols, kernel = radical_quotient(flat)
-    if mA == 1:
-        kept_pairs = [pairs[t] for t in pivot_cols]
-    else:
+    # The degeneracy space at scalar level.  Over the unknowns (pair, E_ab)
+    # its system has rows (pair, entry r c) of ghat E_ab: ghat[r][a] where
+    # c = b, an exact zero elsewhere.  That is m_A copies of the flattened
+    # ghat, so one elimination of it decides the space.
+    kept, kernel = radical_quotient(_flatten(ghat, K))
+    if mA > 1:
         # Matrix base: only block-supported degeneracy is presentable.
-        dead = [jq for jq in pairs
-                if all(ghat[(ip, jq)].is_exact_zero() for ip in pairs)]
-        if len(kernel) != len(dead) * mA:
+        kept = [t for t in range(len(ghat))
+                if not all(row[t].is_exact_zero() for row in ghat)]
+        if len(kernel) != (len(ghat) - len(kept)) * mA:
             raise PrecisionExhausted(
                 "degeneracy space not presentable on the product basis at "
                 "this truncation")
-        kept_pairs = [pair for pair in pairs if pair not in dead]
-    gram = [[ghat[(pi, pj)] for pj in kept_pairs] for pi in kept_pairs]
-
-    induced = PreHilbertModule(A, len(kept_pairs), gram,
+    induced = PreHilbertModule(A, len(kept),
+                               [[ghat[s][t] for t in kept] for s in kept],
                                left_algebra=F.left_algebra)
 
     if F.left_algebra is not None and F.left_action is not None:
-        f_act = F.left_action
-        e_act = E.left_action
+        f_act, e_act = F.left_action, E.left_action
 
         def induced_action(c_elem):
-            lf = f_act(c_elem)  # dF x dF over B
-            big = {}
-            for (j, q) in pairs:
-                # c . (x_j (x) phi_q) = sum_i x_i (x) (lf[i][j] . phi_q)
-                col = {}
-                for i in range(dF):
-                    le = e_act(lf[i][j])  # dE x dE over A
-                    for p in range(dE):
-                        entry = le[p][q]
-                        key = (i, p)
-                        col[key] = col[key] + entry if key in col else entry
-                big[(j, q)] = col
-            zero = SeriesMatrix.zero(mA, mA, K)
-            out = [[zero for _ in kept_pairs] for _ in kept_pairs]
-            for cidx, jq in enumerate(kept_pairs):
-                col = big[jq]
-                if mA == 1:
-                    coords = [col.get(pair, zero).rows[0][0] for pair in pairs]
-                    reduced = reduce_coords(coords, pivot_cols, kernel)
-                    for ridx, val in enumerate(reduced):
-                        out[ridx][cidx] = SeriesMatrix([[val]], K)
-                else:
-                    for ridx, pair in enumerate(kept_pairs):
-                        out[ridx][cidx] = col.get(pair, zero)
-            return out
+            # c . (x_j (x) phi_q) = sum_i x_i (x) (f_act(c)[i][j] . phi_q)
+            big = by_pairs([[e_act(b) for b in row] for row in f_act(c_elem)])
+            if mA > 1:
+                return [[big[s][t] for t in kept] for s in kept]
+            cols = [reduce_coords([row[t].rows[0][0] for row in big], kept,
+                                  kernel) for t in kept]
+            return [[SeriesMatrix([[col[s]]], K) for col in cols]
+                    for s in range(len(kept))]
 
         induced.left_action = induced_action
     return induced
@@ -393,9 +350,8 @@ def fullness_check(module: PreHilbertModule) -> bool:
     abasis = alg.basis()
     units = range(alg.dim)
     cols = []
-    for i in range(module.rank):
-        for j in range(module.rank):
-            g = module.gram[i][j]
+    for row in module.gram:
+        for g in row:
             if g.is_exact_zero():
                 continue
             for a in abasis:

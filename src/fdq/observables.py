@@ -180,10 +180,13 @@ class PolyObservable:
             self.tail_lost)
 
     def __mul__(self, other):
-        """Pointwise (commutative) product."""
+        """Pointwise (commutative) product.  As for series, an exact-zero
+        factor (no terms, no lost tail) makes the product an exact zero."""
         if not isinstance(other, PolyObservable):
             return NotImplemented
         self._check(other)
+        if not all(f.terms or f.tail_lost for f in (self, other)):
+            return PolyObservable.zero(self.signature, self.order)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

@@ -285,6 +285,9 @@ def gns_build(algebra: MatrixStarAlgebra, omega: MatrixFunctional,
         raise PositivityRefuted(
             f"omega({label}* x {label}) = {series_text(value)} is negative")
     pivot_cols, kernel = radical_quotient(gram_full)
+    if not pivot_cols:
+        raise ShapeMismatch("omega vanishes on every b* x b: the GNS "
+                            "quotient is 0-dimensional")
     gram = SeriesMatrix([[gram_full.rows[s][t] for t in pivot_cols]
                          for s in pivot_cols], algebra.order)
     if generators is None:

@@ -96,6 +96,23 @@ def test_gns_of_a_definite_deformed_functional():
                    "gram[3] = 0, 0, l, 2*l\n")
 
 
+def test_gns_reads_an_exact_zero_times_a_lossy_power_as_zero():
+    # 0*l^3 at K = 3 is an exact zero, as "0" is: the Gram is decided.
+    for entry in ("0", "0*l^3", "l^3*0"):
+        code, out, err = run(["gns", "--omega", f'[["1","0"],["0","{entry}"]]',
+                              "--K", "3"])
+        assert (code, err) == (0, "")
+        assert out == "dimension 2; basis E11 E21\ngram[0] = 1, 0\n" \
+            "gram[1] = 0, 1\n"
+
+
+def test_gns_of_the_zero_functional_exits_3_with_one_line():
+    code, out, err = run(["gns", "--omega", '[["0","0"],["0","0"]]'])
+    assert (code, out) == (3, "")
+    assert err == ("error: ShapeMismatch: omega vanishes on every b* x b: "
+                   "the GNS quotient is 0-dimensional\n")
+
+
 def test_project_command():
     code, out, _ = run(["project", "--K", "3",
                         "--p0", '[["1/2","1/2"],["1/2","1/2"]]',

@@ -488,7 +488,10 @@ def test_flag_rules_of_direct_terms():
     assert parse("l", 1, 1).tail_lost and not parse("l", 1, 1).terms
     assert parse("l^0", 1, 1) == parse("1", 1, 1)
     assert not parse("l^0", 1, 1).tail_lost
-    assert parse("l^3*0", 1, 3).tail_lost and parse("0*l^3", 1, 3).tail_lost
+    # An exact zero annihilates a lossy factor, as in a series product.
+    for text in ("l^3*0", "0*l^3", "(q1 + l^3)*0*l^3"):
+        zero = parse(text, 1, 3)
+        assert not zero.terms and not zero.tail_lost
     assert not parse("0*l*l*l", 1, 2).tail_lost
     assert not parse("0", 1, K).tail_lost
     f = parse("q1 - q1 + p1 + q1", 1, K)

@@ -3,12 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdq.errors import (AlgebraMismatch, DefectNotSmall, NotHermitian,
-                        PrecisionExhausted, RankMismatch, ShapeMismatch)
+from fdq.errors import (AlgebraMismatch, DefectNotSmall, FdqError,
+                        NotHermitian, PrecisionExhausted, RankMismatch,
+                        ShapeMismatch)
 from fdq.exprio import parse_series
-from fdq.matrices import MatrixStarAlgebra, SeriesMatrix, nullspace
-from fdq.modules import (GramVerdict, MoritaClassData, MoritaVerdict,
-                         PreHilbertModule, classical_limit_module,
+from fdq.matrices import (MatrixStarAlgebra, SeriesMatrix, nullspace,
+                          radical_quotient, reduce_coords)
+from fdq.modules import (AdjointableOp, GramVerdict, MoritaClassData,
+                         MoritaVerdict, PreHilbertModule,
+                         classical_limit_module,
                          fedosov_project, fullness_check, gram_psd_check,
                          hermitian_class_check, idempotent_equivalence_verify,
                          morita_class_check, rank_one, rieffel_tensor)
@@ -526,6 +529,320 @@ def test_matrix_base_rieffel_matches_block_system(case):
 
     assert induction_outcome(flattened, *case) == \
         induction_outcome(reference_block_rieffel, *case)
+
+
+# -- block products against the hand-rolled loops ------------------------------------------
+#
+# The routines below are the block loops that ``rieffel_tensor``, rank-one
+# operators, ``AdjointableOp.apply``, ``flatten_gram`` and ``pair_gram`` ran
+# before they shared ``_block_product`` and ``_flatten``, kept verbatim as
+# references.
+
+
+def reference_flatten_gram(self):
+    """The Gram as one scalar matrix of size rank*m."""
+    if self.rank == 0:
+        raise ShapeMismatch("rank-0 module has no Gram matrix")
+    m = self.base.m
+    K = self.order
+    rows = []
+    for i in range(self.rank):
+        for r in range(m):
+            row = []
+            for j in range(self.rank):
+                for c in range(m):
+                    row.append(self.gram[i][j].rows[r][c])
+            rows.append(row)
+    return SeriesMatrix(rows, K)
+
+
+def reference_pair_gram(self, x, y):
+    """Flattened 2m x 2m Gram of the pair (x, y), for PSD sampling."""
+    gxx, gxy = self.inner(x, x), self.inner(x, y)
+    gyx, gyy = self.inner(y, x), self.inner(y, y)
+    m = self.base.m
+    rows = []
+    for r in range(m):
+        rows.append(list(gxx.rows[r]) + list(gxy.rows[r]))
+    for r in range(m):
+        rows.append(list(gyx.rows[r]) + list(gyy.rows[r]))
+    return SeriesMatrix(rows, self.order)
+
+
+def reference_apply(self, vec):
+    alg = self.base
+    out = []
+    for i in range(len(self.entries)):
+        acc = SeriesMatrix.zero(alg.m, alg.m, alg.order)
+        for j, v in enumerate(vec):
+            acc = acc + alg.product(self.entries[i][j], v)
+        out.append(acc)
+    return out
+
+
+def reference_rank_one(psi, phi, module):
+    """Theta_{psi,phi}: chi -> psi . <phi, chi>; its adjoint is Theta_{phi,psi}."""
+    if len(psi) != module.rank or len(phi) != module.rank:
+        raise RankMismatch("coordinate length must equal the rank")
+    alg = module.base
+
+    def build(u, v):
+        # Theta_{u,v}[i][l] = u_i (x) (sum_k v_k* (x) G[k][l])
+        rows = []
+        for i in range(module.rank):
+            row = []
+            for l in range(module.rank):
+                acc = SeriesMatrix.zero(alg.m, alg.m, alg.order)
+                for k in range(module.rank):
+                    acc = acc + alg.product(alg.involution(v[k]),
+                                            module.gram[k][l])
+                row.append(alg.product(u[i], acc))
+            rows.append(row)
+        return rows
+
+    return AdjointableOp(build(psi, phi), build(phi, psi), alg)
+
+
+def reference_rieffel_tensor(F, E):
+    """Internal tensor product F (x)_B E with the degeneracy space removed."""
+    if E.left_algebra is None or E.left_action is None:
+        raise AlgebraMismatch("E must carry a left action of F's base algebra")
+    if E.left_algebra != F.base:
+        raise AlgebraMismatch("base of F must equal the left algebra of E")
+    A = E.base
+    if A.deform is not None:
+        raise AlgebraMismatch(
+            "induction over deformed matrix bases is not supported")
+    dF, dE, mA = F.rank, E.rank, A.m
+    K = A.order
+    pairs = [(i, p) for i in range(dF) for p in range(dE)]
+
+    # L[i][j] = action of <x_i, x_j>_B on E as a dE x dE block matrix over A.
+    lact = [[E.left_action(F.gram[i][j]) for j in range(dF)]
+            for i in range(dF)]
+    ghat = {}
+    for (i, p) in pairs:
+        for (j, q) in pairs:
+            acc = SeriesMatrix.zero(mA, mA, K)
+            for r in range(dE):
+                acc = acc + A.product(E.gram[p][r], lact[i][j][r][q])
+            ghat[((i, p), (j, q))] = acc
+
+    if dF * dE == 0:
+        return PreHilbertModule(A, 0, [], left_algebra=F.left_algebra)
+
+    # The degeneracy space at scalar level.  Over the unknowns (pair, matrix
+    # unit E_ab) its system has rows (pair, entry r c) of ghat E_ab, which is
+    # column a of ghat moved to column b: ghat[r][a] where c = b and an exact
+    # zero elsewhere.  That system is m_A copies of ``flat``, rows (pair, r)
+    # and columns (pair, a), so one elimination of ``flat`` decides it; for a
+    # scalar base ``flat`` is the pair-indexed Gram.
+    flat = SeriesMatrix([[ghat[(ip, jq)].rows[r][a]
+                          for jq in pairs for a in range(mA)]
+                         for ip in pairs for r in range(mA)], K)
+    pivot_cols, kernel = radical_quotient(flat)
+    if mA == 1:
+        kept_pairs = [pairs[t] for t in pivot_cols]
+    else:
+        # Matrix base: only block-supported degeneracy is presentable.
+        dead = [jq for jq in pairs
+                if all(ghat[(ip, jq)].is_exact_zero() for ip in pairs)]
+        if len(kernel) != len(dead) * mA:
+            raise PrecisionExhausted(
+                "degeneracy space not presentable on the product basis at "
+                "this truncation")
+        kept_pairs = [pair for pair in pairs if pair not in dead]
+    gram = [[ghat[(pi, pj)] for pj in kept_pairs] for pi in kept_pairs]
+
+    induced = PreHilbertModule(A, len(kept_pairs), gram,
+                               left_algebra=F.left_algebra)
+
+    if F.left_algebra is not None and F.left_action is not None:
+        f_act = F.left_action
+        e_act = E.left_action
+
+        def induced_action(c_elem):
+            lf = f_act(c_elem)  # dF x dF over B
+            big = {}
+            for (j, q) in pairs:
+                # c . (x_j (x) phi_q) = sum_i x_i (x) (lf[i][j] . phi_q)
+                col = {}
+                for i in range(dF):
+                    le = e_act(lf[i][j])  # dE x dE over A
+                    for p in range(dE):
+                        entry = le[p][q]
+                        key = (i, p)
+                        col[key] = col[key] + entry if key in col else entry
+                big[(j, q)] = col
+            zero = SeriesMatrix.zero(mA, mA, K)
+            out = [[zero for _ in kept_pairs] for _ in kept_pairs]
+            for cidx, jq in enumerate(kept_pairs):
+                col = big[jq]
+                if mA == 1:
+                    coords = [col.get(pair, zero).rows[0][0] for pair in pairs]
+                    reduced = reduce_coords(coords, pivot_cols, kernel)
+                    for ridx, val in enumerate(reduced):
+                        out[ridx][cidx] = SeriesMatrix([[val]], K)
+                else:
+                    for ridx, pair in enumerate(kept_pairs):
+                        out[ridx][cidx] = col.get(pair, zero)
+            return out
+
+        induced.left_action = induced_action
+    return induced
+
+
+def exact_form(value):
+    """Every entry's value and ``tail_lost`` flag, down to the series."""
+    if isinstance(value, FormalSeries):
+        return value, value.tail_lost
+    if isinstance(value, SeriesMatrix):
+        return tuple(exact_form(e) for row in value.rows for e in row)
+    if isinstance(value, PreHilbertModule):
+        return value.rank, exact_form(value.gram)
+    if isinstance(value, AdjointableOp):
+        return exact_form(value.entries), exact_form(value.adjoint_entries)
+    return tuple(exact_form(v) for v in value)
+
+
+def outcome(f, *args):
+    try:
+        return exact_form(f(*args))
+    except FdqError as exc:
+        return type(exc), str(exc)
+
+
+def diagonal_action(alg, d, scale):
+    """b acting on a rank-d module over ``alg`` as scale(b) on the diagonal."""
+    zero = SeriesMatrix.zero(alg.m, alg.m, alg.order)
+    return lambda b: [[scale(b) if r == q else zero for q in range(d)]
+                      for r in range(d)]
+
+
+def hermitian_blocks(draw, alg, d):
+    """A Hermitian d x d block Gram over ``alg``: v v* for a block column v
+    of constants, whose radical the elimination decides exactly, or random
+    ``block_entry`` blocks with the unit added to some diagonal ones."""
+    k, m = alg.order, alg.m
+
+    def block(entry):
+        return SeriesMatrix([[entry() for _ in range(m)] for _ in range(m)],
+                            k)
+
+    if draw(st.booleans()):
+        v = [block(lambda: FormalSeries.from_scalar(GaussianRational(
+            draw(st.integers(-2, 2)), draw(st.integers(-1, 1))), k))
+            for _ in range(d)]
+        return [[alg.product(a, alg.involution(b)) for b in v] for a in v]
+    gram = [[None] * d for _ in range(d)]
+    for p in range(d):
+        for q in range(p, d):
+            b = block(lambda: block_entry(draw, k))
+            if p == q:
+                b = b + b.adjoint()
+                if draw(st.booleans()):
+                    b = b + alg.unit()
+            gram[p][q], gram[q][p] = b, b.adjoint()
+    return gram
+
+
+@st.composite
+def block_cases(draw):
+    """(F, E, c, x, y, psi, phi): F over B with a left action of the scalars
+    C (c times a random matrix), E over A with a left action of B, c in C,
+    and vectors of F.  Three shapes: A = B = M1; A = M2 over B = M1; A = M1
+    under B = M2 acting on a rank-2 column module.  Ranks 0-2, K 1-4,
+    entries exact, lossy zeros or lossy."""
+    k = draw(st.sampled_from([1, 2, 3, 4]))
+    shape = draw(st.sampled_from(["scalar", "m2-base", "m2-left"]))
+    scalars, m2 = MatrixStarAlgebra(1, k), MatrixStarAlgebra(2, k)
+    B = m2 if shape == "m2-left" else scalars
+    ranks = st.sampled_from([0, 1, 1, 2, 2, 2])
+    dF = draw(ranks)
+
+    def entry_or_one_plus():
+        return block_entry(draw, k) + FormalSeries.from_scalar(
+            GaussianRational(draw(st.integers(0, 1))), k)
+
+    t = [[entry_or_one_plus() for _ in range(dF)] for _ in range(dF)]
+    F = PreHilbertModule(
+        B, dF, hermitian_blocks(draw, B, dF), left_algebra=scalars,
+        left_action=lambda c: [[B.unit().scale(c.rows[0][0] * e)
+                                for e in row] for row in t])
+    if shape == "m2-left":
+        s = block_entry(draw, k)
+        diag = [[s + s.conjugate() if r == q else FormalSeries.zero(k)
+                 for q in range(2)] for r in range(2)]
+        E = PreHilbertModule(
+            scalars, 2,
+            [[SeriesMatrix([[e]], k) for e in row] for row in diag],
+            left_algebra=m2,
+            left_action=lambda b: [[SeriesMatrix([[e]], k) for e in row]
+                                   for row in b.rows])
+    else:
+        A = m2 if shape == "m2-base" else scalars
+        dE = draw(ranks)
+        E = PreHilbertModule(
+            A, dE, hermitian_blocks(draw, A, dE), left_algebra=scalars,
+            left_action=diagonal_action(
+                A, dE, lambda b: A.unit().scale(b.rows[0][0])))
+
+    def vector():
+        return [SeriesMatrix([[block_entry(draw, k) for _ in range(B.m)]
+                              for _ in range(B.m)], k) for _ in range(dF)]
+
+    c = SeriesMatrix([[entry_or_one_plus()]], k)
+    return F, E, c, vector(), vector(), vector(), vector()
+
+
+def induction_with_action(rieffel, F, E, c):
+    ind = rieffel(F, E)
+    return ind, ind.left_action(c) if ind.left_action is not None else ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_cases())
+def test_block_products_match_the_hand_rolled_loops(case):
+    """Every value, tail_lost flag and error of the block-product routines
+    is the reference's."""
+    F, E, c, x, y, psi, phi = case
+    assert outcome(induction_with_action, rieffel_tensor, F, E, c) == \
+        outcome(induction_with_action, reference_rieffel_tensor, F, E, c)
+    assert outcome(F.flatten_gram) == outcome(reference_flatten_gram, F)
+    assert outcome(F.pair_gram, x, y) == outcome(reference_pair_gram, F, x, y)
+    theta = rank_one(psi, phi, F)
+    assert exact_form(theta) == outcome(reference_rank_one, psi, phi, F)
+    assert outcome(theta.apply, x) == outcome(reference_apply, theta, x)
+    adjoint = theta.adjoint()
+    assert outcome(adjoint.apply, y) == outcome(reference_apply, adjoint, y)
+
+
+def test_operator_from_a_rank_zero_module_sends_its_vector_to_zero():
+    op = AdjointableOp([[], []], [], SCALARS)
+    assert op.apply([]) == reference_apply(op, []) == [smat(ZERO)] * 2
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_rank_one_makes_two_r_squared_products_per_operator(monkeypatch, r):
+    """w = v* G once, then u_i w_l: 2 r^2 algebra products for each of
+    Theta_{psi,phi} and its adjoint, not r^2 (r + 1)."""
+    products = 0
+    real = MatrixStarAlgebra.product
+
+    def counting(self, a, b):
+        nonlocal products
+        products += 1
+        return real(self, a, b)
+
+    mod = scalar_module([[ONE + LAM if i == j else LAM for j in range(r)]
+                         for i in range(r)])
+    psi = [smat(ONE + LAM.scalar_mul(k)) for k in range(r)]
+    phi = [smat(LAM - ONE.scalar_mul(k)) for k in range(r)]
+    want = reference_rank_one(psi, phi, mod)
+    monkeypatch.setattr(MatrixStarAlgebra, "product", counting)
+    theta = rank_one(psi, phi, mod)
+    assert exact_form(theta) == exact_form(want)
+    assert products == 2 * (2 * r * r)
 
 
 # -- classical limit of modules ------------------------------------------------------------

@@ -193,6 +193,14 @@ def test_gns_precision_exhausted():
         gns_build(alg, MatrixFunctional(SeriesMatrix([[lossy]], K)))
 
 
+def test_gns_of_the_zero_functional_is_refused_in_one_sentence():
+    for deform in (None, SeriesMatrix.identity(2, K)):
+        alg = MatrixStarAlgebra(2, K, deform=deform)
+        with pytest.raises(ShapeMismatch, match=r"^omega vanishes on every "
+                           r"b\* x b: the GNS quotient is 0-dimensional$"):
+            gns_build(alg, w_of([[0, 0], [0, 0]]))
+
+
 def test_positivity_scan_witnesses():
     alg = MatrixStarAlgebra(2, K)
     assert matrix_positivity_scan(alg, w_of([[1, 0], [0, 0]])) == []
