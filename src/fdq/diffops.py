@@ -9,10 +9,11 @@ sum (-d)^alpha o conj(c_alpha).
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb, prod
 
 from .errors import SignatureMismatch
-from .observables import PolyObservable, _derive, involution
+from .observables import PolyObservable, _partial, involution
 from .series import FormalSeries
 
 
@@ -99,7 +100,7 @@ class DiffOperator:
             raise SignatureMismatch("operand signature mismatch")
         out = PolyObservable.zero(self.signature, self.order)
         for exp, coeff in self.terms.items():
-            term = _partial(psi, exp)
+            term = _partial(psi, _pairs(exp))
             if term.terms or term.tail_lost:
                 out = out + coeff * term
         return out
@@ -114,7 +115,7 @@ class DiffOperator:
                 # d^alpha (d(x) .) = sum_{gamma <= alpha} C(alpha, gamma)
                 #                    (d^gamma d)(x) d^{alpha-gamma}
                 for gamma in _sub_multi_indices(alpha):
-                    dg = _partial(d, gamma)
+                    dg = _partial(d, _pairs(gamma))
                     if not dg.terms and not dg.tail_lost:
                         continue
                     mult = prod(map(comb, alpha, gamma))
@@ -139,28 +140,15 @@ class DiffOperator:
         return out
 
 
-def _partial(psi, exp):
-    """d^exp psi: one falling-factorial scalar per surviving term."""
-    alpha = tuple((i, t) for i, t in enumerate(exp) if t)
-    if not alpha:
-        return psi
-    terms = {}
-    for e, c in psi.terms.items():
-        ff, d = _derive(e, alpha)
-        if ff:
-            terms[d] = c.scalar_mul(ff)
-    return PolyObservable(psi.signature, terms, psi.order, psi.tail_lost)
+def _pairs(exp):
+    """The (index, times) pairs of d^exp that ``_partial`` takes."""
+    return tuple((i, t) for i, t in enumerate(exp) if t)
 
 
 def _sub_multi_indices(alpha):
-    """All gamma with 0 <= gamma <= alpha componentwise."""
-    if not alpha:
-        yield ()
-        return
-    head, rest = alpha[0], alpha[1:]
-    for tail in _sub_multi_indices(rest):
-        for g in range(head + 1):
-            yield (g,) + tail
+    """All gamma with 0 <= gamma <= alpha componentwise, the first index
+    running fastest."""
+    return (g[::-1] for g in product(*(range(a + 1) for a in alpha[::-1])))
 
 
 def formal_adjoint(op: DiffOperator) -> DiffOperator:

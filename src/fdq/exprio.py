@@ -140,8 +140,6 @@ _TOKEN_RE = re.compile(r"\s*(\d+(?:/\d+)?|[A-Za-z][A-Za-z0-9]*|\S)")
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _OPS = frozenset("-+*^()")
 
-_VAR_RE = re.compile(r"(qb|zb|yb|q|p|z)([1-9][0-9]*)$")
-
 
 def _error(cls, message, src, index):
     """``cls(message)`` at the 1-based line and column of token ``index`` (the
@@ -175,9 +173,14 @@ def _tokenize(src):
     return tokens, numbers, names
 
 
-# Each name prefix and each chart mapped to its variable family.
-_FAMILY_OF_PREFIX = dict(q="real", p="real", z="holo", zb="holo", yb="fock")
+# Each chart and each of its name prefixes mapped to its variable family; a
+# variable is a prefix and an index, longer prefixes tried first.
 _FAMILY_OF_CHART = dict(real="real", wave="real", holo="holo", fock="fock")
+_FAMILY_OF_PREFIX = {prefix: _FAMILY_OF_CHART[chart]
+                     for chart, prefixes in _CHART_PREFIXES.items()
+                     for prefix in prefixes}
+_VAR_RE = re.compile("(%s)([1-9][0-9]*)$" % "|".join(
+    sorted(_FAMILY_OF_PREFIX, key=len, reverse=True)))
 
 
 def _classify_variables(tokens, names, n, chart, src):
@@ -186,7 +189,7 @@ def _classify_variables(tokens, names, n, chart, src):
     seen = set()
     for name in names:
         m = _VAR_RE.match(name)
-        family = m and _FAMILY_OF_PREFIX.get(m.group(1))
+        family = m and _FAMILY_OF_PREFIX[m.group(1)]
         if not family:
             raise _error(UnknownVariable, f"unknown variable {name!r}", src,
                          tokens.index(name))

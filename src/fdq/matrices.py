@@ -109,9 +109,6 @@ class SeriesMatrix:
                          for r in self.rows)
         return f"<matrix {self.nrows}x{self.ncols} [{body}]>"
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def _check(self, other, need_same_shape=True):
         if self.order != other.order:
             raise TruncationMismatch("matrix orders differ")
@@ -170,11 +167,6 @@ class SeriesMatrix:
         return SeriesMatrix([[a.scalar_mul(c) for a in r] for r in self.rows],
                             self.order)
 
-    def transpose(self):
-        return SeriesMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)]
-             for j in range(self.ncols)], self.order)
-
     def adjoint(self):
         """Conjugate transpose."""
         return SeriesMatrix(
@@ -189,12 +181,6 @@ class SeriesMatrix:
 
     def is_exact_zero(self):
         return all(e.is_exact_zero() for r in self.rows for e in r)
-
-    def trace(self):
-        acc = FormalSeries.zero(self.order)
-        for i in range(min(self.nrows, self.ncols)):
-            acc = acc + self.rows[i][i]
-        return acc
 
     def classical_limit(self):
         """Matrix of lambda^0 coefficients (as order-1 series)."""
@@ -485,19 +471,18 @@ class MatrixStarAlgebra:
     Hermitian exactly when E is.
     """
 
-    def __init__(self, m, order=None, deform=None, name=None):
+    def __init__(self, m, order=None, deform=None):
         self.m = m
         self.order = _order(order)
         if deform is not None:
             if deform.nrows != m or deform.ncols != m:
                 raise ShapeMismatch("deformation matrix must be m x m")
-            if deform.order != self.order:
-                deform = deform.reduce_order(self.order) \
-                    if deform.order > self.order else deform
+            if deform.order > self.order:
+                deform = deform.reduce_order(self.order)
             if deform.order != self.order:
                 raise TruncationMismatch("deformation matrix order mismatch")
         self.deform = deform
-        self.name = name or (f"M{m}" if deform is None else f"M{m}+lE")
+        self.name = f"M{m}" if deform is None else f"M{m}+lE"
         self._unit = None
 
     @property
@@ -575,7 +560,7 @@ class MatrixStarAlgebra:
         return f"<algebra {self.name} K={self.order}>"
 
     def to_json(self):
-        payload = {
+        return {
             "schema_version": 1,
             "type": "matrix_algebra",
             "m": self.m,
@@ -583,7 +568,6 @@ class MatrixStarAlgebra:
             "deform": self.deform.to_json() if self.deform is not None
                       else None,
         }
-        return payload
 
 
 def one_plus_adjoint_times_self_invertible(a: SeriesMatrix) -> bool:

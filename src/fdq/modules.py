@@ -4,11 +4,10 @@ the characteristic-class equivalence decision.
 
 Block matrices over the base algebra share two helpers: ``_block_product``
 adds x[i][k] * y[k][j] to an exact zero in order of k, and ``_flatten`` puts
-entry (r, c) of block (i, j) at row (i, r) and column (j, c).  Rank-one
-operators u (v* G), ``AdjointableOp.apply`` and the induced Gram of F (x)_B E,
-<x_i (x) phi_p, x_j (x) phi_q> = (G_E L(<x_i, x_j>_B))[p][q] for the left
-action L of B on E, are block products.  ``inner`` is not: summing over i
-before multiplying by y_j would change the association, and so the flags.
+entry (r, c) of block (i, j) at row (i, r) and column (j, c).  Inner products
+(x* G) y, rank-one operators u (v* G), ``AdjointableOp.apply`` and the induced
+Gram of F (x)_B E, <x_i (x) phi_p, x_j (x) phi_q> = (G_E L(<x_i, x_j>_B))[p][q]
+for the left action L of B on E, are block products.
 """
 
 from __future__ import annotations
@@ -111,6 +110,9 @@ class PreHilbertModule:
             raise RankMismatch("rank must be nonnegative")
         if len(gram) != rank or any(len(row) != rank for row in gram):
             raise ShapeMismatch("Gram must be rank x rank")
+        if any((g.nrows, g.ncols) != (base.m, base.m) for row in gram
+               for g in row):
+            raise ShapeMismatch(f"Gram blocks must be {base.m} x {base.m}")
         if any(gram[i][j] != base.involution(gram[j][i])
                for i in range(rank) for j in range(rank)):
             raise NotHermitian("module Gram must be Hermitian")
@@ -132,18 +134,17 @@ class PreHilbertModule:
     def order(self):
         return self.base.order
 
+    def _bra(self, x):
+        """x* G as one block row: <x, y> = (x* G) y."""
+        alg = self.base
+        return _block_product(alg, [list(map(alg.involution, x))],
+                              list(zip(*self.gram)))[0]
+
     def inner(self, x, y):
-        """<x, y> = sum_ij x_i* (x) G_ij (x) y_j, star products in the base."""
+        """<x, y> = (x* G) y, star products in the base."""
         if len(x) != self.rank or len(y) != self.rank:
             raise RankMismatch("coordinate length must equal the rank")
-        alg = self.base
-        total = SeriesMatrix.zero(alg.m, alg.m, alg.order)
-        for i in range(self.rank):
-            xi = alg.involution(x[i])
-            for j in range(self.rank):
-                total = total + alg.product(alg.product(xi, self.gram[i][j]),
-                                            y[j])
-        return total
+        return _block_product(self.base, [self._bra(x)], [y])[0][0]
 
     def basis_vector(self, i):
         alg = self.base
@@ -209,12 +210,11 @@ def rank_one(psi, phi, module: PreHilbertModule) -> AdjointableOp:
     if len(psi) != module.rank or len(phi) != module.rank:
         raise RankMismatch("coordinate length must equal the rank")
     alg = module.base
-    gram_cols = list(zip(*module.gram))
 
     def build(u, v):
         # Theta_{u,v}[i][l] = u_i (x) w_l, w_l = sum_k v_k* (x) G[k][l].
-        w, = _block_product(alg, [[alg.involution(x) for x in v]], gram_cols)
-        return _block_product(alg, [[x] for x in u], [[x] for x in w])
+        return _block_product(alg, [[x] for x in u],
+                              [[x] for x in module._bra(v)])
 
     return AdjointableOp(build(psi, phi), build(phi, psi), alg)
 
@@ -291,8 +291,7 @@ def classical_limit_module(module: PreHilbertModule) -> ClassicalLimit:
     operator transport is shared with the representation engine."""
     if module.rank == 0:
         return ClassicalLimit([], [], None, [])
-    flat = module.flatten_gram()
-    return classical_limit_rep(flat, [])
+    return classical_limit_rep(module.flatten_gram(), [])
 
 
 # -- deformed projections -----------------------------------------------------------------

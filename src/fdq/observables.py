@@ -214,12 +214,7 @@ class PolyObservable:
 
     def derivative(self, index, times=1):
         """Exact partial derivative with respect to variable ``index``."""
-        terms, alpha = {}, ((index, times),)
-        for exp, c in self.terms.items():
-            if exp[index] >= times:
-                ff, d = _derive(exp, alpha)
-                terms[d] = c.scalar_mul(ff)
-        return PolyObservable(self.signature, terms, self.order, self.tail_lost)
+        return _partial(self, ((index, times),))
 
     def reduce_order(self, order):
         return PolyObservable(
@@ -254,6 +249,28 @@ def _derive(exp, alpha):
     for i, t in alpha:
         d[i] -= t
     return ff, tuple(d)
+
+
+def _partial(f, alpha):
+    """d^alpha f, alpha a tuple of (index, times) pairs: each surviving
+    term is scaled once by its falling factorial.  That is ``_derive``,
+    inlined with an early exit, so a term the derivative kills costs no
+    call."""
+    if not alpha:
+        return f
+    terms = {}
+    for exp, c in f.terms.items():
+        ff = 1
+        for i, t in alpha:
+            if exp[i] < t:
+                break
+            ff *= perm(exp[i], t)
+        else:
+            d = list(exp)
+            for i, t in alpha:
+                d[i] -= t
+            terms[tuple(d)] = c.scalar_mul(ff)
+    return PolyObservable(f.signature, terms, f.order, f.tail_lost)
 
 
 def involution(f: PolyObservable) -> PolyObservable:

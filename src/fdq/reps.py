@@ -21,15 +21,12 @@ from .star import apply_equiv, op_n
 # -- Bargmann-Fock ----------------------------------------------------------------
 
 
-def fock_signature(n):
-    return PhaseSpaceSignature(n, "fock")
-
-
-def _symbol_operator(f: PolyObservable, sig, deriv_half, u) -> DiffOperator:
-    """The operator on ``sig`` of ``f``, whose exponents split into halves of
-    n: with b the half ``deriv_half`` (0 first, 1 second) and a the other,
+def _symbol_operator(f: PolyObservable, chart, deriv_half, u) -> DiffOperator:
+    """The operator on ``chart`` of ``f``, whose exponents split into halves
+    of n: with b the half ``deriv_half`` (0 first, 1 second) and a the other,
     c x^a y^b becomes c u^|b| l^|b| x^a d^b/dx^b."""
     n = f.signature.n
+    sig = PhaseSpaceSignature(n, chart)
     K = f.order
     terms = {}
     u_powers = [GaussianRational(1)]
@@ -51,7 +48,7 @@ def wickrep(f: PolyObservable) -> DiffOperator:
     the monomial z^a zb^b becomes (2l)^|a| yb^b d^a/dyb^a."""
     if f.signature.chart != "holo":
         raise SignatureMismatch("wickrep expects a holomorphic observable")
-    return _symbol_operator(f, fock_signature(f.signature.n), 0, 2)
+    return _symbol_operator(f, "fock", 0, 2)
 
 
 def fock_inner(phi: PolyObservable, psi: PolyObservable) -> FormalSeries:
@@ -79,14 +76,9 @@ def fock_inner(phi: PolyObservable, psi: PolyObservable) -> FormalSeries:
 # -- Schroedinger -----------------------------------------------------------------
 
 
-def wave_signature(n):
-    return PhaseSpaceSignature(n, "wave")
-
-
 def _std_operator(f: PolyObservable) -> DiffOperator:
     """Standard-ordered symbol calculus: q^a p^b -> (-il)^|b| q^a d^b/dq^b."""
-    return _symbol_operator(f, wave_signature(f.signature.n), 1,
-                            GaussianRational(0, -1))
+    return _symbol_operator(f, "wave", 1, GaussianRational(0, -1))
 
 
 def schroedinger_rep(kind: str, f: PolyObservable) -> DiffOperator:
@@ -212,8 +204,7 @@ class GNSResult:
 
     def vacuum_expectation(self, element: SeriesMatrix) -> FormalSeries:
         """<psi_1, pi(element) psi_1> with the quotient Gram."""
-        mat = self.represent(element)
-        v = _mat_vec(mat, self.cyclic)
+        v = _mat_vec(self.represent(element), self.cyclic)
         return _inner(self.gram, self.cyclic, v)
 
     def __eq__(self, other):
@@ -251,22 +242,20 @@ class GNSResult:
 
 
 def _mat_vec(mat: SeriesMatrix, vec):
-    return [sum((mat.rows[i][j] * vec[j] for j in range(mat.ncols)),
-                FormalSeries.zero(mat.order)) for i in range(mat.nrows)]
+    """mat vec, the vector as one column."""
+    return [e for e, in (mat @ SeriesMatrix.from_columns([vec],
+                                                         mat.order)).rows]
 
 
 def _inner(gram: SeriesMatrix, x, y):
-    """<x, y> = sum conj(x_i) G_ij y_j."""
-    total = FormalSeries.zero(gram.order)
-    for i in range(gram.nrows):
-        xi = x[i].conjugate()
-        for j in range(gram.ncols):
-            total = total + (xi * gram.rows[i][j]) * y[j]
+    """<x, y> = (conj(x) G) y, conj(x) as one row and y as one column."""
+    xrow = SeriesMatrix([[c.conjugate() for c in x]], gram.order)
+    (total,), = (xrow @ gram @ SeriesMatrix.from_columns([y], gram.order)).rows
     return total
 
 
-def gns_build(algebra: MatrixStarAlgebra, omega: MatrixFunctional,
-              generators=None) -> GNSResult:
+def gns_build(algebra: MatrixStarAlgebra,
+              omega: MatrixFunctional) -> GNSResult:
     """GNS data of a positive ``MatrixFunctional`` omega on a (possibly
     deformed) matrix algebra over truncated series.
 
@@ -276,8 +265,11 @@ def gns_build(algebra: MatrixStarAlgebra, omega: MatrixFunctional,
     elimination.  One valuation-pivoted elimination (``radical_quotient``)
     then certifies the kernel, the ideal of null vectors, or raises
     PrecisionExhausted; the surviving pivot columns become the quotient
-    basis.
+    basis, and the matrix units the generators.
     """
+    m = algebra.m
+    if (omega.weights.nrows, omega.weights.ncols) != (m, m):
+        raise ShapeMismatch(f"omega's weights must be {m} x {m}")
     gram_full, witnesses = _gram_and_witnesses(algebra, omega)
     if witnesses:
         label, value = witnesses[0]
@@ -290,11 +282,9 @@ def gns_build(algebra: MatrixStarAlgebra, omega: MatrixFunctional,
                             "quotient is 0-dimensional")
     gram = SeriesMatrix([[gram_full.rows[s][t] for t in pivot_cols]
                          for s in pivot_cols], algebra.order)
-    if generators is None:
-        generators = algebra.basis()
     result = GNSResult(algebra, omega, pivot_cols, kernel, gram,
-                       list(generators), [], None)
-    result.pi = [result.represent(g) for g in generators]
+                       algebra.basis(), [], None)
+    result.pi = [result.represent(g) for g in result.generators]
     result.cyclic = result.reduce_coords(algebra.to_coords(algebra.unit()))
     return result
 
@@ -428,11 +418,8 @@ def commutant(rep_matrices):
                     row[i * d + k] = row[i * d + k] - a.rows[k][j]
                 rows.append(row)
     system = SeriesMatrix(rows, K)
-    basis = []
-    for vec in nullspace(system):
-        basis.append(SeriesMatrix([[vec[i * d + j] for j in range(d)]
-                                   for i in range(d)], K))
-    return basis
+    return [SeriesMatrix([[vec[i * d + j] for j in range(d)]
+                          for i in range(d)], K) for vec in nullspace(system)]
 
 
 # -- classical limit -------------------------------------------------------------------
@@ -461,7 +448,6 @@ def classical_limit_rep(gram: SeriesMatrix, rep_matrices) -> ClassicalLimit:
     """Evaluate the Gram at l = 0, quotient by its radical, and induce the
     operators; functorial in compositions and adjoints."""
     g0 = gram.classical_limit()
-    d = g0.nrows
     pivot_cols, kernel = radical_quotient(g0)
     if not pivot_cols:
         return ClassicalLimit([], kernel, None,
@@ -469,11 +455,9 @@ def classical_limit_rep(gram: SeriesMatrix, rep_matrices) -> ClassicalLimit:
     gram0 = SeriesMatrix([[g0.rows[s][t] for t in pivot_cols]
                           for s in pivot_cols], 1)
     limit = ClassicalLimit(pivot_cols, kernel, gram0, [])
-    mats = []
     for a in rep_matrices:
         a0 = a.classical_limit()
-        cols = [limit.reduce_vector([a0.rows[i][t] for i in range(d)])
-                for t in pivot_cols]
-        mats.append(SeriesMatrix.from_columns(cols, 1))
-    limit.matrices0 = mats
+        limit.matrices0.append(SeriesMatrix.from_columns(
+            [limit.reduce_vector([row[t] for row in a0.rows])
+             for t in pivot_cols], 1))
     return limit

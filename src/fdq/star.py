@@ -203,9 +203,8 @@ def op_n(n, order=None):
     return EquivOperatorSpec(sig, gen, order, name="N")
 
 
-def identity_op(n, order=None, chart="real"):
-    return EquivOperatorSpec(PhaseSpaceSignature(n, chart), {}, order,
-                             name="id")
+def identity_op(n, order=None):
+    return EquivOperatorSpec(PhaseSpaceSignature(n), {}, order, name="id")
 
 
 # -- core operations --------------------------------------------------------------

@@ -309,6 +309,9 @@ _HOSTILE_FILES = {
                    "generator": []},
     "rank.json": {"base": {"m": 1}, "rank": "2", "gram": [["1"]]},
     "unit.json": {"base": {"m": 1}, "rank": 1, "gram": [["1"]]},
+    "m2.json": {"base": {"m": 2}, "rank": 1, "gram": [["1"]]},
+    "rank2.json": {"base": {"m": 1}, "rank": 2,
+                   "gram": [["1", "0"], ["0", "1"]]},
 }
 
 
@@ -323,6 +326,8 @@ _HOSTILE_FILES = {
     (["rieffel", "{dir}/rank.json", "{dir}/unit.json"], "SchemaError"),
     (["axioms", "--degree", "-1"], "ConfigError"),
     (["starexp", "--order", "-1", "q1"], "ConfigError"),
+    (["gns", "--omega", '[["1","0"]]'], "ShapeMismatch"),
+    (["rieffel", "{dir}/m2.json", "{dir}/rank2.json"], "ShapeMismatch"),
 ])
 def test_hostile_input_exits_3_with_one_line(tmp_path, argv, name):
     for file_name, payload in _HOSTILE_FILES.items():

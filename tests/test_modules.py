@@ -227,6 +227,14 @@ def test_module_gram_must_be_hermitian():
         scalar_module([[ONE, LAM], [ZERO, ONE]])
 
 
+def test_module_gram_blocks_must_be_base_sized():
+    m2 = MatrixStarAlgebra(2, K)
+    with pytest.raises(ShapeMismatch, match="Gram blocks must be 2 x 2"):
+        PreHilbertModule(m2, 1, [[smat(ONE)]])
+    with pytest.raises(ShapeMismatch, match="Gram blocks must be 1 x 1"):
+        PreHilbertModule(SCALARS, 1, [[m2.unit()]])
+
+
 def test_module_inner_right_linearity():
     mod = scalar_module([[ONE, LAM], [LAM, ONE + LAM]])
     x = [smat(ONE), smat(LAM)]
@@ -556,10 +564,10 @@ def reference_flatten_gram(self):
     return SeriesMatrix(rows, K)
 
 
-def reference_pair_gram(self, x, y):
+def reference_pair_gram(self, x, y, inner=PreHilbertModule.inner):
     """Flattened 2m x 2m Gram of the pair (x, y), for PSD sampling."""
-    gxx, gxy = self.inner(x, x), self.inner(x, y)
-    gyx, gyy = self.inner(y, x), self.inner(y, y)
+    gxx, gxy = inner(self, x, x), inner(self, x, y)
+    gyx, gyy = inner(self, y, x), inner(self, y, y)
     m = self.base.m
     rows = []
     for r in range(m):
@@ -843,6 +851,78 @@ def test_rank_one_makes_two_r_squared_products_per_operator(monkeypatch, r):
     theta = rank_one(psi, phi, mod)
     assert exact_form(theta) == exact_form(want)
     assert products == 2 * (2 * r * r)
+
+
+# The inner product before it became (x* G) y: one product chain per (i, j),
+# kept verbatim as a reference.  Summing over i first can only drop flags.
+
+
+def reference_inner(self, x, y):
+    """<x, y> = sum_ij x_i* (x) G_ij (x) y_j, star products in the base."""
+    if len(x) != self.rank or len(y) != self.rank:
+        raise RankMismatch("coordinate length must equal the rank")
+    alg = self.base
+    total = SeriesMatrix.zero(alg.m, alg.m, alg.order)
+    for i in range(self.rank):
+        xi = alg.involution(x[i])
+        for j in range(self.rank):
+            total = total + alg.product(alg.product(xi, self.gram[i][j]),
+                                        y[j])
+    return total
+
+
+@st.composite
+def inner_cases(draw):
+    """(module, x, y) over M1 or M2, plain or deformed by E = b + b* for a
+    matrix b of ``block_entry`` series (a Hermitian E keeps the Gram
+    Hermitian), rank 0-3, K 1-4."""
+    k, m = draw(st.sampled_from([1, 2, 3, 4])), draw(st.sampled_from([1, 2]))
+
+    def block():
+        return SeriesMatrix([[block_entry(draw, k) for _ in range(m)]
+                             for _ in range(m)], k)
+
+    deform = None
+    if draw(st.booleans()):
+        b = block()
+        deform = b + b.adjoint()
+    alg = MatrixStarAlgebra(m, k, deform=deform)
+    rank = draw(st.integers(0, 3))
+    module = PreHilbertModule(alg, rank, hermitian_blocks(draw, alg, rank))
+    return module, [block() for _ in range(rank)], \
+        [block() for _ in range(rank)]
+
+
+def assert_same_values_no_new_flags(got, want):
+    """Equal values; an entry of ``got`` is lossy only where ``want``'s is."""
+    assert got == want
+    for g, w in zip(exact_form(got), exact_form(want)):
+        assert w[1] or not g[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(inner_cases())
+def test_inner_and_pair_gram_match_the_product_chains(case):
+    module, x, y = case
+    for a, b in ((x, y), (y, x), (x, x)):
+        assert_same_values_no_new_flags(module.inner(a, b),
+                                        reference_inner(module, a, b))
+    assert_same_values_no_new_flags(
+        module.pair_gram(x, y),
+        reference_pair_gram(module, x, y, inner=reference_inner))
+
+
+def test_inner_flags_nothing_where_x_star_g_cancels():
+    """At K = 2, x* G = 1 l - 1 l is an exact zero, so <x, y> is exact; the
+    product chains flag each (x_i* G_ij) y_j = l^2."""
+    k = 2
+    lam = SeriesMatrix([[FormalSeries.lam(1, k)]], k)
+    one = SeriesMatrix.identity(1, k)
+    module = PreHilbertModule(MatrixStarAlgebra(1, k), 2, [[lam, lam]] * 2)
+    x, y = [one, -one], [lam, lam]
+    got, want = module.inner(x, y), reference_inner(module, x, y)
+    assert got == want and got.is_exact_zero()
+    assert want.rows[0][0].tail_lost
 
 
 # -- classical limit of modules ------------------------------------------------------------

@@ -10,7 +10,8 @@ from fdq.matrices import MatrixStarAlgebra, SeriesMatrix, radical_quotient
 from fdq.observables import (PhaseSpaceSignature, PolyObservable, involution,
                              monomials_up_to)
 from fdq.reps import (CandidateRep, GNSResult, MatrixFunctional,
-                      _gram_and_witnesses, classical_limit_rep, commutant,
+                      _gram_and_witnesses, _inner, _mat_vec,
+                      classical_limit_rep, commutant,
                       fock_inner, gns_build, gns_uniqueness_check,
                       matrix_positivity_scan, schroedinger_rep, wickrep)
 from fdq.series import FormalSeries, GaussianRational, Sign
@@ -201,6 +202,15 @@ def test_gns_of_the_zero_functional_is_refused_in_one_sentence():
             gns_build(alg, w_of([[0, 0], [0, 0]]))
 
 
+def test_gns_needs_m_by_m_weights():
+    """Weights of another shape are refused before any work, not read as a
+    quotient of the wrong algebra."""
+    for m, rows in ((3, [[1, 0], [0, 1]]), (1, [[1, 0]]), (2, [[1]])):
+        with pytest.raises(ShapeMismatch,
+                           match=rf"^omega's weights must be {m} x {m}$"):
+            gns_build(MatrixStarAlgebra(m, K), w_of(rows))
+
+
 def test_positivity_scan_witnesses():
     alg = MatrixStarAlgebra(2, K)
     assert matrix_positivity_scan(alg, w_of([[1, 0], [0, 0]])) == []
@@ -364,6 +374,64 @@ def test_gram_and_represent_match_unit_loops(m, k, kind, data):
     want = reference_represent(result, element)
     assert got == want
     assert flags(got) == flags(want)
+
+
+# The vector helpers before they ran on ``SeriesMatrix @``, kept verbatim as
+# references: a product with one column keeps every flag, and summing over i
+# before multiplying by y_j can only drop flags.
+
+
+def reference_mat_vec(mat, vec):
+    return [sum((mat.rows[i][j] * vec[j] for j in range(mat.ncols)),
+                FormalSeries.zero(mat.order)) for i in range(mat.nrows)]
+
+
+def reference_inner(gram, x, y):
+    """<x, y> = sum conj(x_i) G_ij y_j."""
+    total = FormalSeries.zero(gram.order)
+    for i in range(gram.nrows):
+        xi = x[i].conjugate()
+        for j in range(gram.ncols):
+            total = total + (xi * gram.rows[i][j]) * y[j]
+    return total
+
+
+def short_series(draw, k):
+    """``series_kinds``, but a nonzero has 1 to k coefficients in -1..1, so
+    sums cancel and products often stay below l^k."""
+    s = series_kinds(draw, k)
+    if s.is_zero():
+        return s
+    cs = [GaussianRational(draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
+          for _ in range(draw(st.integers(1, k)))]
+    return FormalSeries(cs, k, tail_lost=s.tail_lost)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_vector_helpers_match_the_entry_loops(data):
+    k = data.draw(st.integers(1, 4))
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+
+    def vector(n):
+        return [short_series(data.draw, k) for _ in range(n)]
+
+    mat = SeriesMatrix([vector(cols) for _ in range(rows)], k)
+    x, y = vector(rows), vector(cols)
+    got, want = _mat_vec(mat, y), reference_mat_vec(mat, y)
+    assert [(e, e.tail_lost) for e in got] == [(e, e.tail_lost) for e in want]
+    got, want = _inner(mat, x, y), reference_inner(mat, x, y)
+    assert got == want and (want.tail_lost or not got.tail_lost)
+
+
+def test_inner_flags_nothing_where_conj_x_g_cancels():
+    k = 2
+    lam = FormalSeries.lam(1, k)
+    one = FormalSeries.one(k)
+    gram = SeriesMatrix([[lam], [-lam]], k)
+    got, want = _inner(gram, [one, one], [lam]), \
+        reference_inner(gram, [one, one], [lam])
+    assert got == want and got.is_exact_zero() and want.tail_lost
 
 
 def test_gns_result_from_json_rejects_mismatched_shapes():
