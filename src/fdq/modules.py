@@ -16,7 +16,8 @@ import enum
 from fractions import Fraction
 
 from .errors import (AlgebraMismatch, DefectNotSmall, NotHermitian,
-                     PrecisionExhausted, RankMismatch, ShapeMismatch)
+                     PositivityRefuted, PrecisionExhausted, RankMismatch,
+                     ShapeMismatch)
 from .matrices import (MatrixStarAlgebra, SeriesMatrix, _Divisor,
                        radical_quotient, reduce_coords, solve_in_ring)
 from .reps import ClassicalLimit, classical_limit_rep
@@ -229,6 +230,12 @@ def rieffel_tensor(F: PreHilbertModule, E: PreHilbertModule) -> PreHilbertModule
     over A carrying the left B-action.  The induced Gram on the product basis
     is <x_i (x) phi_p, x_j (x) phi_q> = <phi_p, <x_i, x_j>_B . phi_q>_E; the
     left C-action is transported through the B-coordinates.
+
+    Both inner products must be positive: ``gram_psd_check`` decides each
+    input's flattened Gram first, and NOT_PSD raises PositivityRefuted.
+    Over a deformed B (a x b = a C b, C = 1 + l D) that decides the scalar
+    matrix, which is positivity in M_rank(B) when D is Hermitian: the sums
+    of X* x X = X* (1 (x) C) X are then the PSD matrices.
     """
     if E.left_algebra is None or E.left_action is None:
         raise AlgebraMismatch("E must carry a left action of F's base algebra")
@@ -238,6 +245,11 @@ def rieffel_tensor(F: PreHilbertModule, E: PreHilbertModule) -> PreHilbertModule
     if A.deform is not None:
         raise AlgebraMismatch(
             "induction over deformed matrix bases is not supported")
+    for name, module in (("F", F), ("E", E)):
+        if module.rank and gram_psd_check(
+                module.flatten_gram()) is GramVerdict.NOT_PSD:
+            raise PositivityRefuted(
+                f"the Gram of {name} is not positive semidefinite")
     dE, mA, K = E.rank, A.m, A.order
 
     def by_pairs(blocks):

@@ -155,7 +155,9 @@ def matrix_positivity_scan(algebra: MatrixStarAlgebra,
     passes).  Each sample is read off the Gram G_st = omega(e_s* x e_t) by
     ``two_term_scan``, exactly: the product, plain or ab + l aEb, is
     bilinear.  The Gram is the Kronecker product (1 + l E) (x) W of the
-    weights W of omega (see ``_gram_and_witnesses``).
+    weights W of omega (see ``_gram_and_witnesses``).  A refuter, not a
+    decision: ``gns_build`` decides positivity on W and runs this scan only
+    to word its refusal.
     """
     return _gram_and_witnesses(algebra, omega)[1]
 
@@ -257,34 +259,58 @@ def _inner(gram: SeriesMatrix, x, y):
 def gns_build(algebra: MatrixStarAlgebra,
               omega: MatrixFunctional) -> GNSResult:
     """GNS data of a positive ``MatrixFunctional`` omega on a (possibly
-    deformed) matrix algebra over truncated series.
+    deformed) matrix algebra over truncated series, from its weights W.
 
-    The Gram on the full matrix-unit basis is built once, as the Kronecker
-    product (1 + l E) (x) W of the weights W of omega; the positivity
-    scan reads its samples off it and raises PositivityRefuted before any
-    elimination.  One valuation-pivoted elimination (``radical_quotient``)
-    then certifies the kernel, the ideal of null vectors, or raises
-    PrecisionExhausted; the surviving pivot columns become the quotient
-    basis, and the matrix units the generators.
+    The Gram on the matrix units is G = C (x) W = (C (x) 1)(1 (x) W), C =
+    1 + l E.  For Hermitian C and W, C is positive-definite (its classical
+    limit is 1), so ``gram_psd_check`` of W decides omega >= 0; otherwise G
+    can be Hermitian only through truncation, and G is decided.  The
+    two-term scan only words a refusal.  The quotient C^m (x) (C^m / ker W)
+    comes from one ``radical_quotient`` of W: the kept units {i m + l : l
+    kept for W}, kernel vectors e_i (x) v, the Gram C_ik W_jl, and pi(E_ij)
+    = E_ij C on the first factor, kept (k, l) to (i, l) with entry C_jk.
     """
-    m = algebra.m
-    if (omega.weights.nrows, omega.weights.ncols) != (m, m):
+    from .modules import GramVerdict, gram_psd_check
+    m, K, w = algebra.m, algebra.order, omega.weights
+    if (w.nrows, w.ncols) != (m, m):
         raise ShapeMismatch(f"omega's weights must be {m} x {m}")
-    gram_full, witnesses = _gram_and_witnesses(algebra, omega)
-    if witnesses:
+    c = algebra.one_plus_l_deform()
+    if c.is_hermitian() and w.is_hermitian():
+        refuted = gram_psd_check(w) is GramVerdict.NOT_PSD
+    else:
+        # Without a witness every sample is real, so G is Hermitian.
+        g, witnesses = _gram_and_witnesses(algebra, omega)
+        refuted = bool(witnesses) or \
+            gram_psd_check(g) is GramVerdict.NOT_PSD
+    if refuted:
+        witnesses = matrix_positivity_scan(algebra, omega)
+        if not witnesses:
+            raise PositivityRefuted("omega is not positive semidefinite, "
+                                    "though no two-term sample "
+                                    "omega(b* x b) is negative")
         label, value = witnesses[0]
         from .exprio import series_text
         raise PositivityRefuted(
-            f"omega({label}* x {label}) = {series_text(value)} is negative")
-    pivot_cols, kernel = radical_quotient(gram_full)
-    if not pivot_cols:
+            f"omega({label}* x {label}) = {series_text(value)} is "
+            + ("negative" if value.is_real() else "not real"))
+    kept_w, kernel_w = radical_quotient(w)
+    if not kept_w:
         raise ShapeMismatch("omega vanishes on every b* x b: the GNS "
                             "quotient is 0-dimensional")
-    gram = SeriesMatrix([[gram_full.rows[s][t] for t in pivot_cols]
-                         for s in pivot_cols], algebra.order)
-    result = GNSResult(algebra, omega, pivot_cols, kernel, gram,
-                       algebra.basis(), [], None)
-    result.pi = [result.represent(g) for g in result.generators]
+    zero, r = FormalSeries.zero(K), len(kept_w)
+    kept = [i * m + l for i in range(m) for l in kept_w]
+    kernel = [(i * m + f, [v[l] if a == i else zero
+                           for a in range(m) for l in range(m)])
+              for i in range(m) for f, v in kernel_w]
+    c, w = c.rows, w.rows
+    gram = SeriesMatrix([[c[i][k] * w[j][l] for k in range(m) for l in kept_w]
+                         for i in range(m) for j in kept_w], K)
+    pi = [SeriesMatrix([[c[j][k] if a == i and p == q else zero
+                         for k in range(m) for q in range(r)]
+                        for a in range(m) for p in range(r)], K)
+          for i in range(m) for j in range(m)]
+    result = GNSResult(algebra, omega, kept, kernel, gram, algebra.basis(),
+                       pi, None)
     result.cyclic = result.reduce_coords(algebra.to_coords(algebra.unit()))
     return result
 

@@ -312,6 +312,8 @@ _HOSTILE_FILES = {
     "m2.json": {"base": {"m": 2}, "rank": 1, "gram": [["1"]]},
     "rank2.json": {"base": {"m": 1}, "rank": 2,
                    "gram": [["1", "0"], ["0", "1"]]},
+    "indefinite.json": {"base": {"m": 1}, "rank": 2,
+                        "gram": [["-1", "0"], ["0", "1"]]},
 }
 
 
@@ -328,6 +330,12 @@ _HOSTILE_FILES = {
     (["starexp", "--order", "-1", "q1"], "ConfigError"),
     (["gns", "--omega", '[["1","0"]]'], "ShapeMismatch"),
     (["rieffel", "{dir}/m2.json", "{dir}/rank2.json"], "ShapeMismatch"),
+    (["gns", "--omega", '[["1","-3/5","-3/5"],["-3/5","1","-3/5"],'
+      '["-3/5","-3/5","1"]]', "--K", "2"], "PositivityRefuted"),
+    (["gns", "--omega", '[["1","0"],["0","1"]]', "--deform",
+      '[["0","1"],["0","0"]]', "--K", "2"], "PositivityRefuted"),
+    (["rieffel", "{dir}/unit.json", "{dir}/indefinite.json"],
+     "PositivityRefuted"),
 ])
 def test_hostile_input_exits_3_with_one_line(tmp_path, argv, name):
     for file_name, payload in _HOSTILE_FILES.items():

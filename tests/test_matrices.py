@@ -1,3 +1,4 @@
+import json
 import operator
 from contextlib import contextmanager
 
@@ -5,16 +6,17 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import fdq.reps as reps
-from fdq.errors import (FdqError, NotUnit, PrecisionExhausted, ShapeMismatch,
-                        TruncationMismatch)
+from fdq.errors import (FdqError, NotUnit, PositivityRefuted,
+                        PrecisionExhausted, ShapeMismatch, TruncationMismatch)
+from fdq.exprio import series_text
 from fdq.functionals import two_term_scan
 from fdq.matrices import (MatrixStarAlgebra, SeriesMatrix,
                           matrix_from_json, nullspace,
                           one_plus_adjoint_times_self_invertible,
                           radical_quotient, rank_certified,
                           series_matrix_inverse, solve_in_ring)
-from fdq.modules import (PreHilbertModule, fedosov_project, fullness_check,
-                         rieffel_tensor)
+from fdq.modules import (GramVerdict, PreHilbertModule, fedosov_project,
+                         fullness_check, gram_psd_check, rieffel_tensor)
 from fdq.reps import GNSResult, MatrixFunctional, gns_build
 from fdq.series import FormalSeries, GaussianRational, Sign
 
@@ -815,13 +817,25 @@ def hermitian_blocks(draw, algebra, rank):
     return gram
 
 
+def psd_blocks(draw, algebra, rank):
+    """A rank x rank Gram Y* Y of algebra elements, PSD when flattened."""
+    m, k = algebra.m, algebra.order
+    n = rank * m
+    y = SeriesMatrix([[entry_kinds(draw, k) for _ in range(n)]
+                      for _ in range(n)], k)
+    g = (y.adjoint() @ y).rows
+    return [[SeriesMatrix([row[j * m:(j + 1) * m]
+                           for row in g[i * m:(i + 1) * m]], k)
+             for j in range(rank)] for i in range(rank)]
+
+
 @st.composite
-def differential_cases(draw):
+def differential_cases(draw, names=("matmul", "gns", "radical", "solve",
+                                    "inverse", "fedosov", "rieffel",
+                                    "fullness")):
     """(function, builder of its arguments) over exact zeros, lossy zeros
     and lossy entries, K 1-4, plain and deformed algebras."""
-    name = draw(st.sampled_from(["matmul", "gns", "radical", "solve",
-                                 "inverse", "fedosov", "rieffel",
-                                 "fullness"]))
+    name = draw(st.sampled_from(names))
     if name == "matmul":
         a, b = draw(matmul_pairs())
         return operator.matmul, lambda: (a, b)
@@ -877,10 +891,12 @@ def differential_cases(draw):
         return fullness_check, lambda: (
             PreHilbertModule(algebra(), rank, gram),)
     # rieffel: F over the scalars, E over plain M_m with the scalars
-    # acting as multiples of the unit.
+    # acting as multiples of the unit.  Grams that are not PSD are refused
+    # before induction, so half of the draws are PSD.
     r_f, r_e = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    f_gram = hermitian_blocks(draw, MatrixStarAlgebra(1, k), r_f)
-    e_gram = hermitian_blocks(draw, MatrixStarAlgebra(m, k), r_e)
+    blocks = psd_blocks if draw(st.booleans()) else hermitian_blocks
+    f_gram = blocks(draw, MatrixStarAlgebra(1, k), r_f)
+    e_gram = blocks(draw, MatrixStarAlgebra(m, k), r_e)
 
     def build():
         scalars, base = MatrixStarAlgebra(1, k), MatrixStarAlgebra(m, k)
@@ -933,9 +949,100 @@ def test_exact_zero_rule_decides_a_deformed_gns_at_k1():
     assert [[e.tail_lost for e in r] for r in res.gram.rows] == \
         [[True, False], [False, True]]
     with earlier_product_rule():
-        assert run(gns_build, build) == (
+        assert run(reference_gns_build, build) == (
             "error", PrecisionExhausted, "pivot valuation reaches the "
             "truncation order; rank not determined at this truncation")
+
+
+def reference_gns_build(algebra, omega):
+    """``gns_build`` on the full m^2 x m^2 Gram C (x) W, as it was before it
+    worked on the weights: the two-term scan refutes, one
+    ``radical_quotient`` of the Gram gives the quotient, and pi comes from
+    ``represent``."""
+    m = algebra.m
+    if (omega.weights.nrows, omega.weights.ncols) != (m, m):
+        raise ShapeMismatch(f"omega's weights must be {m} x {m}")
+    gram_full, witnesses = reps._gram_and_witnesses(algebra, omega)
+    if witnesses:
+        label, value = witnesses[0]
+        raise PositivityRefuted(
+            f"omega({label}* x {label}) = {series_text(value)} is negative")
+    pivot_cols, kernel = radical_quotient(gram_full)
+    if not pivot_cols:
+        raise ShapeMismatch("omega vanishes on every b* x b: the GNS "
+                            "quotient is 0-dimensional")
+    gram = SeriesMatrix([[gram_full.rows[s][t] for t in pivot_cols]
+                         for s in pivot_cols], algebra.order)
+    result = GNSResult(algebra, omega, pivot_cols, kernel, gram,
+                       algebra.basis(), [], None)
+    result.pi = [result.represent(g) for g in result.generators]
+    result.cyclic = result.reduce_coords(algebra.to_coords(algebra.unit()))
+    return result
+
+
+def gns_outcome(f, build):
+    """``run`` with the ``to_json()`` text of an answer in place of its
+    values: ("value", json, flags) or ("error", class, message)."""
+    out = run(f, build)
+    if out[0] == "error":
+        return out
+    return "value", json.dumps(f(*build()).to_json(), sort_keys=True), out[2]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(differential_cases(names=("gns",)))
+def test_gns_on_the_weights_matches_the_full_gram(case):
+    """The same answer, byte for byte and flag for flag, and the same error,
+    as the m^2 Gram path.  A PrecisionExhausted of the full Gram may become
+    an answer, or a PrecisionExhausted worded by the elimination of W; a
+    new refusal needs weights W that are not PSD (the scan samples too few
+    b to see it)."""
+    _, build = case
+    new = gns_outcome(gns_build, build)
+    ref = gns_outcome(reference_gns_build, build)
+    if ref[:2] == ("error", PrecisionExhausted) and (
+            new[0] == "value" or new[1] is PrecisionExhausted):
+        return
+    if new[:2] == ("error", PositivityRefuted) and new != ref:
+        assert gram_psd_check(build()[1].weights) is GramVerdict.NOT_PSD
+        return
+    assert new == ref
+
+
+def test_gns_on_the_weights_answers_where_the_full_gram_lost_a_tail():
+    # Dividing by C_11 = 1 + l loses a tail in the m^2 elimination; the
+    # radical of W = [[1, 1], [1, 1]] is exact.
+    def build():
+        return (MatrixStarAlgebra(2, 3, deform=SeriesMatrix.from_scalar_rows(
+            [[1, 0], [0, 0]], 3)),
+            MatrixFunctional(SeriesMatrix.from_scalar_rows(
+                [[1, 1], [1, 1]], 3)))
+
+    assert run(reference_gns_build, build)[:2] == ("error",
+                                                   PrecisionExhausted)
+    res = gns_build(*build())
+    assert res.basis_labels() == ["E11", "E21"]
+    one, zero = FormalSeries.one(3), FormalSeries.zero(3)
+    assert res.gram == SeriesMatrix(
+        [[one + FormalSeries.lam(1, 3), zero], [zero, one]], 3)
+
+
+def test_gns_decides_a_gram_hermitian_only_through_truncation():
+    # C = 1 + i l and W = 1 - i l are not Hermitian, but C W = 1 + l^2 is
+    # Hermitian at K = 2: the Gram itself decides, as the full-Gram path
+    # did, and the quotient still comes from W.
+    def build():
+        return (MatrixStarAlgebra(2, 2, deform=SeriesMatrix.from_scalar_rows(
+            [[GaussianRational(0, 1), 0], [0, GaussianRational(0, 1)]], 2)),
+            MatrixFunctional(SeriesMatrix(
+                [[FormalSeries([1, GaussianRational(0, -1)], 2),
+                  FormalSeries.zero(2)],
+                 [FormalSeries.zero(2), FormalSeries.zero(2)]], 2)))
+
+    assert not build()[0].one_plus_l_deform().is_hermitian()
+    assert gns_outcome(gns_build, build) == \
+        gns_outcome(reference_gns_build, build)
+    assert gns_build(*build()).basis_labels() == ["E11", "E21"]
 
 
 @st.composite

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdq.errors import (AlgebraMismatch, DefectNotSmall, FdqError,
-                        NotHermitian, PrecisionExhausted, RankMismatch,
-                        ShapeMismatch)
+                        NotHermitian, PositivityRefuted, PrecisionExhausted,
+                        RankMismatch, ShapeMismatch)
 from fdq.exprio import parse_series
 from fdq.matrices import (MatrixStarAlgebra, SeriesMatrix, nullspace,
                           radical_quotient, reduce_coords)
@@ -426,6 +426,23 @@ def test_non_block_degeneracy_over_m2_raises():
         rieffel_tensor(PreHilbertModule(SCALARS, 1, [[smat(ONE)]]), e)
 
 
+def test_rieffel_refuses_an_input_gram_that_is_not_psd():
+    def indefinite(**kw):
+        return scalar_module([[-ONE, ZERO], [ZERO, ONE]], **kw)
+
+    def action(s):
+        return [[s if r == q else smat(ZERO) for q in range(2)]
+                for r in range(2)]
+
+    for f, e, name in (
+            (indefinite(), unit_bimodule(), "F"),
+            (scalar_module([[ONE]]),
+             indefinite(left_algebra=SCALARS, left_action=action), "E")):
+        with pytest.raises(PositivityRefuted, match=rf"^the Gram of {name} "
+                           r"is not positive semidefinite$"):
+            rieffel_tensor(f, e)
+
+
 def test_induced_gram_psd():
     f = scalar_module([[ONE + LAM, LAM], [LAM, ONE]])
     ind = rieffel_tensor(f, unit_bimodule())
@@ -483,8 +500,9 @@ def block_entry(draw, k):
 @st.composite
 def matrix_base_inductions(draw):
     """(F, E) over M1 -> M_mA, mA in {2, 3}, K in 1..4: E has rank P <= 3
-    and a Hermitian Gram of random blocks, some pairs dead (an exact-zero row
-    and column of blocks); F has rank 1 and a real Gram entry, mostly 1."""
+    and a Hermitian Gram, of random blocks or PSD, some pairs dead (an
+    exact-zero row and column of blocks); F has rank 1 and a real Gram
+    entry, mostly 1."""
     k = draw(st.sampled_from([1, 2, 3, 4]))
     mA = draw(st.sampled_from([2, 3]))
     P = draw(st.integers(1, 3))
@@ -492,15 +510,26 @@ def matrix_base_inductions(draw):
     dead = {p for p in range(P) if draw(st.integers(0, 3)) == 0}
     zero = SeriesMatrix.zero(mA, mA, k)
     gram = [[zero] * P for _ in range(P)]
-    for p in range(P):
-        for q in range(p, P):
-            if p in dead or q in dead:
-                continue
-            block = SeriesMatrix([[block_entry(draw, k) for _ in range(mA)]
-                                  for _ in range(mA)], k)
-            if p == q:
-                block = block + block.adjoint()
-            gram[p][q], gram[q][p] = block, block.adjoint()
+    if draw(st.booleans()):
+        # A PSD Gram Y* Y, Y zero in the columns of the dead pairs.
+        y = SeriesMatrix([[FormalSeries.zero(k) if c // mA in dead
+                           else block_entry(draw, k) for c in range(P * mA)]
+                          for _ in range(P * mA)], k)
+        g = (y.adjoint() @ y).rows
+        gram = [[SeriesMatrix([row[q * mA:(q + 1) * mA]
+                               for row in g[p * mA:(p + 1) * mA]], k)
+                 for q in range(P)] for p in range(P)]
+    else:
+        for p in range(P):
+            for q in range(p, P):
+                if p in dead or q in dead:
+                    continue
+                block = SeriesMatrix([[block_entry(draw, k)
+                                       for _ in range(mA)]
+                                      for _ in range(mA)], k)
+                if p == q:
+                    block = block + block.adjoint()
+                gram[p][q], gram[q][p] = block, block.adjoint()
 
     def action(b):
         return [[base.unit().scale(b.rows[0][0]) if r == q else zero
@@ -514,6 +543,17 @@ def matrix_base_inductions(draw):
         c = c + c.conjugate()
     f = PreHilbertModule(scalars, 1, [[SeriesMatrix([[c]], k)]])
     return f, e
+
+
+def non_psd_refusal(F, E):
+    """The refusal ``rieffel_tensor(F, E)`` owes an input whose flattened
+    Gram is not PSD, as (class, message), or None."""
+    for name, module in (("F", F), ("E", E)):
+        if module.rank and gram_psd_check(
+                module.flatten_gram()) is GramVerdict.NOT_PSD:
+            return (PositivityRefuted,
+                    f"the Gram of {name} is not positive semidefinite")
+    return None
 
 
 def induction_outcome(f, *args):
@@ -530,11 +570,18 @@ def induction_outcome(f, *args):
 def test_matrix_base_rieffel_matches_block_system(case):
     """One elimination of the flattened Gram decides the degeneracy space
     as the P m_A^2-square block system does: the same rank and Gram, or the
-    same error and message."""
+    same error and message.  An input whose Gram is not PSD is refused
+    first."""
     def flattened(f, e):
         ind = rieffel_tensor(f, e)
         return ind.rank, ind.gram
 
+    refusal = non_psd_refusal(*case)
+    if refusal is not None:
+        with pytest.raises(PositivityRefuted) as exc:
+            rieffel_tensor(*case)
+        assert str(exc.value) == refusal[1]
+        return
     assert induction_outcome(flattened, *case) == \
         induction_outcome(reference_block_rieffel, *case)
 
@@ -812,10 +859,12 @@ def induction_with_action(rieffel, F, E, c):
 @given(block_cases())
 def test_block_products_match_the_hand_rolled_loops(case):
     """Every value, tail_lost flag and error of the block-product routines
-    is the reference's."""
+    is the reference's, once an induction from a Gram that is not PSD is
+    refused."""
     F, E, c, x, y, psi, phi = case
-    assert outcome(induction_with_action, rieffel_tensor, F, E, c) == \
-        outcome(induction_with_action, reference_rieffel_tensor, F, E, c)
+    assert outcome(induction_with_action, rieffel_tensor, F, E, c) == (
+        non_psd_refusal(F, E) or
+        outcome(induction_with_action, reference_rieffel_tensor, F, E, c))
     assert outcome(F.flatten_gram) == outcome(reference_flatten_gram, F)
     assert outcome(F.pair_gram, x, y) == outcome(reference_pair_gram, F, x, y)
     theta = rank_one(psi, phi, F)

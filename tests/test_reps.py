@@ -182,8 +182,35 @@ def test_gns_faithful_functional():
 
 def test_gns_rejects_negative_functional():
     alg = MatrixStarAlgebra(2, K)
-    with pytest.raises(PositivityRefuted):
+    with pytest.raises(PositivityRefuted,
+                       match=r"^omega\(E11\* x E11\) = -1 is negative$"):
         gns_build(alg, w_of([[-1, 0], [0, 0]]))
+
+
+def test_gns_refuses_what_the_scan_misses():
+    """W has the eigenvalue -1/5: omega(b* x b) = -3/5 for b = E11 + E12 +
+    E13, a three-term sample the scan does not draw.  The decision on W
+    refuses it in one line."""
+    alg = MatrixStarAlgebra(3, 2)
+    t = Fraction(-3, 5)
+    omega = w_of([[1, t, t], [t, 1, t], [t, t, 1]], order=2)
+    assert matrix_positivity_scan(alg, omega) == []
+    b = alg.from_coords([FormalSeries.one(2)] * 3 + [FormalSeries.zero(2)] * 6)
+    assert omega(alg.product(alg.involution(b), b)) == \
+        FormalSeries.from_scalar(GaussianRational(t), 2)
+    with pytest.raises(PositivityRefuted, match=r"^omega is not positive "
+                       r"semidefinite, though no two-term sample "
+                       r"omega\(b\* x b\) is negative$"):
+        gns_build(alg, omega)
+
+
+def test_gns_words_a_non_real_sample_as_not_real():
+    alg = MatrixStarAlgebra(2, 2, deform=SeriesMatrix.from_scalar_rows(
+        [[0, 1], [0, 0]], 2))
+    with pytest.raises(PositivityRefuted) as exc:
+        gns_build(alg, w_of([[1, 0], [0, 1]], order=2))
+    assert str(exc.value) == \
+        "omega(E11+(0+1i)E21* x E11+(0+1i)E21) = 2 + (i)*l is not real"
 
 
 def test_gns_precision_exhausted():
