@@ -2,12 +2,13 @@
 
 Rank decisions over C[[l]]/l^K must be precision-honest: a stored-zero entry
 counts as zero only when no computation lost a nonzero tail (``is_exact_zero``).
-One elimination pass (``_echelonize``) serves rank, kernel and solve: a single
-scan per pivot picks the entry of least valuation and notes lossy zeros, and
-when no pivot is left a lossy zero raises PrecisionExhausted instead of a
-guess.  An exact zero annihilates every product, so a row operation leaves
-an entry alone where the pivot row holds an exact zero, an exact zero stays
-one, and a rank known exactly is decided.
+One elimination pass (``_echelonize``) serves rank, kernel and solve, and
+with its Hermitian rules the positivity of a Gram matrix: a single scan per
+pivot picks the entry of least valuation and notes lossy zeros, and when no
+pivot is left a lossy zero raises PrecisionExhausted instead of a guess.  A
+row operation touches only columns without a pivot and cancels its own to
+an exact zero.  An exact zero annihilates every product, so an exact zero
+stays one, and a rank known exactly is decided.
 
 Matrix products run on the integer kernel of series products.  The vectors
 of each left row and each right column are rescaled once to the lcm of their
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 from .errors import (NotUnit, PrecisionExhausted, ShapeMismatch,
                      TruncationMismatch)
-from .series import (FormalSeries, GaussianRational, _convolve, _order,
-                     _over_lcm, _reduced)
+from .series import (FormalSeries, GaussianRational, Sign, _convolve,
+                     _order, _over_lcm, _reduced)
 
 
 class SeriesMatrix:
@@ -252,7 +253,7 @@ class _Divisor:
         return a * self.inverse
 
 
-def _echelonize(rows, ncols, divisors, certify_rank=True):
+def _echelonize(rows, ncols, divisors, certify_rank=True, hermitian=False):
     """In-place row echelon with global min-valuation pivots.  Returns the
     pivots as (row, col) in chronological (nondecreasing valuation) order;
     each pivot row has exact zeros in all earlier pivot columns.
@@ -261,28 +262,39 @@ def _echelonize(rows, ncols, divisors, certify_rank=True):
     among the first ncols columns.  One scan of the remaining block per pivot
     finds its first entry of least valuation and notes any entry that is zero
     only up to l^K.  With certify_rank, such an entry left when no pivot
-    remains raises PrecisionExhausted instead of being declared zero.  An
-    exact zero of the pivot row annihilates its product with the factor, so
-    the row operation leaves the entry beneath it as it is.  The dict
-    ``divisors`` receives the ``_Divisor`` of each pivot, keyed by (row,
-    col): a pivot row is never changed after it is chosen, so
+    remains raises PrecisionExhausted instead of being declared zero.  A row
+    operation updates the live columns (without a pivot, or augmented) where
+    the pivot row is not an exact zero and sets the cancelled entry to an
+    exact zero.  ``divisors`` receives the ``_Divisor`` of each pivot, keyed
+    by (row, col): a pivot row never changes after it is chosen, so
     back-substitution reuses the pivot inverses taken here.
+
+    With ``hermitian`` this is the LDL* elimination of a Hermitian matrix.
+    A PSD one has |h_ij|^2 <= h_ii h_jj, so its first entry of least
+    valuation is diagonal: a pivot off the diagonal or not positive (a
+    negative diagonal entry is taken first) refutes positivity and ends the
+    pass, returned last and without a divisor.  A dividend zero up to l^K
+    marks the entries its update would touch lossy instead of raising: the
+    pivot has the least valuation in its row, so the update is zero mod l^K.
     """
-    pivots = []
-    used_rows, used_cols = set(), set()
+    pivots, used_rows = [], set()
+    free = list(range(ncols))  # the columns without a pivot
+    extra = range(ncols, len(rows[0]))
+    zero = FormalSeries.zero(rows[0][0].order)
     while True:
         best, lossy = None, False
         for i, row in enumerate(rows):
             if i in used_rows:
                 continue
-            for j in range(ncols):
-                if j in used_cols:
-                    continue
+            for j in free:
                 v = row[j].valuation()
                 if v is None:
                     lossy = lossy or row[j].tail_lost
                 elif best is None or v < best[0]:
                     best = (v, i, j)
+        if hermitian:  # a negative diagonal entry refutes at once
+            best = next(((0, i, i) for i in free
+                         if rows[i][i].sign() is Sign.NEGATIVE), best)
         if best is None:
             if certify_rank and lossy:
                 raise PrecisionExhausted(
@@ -290,19 +302,26 @@ def _echelonize(rows, ncols, divisors, certify_rank=True):
                     "determined at this truncation")
             return pivots
         _, pi, pj = best
-        prow = rows[pi]
-        divide = divisors[pi, pj] = _Divisor(prow[pj])
-        for i, row in enumerate(rows):
-            if i in used_rows or i == pi:
-                continue
-            e = row[pj]
-            if e.is_exact_zero():
-                continue  # a shortcut: the factor is an exact zero
-            factor = divide(e)
-            rows[i] = [x - factor * y for x, y in zip(row, prow)]
-        used_rows.add(pi)
-        used_cols.add(pj)
         pivots.append((pi, pj))
+        prow = rows[pi]
+        if hermitian and (pi != pj or prow[pj].sign() is not Sign.POSITIVE):
+            return pivots
+        used_rows.add(pi)
+        free.remove(pj)
+        divide = divisors[pi, pj] = _Divisor(prow[pj])
+        cols = [j for j in (*free, *extra) if not prow[j].is_exact_zero()]
+        for i, row in enumerate(rows):
+            e = row[pj]
+            if i in used_rows or e.is_exact_zero():
+                continue  # a shortcut: the factor is an exact zero
+            if hermitian and e.is_zero():
+                for j in cols:
+                    row[j] = row[j].lossy()
+            else:
+                factor = divide(e)
+                for j in cols:
+                    row[j] = row[j] - factor * prow[j]
+            row[pj] = zero
 
 
 def _residual(row, x, pj, ncols):
@@ -315,12 +334,13 @@ def _residual(row, x, pj, ncols):
     return s
 
 
-def radical_quotient(mat: SeriesMatrix):
+def radical_quotient(mat: SeriesMatrix, hermitian=False):
     """``(kept, kernel)`` of ``mat`` from a single elimination: the sorted
     pivot columns, and one ``(free_col, vec)`` pair per free column (in
     ascending order) with ``mat @ vec = 0``, vec 1 at free_col and 0 at the
     other free columns.  For a Gram matrix, ``kept`` indexes representatives
-    of the quotient by its radical (see ``reduce_coords``).
+    of the quotient by its radical (see ``reduce_coords``).  With
+    ``hermitian``, None when the elimination refutes that mat is PSD.
 
     Pivot rows have zeros at earlier pivot columns, so back-substitution in
     reverse pivot order only consumes known components.  Min-valuation
@@ -330,7 +350,9 @@ def radical_quotient(mat: SeriesMatrix):
     """
     rows = [list(r) for r in mat.rows]
     divisors = {}
-    pivots = _echelonize(rows, mat.ncols, divisors)
+    pivots = _echelonize(rows, mat.ncols, divisors, hermitian=hermitian)
+    if len(divisors) < len(pivots):
+        return None
     K, ncols = mat.order, mat.ncols
     kept = sorted(pj for _, pj in pivots)
     kernel = []

@@ -18,10 +18,10 @@ from fractions import Fraction
 from .errors import (AlgebraMismatch, DefectNotSmall, NotHermitian,
                      PositivityRefuted, PrecisionExhausted, RankMismatch,
                      ShapeMismatch)
-from .matrices import (MatrixStarAlgebra, SeriesMatrix, _Divisor,
+from .matrices import (MatrixStarAlgebra, SeriesMatrix, _echelonize,
                        radical_quotient, reduce_coords, solve_in_ring)
 from .reps import ClassicalLimit, classical_limit_rep
-from .series import FormalSeries, GaussianRational, Sign
+from .series import FormalSeries, GaussianRational
 
 # -- Gram positivity ----------------------------------------------------------------
 
@@ -33,45 +33,21 @@ class GramVerdict(enum.Enum):
 
 
 def gram_psd_check(h: SeriesMatrix) -> GramVerdict:
-    """Positivity over the ordered series ring by Hermitian Schur complements
-    (LDL*), pivoting on the first diagonal entry of least valuation.
-
-    NOT_PSD: a negative diagonal entry, or an off-diagonal entry of valuation
-    below every diagonal one (zero up to l^K counts as valuation K).  The
-    pivot has the least valuation in its row, so each Schur entry is exact
-    mod l^K, and an entry zero up to l^K is skipped: its update vanishes.
-    NOT_PSD and POSITIVE_DEFINITE hold whatever the entries' terms beyond l^K
-    are; POSITIVE_SEMIDEFINITE, a remaining block zero up to l^K, means not
-    refuted at this K.
-    """
+    """Positivity over the ordered series ring by one Hermitian (LDL*)
+    elimination (``_echelonize``): NOT_PSD for a negative diagonal entry or
+    a pivot off the diagonal, POSITIVE_SEMIDEFINITE (not refuted at this K)
+    for a remaining block zero up to l^K.  Each Schur entry is exact mod
+    l^K, so NOT_PSD and POSITIVE_DEFINITE hold whatever the entries' terms
+    beyond l^K are."""
     if not h.is_hermitian():
         raise NotHermitian("Gram positivity needs a Hermitian matrix")
-    K = h.order
-    rows = [list(r) for r in h.rows]
-    left = list(range(h.nrows))
-    while left:
-        diag = []
-        for i in left:
-            if rows[i][i].sign() is Sign.NEGATIVE:
-                return GramVerdict.NOT_PSD
-            v = rows[i][i].valuation()
-            diag.append(K if v is None else v)
-        least = min(diag)
-        off = [rows[i][j].valuation() for i in left for j in left if i != j]
-        if any(v is not None and v < least for v in off):
-            return GramVerdict.NOT_PSD
-        if least == K:
-            return GramVerdict.POSITIVE_SEMIDEFINITE
-        p = left.pop(diag.index(least))
-        prow, divide = rows[p], _Divisor(rows[p][p])
-        for i in left:
-            row = rows[i]
-            if row[p].is_zero():
-                continue
-            factor = divide(row[p])
-            for j in left:
-                if not prow[j].is_zero():
-                    row[j] = row[j] - factor * prow[j]
+    divisors = {}
+    pivots = _echelonize([list(r) for r in h.rows], h.ncols, divisors,
+                         certify_rank=False, hermitian=True)
+    if len(divisors) < len(pivots):
+        return GramVerdict.NOT_PSD
+    if len(pivots) < h.nrows:
+        return GramVerdict.POSITIVE_SEMIDEFINITE
     return GramVerdict.POSITIVE_DEFINITE
 
 

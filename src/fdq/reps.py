@@ -263,12 +263,12 @@ def gns_build(algebra: MatrixStarAlgebra,
 
     The Gram on the matrix units is G = C (x) W = (C (x) 1)(1 (x) W), C =
     1 + l E.  For Hermitian C and W, C is positive-definite (its classical
-    limit is 1), so ``gram_psd_check`` of W decides omega >= 0; otherwise G
-    can be Hermitian only through truncation, and G is decided.  The
-    two-term scan only words a refusal.  The quotient C^m (x) (C^m / ker W)
-    comes from one ``radical_quotient`` of W: the kept units {i m + l : l
-    kept for W}, kernel vectors e_i (x) v, the Gram C_ik W_jl, and pi(E_ij)
-    = E_ij C on the first factor, kept (k, l) to (i, l) with entry C_jk.
+    limit is 1), so one Hermitian ``radical_quotient`` of W decides omega >=
+    0 and gives ker W; otherwise G can be Hermitian only through truncation,
+    and G is decided.  The two-term scan only words a refusal.  The quotient
+    C^m (x) (C^m / ker W) has the kept units {i m + l : l kept for W},
+    kernel vectors e_i (x) v, the Gram C_ik W_jl, and pi(E_ij) = E_ij C on
+    the first factor, kept (k, l) to (i, l) with entry C_jk.
     """
     from .modules import GramVerdict, gram_psd_check
     m, K, w = algebra.m, algebra.order, omega.weights
@@ -276,11 +276,12 @@ def gns_build(algebra: MatrixStarAlgebra,
         raise ShapeMismatch(f"omega's weights must be {m} x {m}")
     c = algebra.one_plus_l_deform()
     if c.is_hermitian() and w.is_hermitian():
-        refuted = gram_psd_check(w) is GramVerdict.NOT_PSD
+        quotient = radical_quotient(w, hermitian=True)
+        refuted = quotient is None
     else:
         # Without a witness every sample is real, so G is Hermitian.
         g, witnesses = _gram_and_witnesses(algebra, omega)
-        refuted = bool(witnesses) or \
+        quotient, refuted = None, bool(witnesses) or \
             gram_psd_check(g) is GramVerdict.NOT_PSD
     if refuted:
         witnesses = matrix_positivity_scan(algebra, omega)
@@ -293,7 +294,7 @@ def gns_build(algebra: MatrixStarAlgebra,
         raise PositivityRefuted(
             f"omega({label}* x {label}) = {series_text(value)} is "
             + ("negative" if value.is_real() else "not real"))
-    kept_w, kernel_w = radical_quotient(w)
+    kept_w, kernel_w = quotient or radical_quotient(w)
     if not kept_w:
         raise ShapeMismatch("omega vanishes on every b* x b: the GNS "
                             "quotient is 0-dimensional")

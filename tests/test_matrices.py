@@ -474,6 +474,37 @@ def test_inverse_eliminates_once(monkeypatch):
     assert m @ inv == SeriesMatrix.identity(4, K)
 
 
+def test_gns_eliminates_w_once(monkeypatch):
+    """With Hermitian C and W, one elimination of W decides omega >= 0 and
+    gives its radical.  (The star-unit C^-1 of a deformed algebra is an
+    elimination of C, taken once per algebra.)"""
+    import fdq.matrices as matrices
+    import fdq.modules as modules
+
+    calls = []
+    real, real_psd = matrices._echelonize, modules.gram_psd_check
+
+    def counting(rows, *args, **kw):
+        calls.append([list(r) for r in rows])
+        return real(rows, *args, **kw)
+
+    def counting_psd(h):
+        calls.append("gram_psd_check")
+        return real_psd(h)
+
+    w = SeriesMatrix.from_scalar_rows([[1, 1], [1, 1]], K)
+    for deform in (None, SeriesMatrix.from_scalar_rows([[1, 0], [0, 0]], K)):
+        alg = MatrixStarAlgebra(2, K, deform=deform)
+        alg.unit()
+        monkeypatch.setattr(matrices, "_echelonize", counting)
+        monkeypatch.setattr(modules, "gram_psd_check", counting_psd)
+        del calls[:]
+        res = gns_build(alg, MatrixFunctional(w))
+        monkeypatch.undo()
+        assert res.basis_labels() == ["E11", "E21"]
+        assert calls == [[list(r) for r in w.rows]]
+
+
 def dense(nrows, ncols, shift=0):
     """Entries (i + j + 1) l off the diagonal and 2 + l on it, times
     l^shift: every entry is nonzero, every pivot has valuation ``shift``."""
@@ -557,12 +588,14 @@ def test_shared_pivot_inverses_match_fresh_ones(m):
 # -- exact zeros stay exact under row operations ------------------------------------
 
 
-def reference_echelonize(rows, ncols, divisors, certify_rank=True):
+def reference_echelonize(rows, ncols, divisors, certify_rank=True,
+                         hermitian=False):
     """The elimination with the earlier update rule x - factor * y on every
     entry of the pivot row: when the pivot is not a constant, the factor has
     lost its tail, and an exact-zero y gives a lossy zero."""
     import fdq.matrices as matrices
 
+    assert not hermitian
     pivots = []
     used_rows, used_cols = set(), set()
     while True:
@@ -651,6 +684,30 @@ def values_and_flags(vectors):
             [[e.tail_lost for e in v] for v in vectors])
 
 
+def assert_exact_at_earlier_pivot_columns(rows, pivots):
+    """Each pivot row holds exact zeros at the earlier pivots' columns."""
+    for k, (pi, _) in enumerate(pivots):
+        assert all(rows[pi][pj].is_exact_zero() for _, pj in pivots[:k])
+
+
+def test_a_row_operation_cancels_its_pivot_column_to_an_exact_zero():
+    """On A^H A, A = A0 + l A1 dense: the factor over a pivot that is not a
+    constant has lost its tail, so x - factor * y at the pivot column was a
+    lossy zero; the row operation sets it to an exact zero."""
+    import fdq.matrices as matrices
+
+    for d in (3, 4, 5):
+        a = SeriesMatrix([[FormalSeries([(i * d + j) % 5 - 2 + (i == j) * 6,
+                                         (i + 2 * j) % 3 - 1], K)
+                           for j in range(d)] for i in range(d)], K)
+        h = a.adjoint() @ a
+        for hermitian in (False, True):
+            rows = [list(r) for r in h.rows]
+            pivots = matrices._echelonize(rows, d, {}, hermitian=hermitian)
+            assert len(pivots) == d
+            assert_exact_at_earlier_pivot_columns(rows, pivots)
+
+
 def assert_flags_within(new, ref):
     """Each tail lost in ``new`` is lost in ``ref`` too."""
     for v, w in zip(new, ref):
@@ -679,6 +736,7 @@ def test_elimination_matches_the_earlier_rule_where_it_answered(case):
         except PrecisionExhausted:
             assert ref_pivots is None
             continue
+        assert_exact_at_earlier_pivot_columns(got, pivots)
         if ref_pivots is not None:
             assert pivots == ref_pivots
             assert got == ref
@@ -1025,6 +1083,20 @@ def test_gns_on_the_weights_answers_where_the_full_gram_lost_a_tail():
     one, zero = FormalSeries.one(3), FormalSeries.zero(3)
     assert res.gram == SeriesMatrix(
         [[one + FormalSeries.lam(1, 3), zero], [zero, one]], 3)
+
+
+def test_gns_answers_where_a_lossy_weight_sits_below_a_pivot_of_positive_valuation():
+    # At K = 2, l^2 is zero with a lost tail.  Eliminating it below the
+    # pivot l cannot divide it out, but its update is zero mod l^2, so W =
+    # l (1 + O(l)) is positive-definite: the quotient keeps every unit.
+    lost = FormalSeries.lam(2, 2)
+    lam = FormalSeries.lam(1, 2)
+    w = SeriesMatrix([[lam, lost], [lost, lam]], 2)
+    with pytest.raises(PrecisionExhausted, match="^dividend is zero only"):
+        radical_quotient(w)
+    res = gns_build(MatrixStarAlgebra(2, 2), MatrixFunctional(w))
+    assert res.basis_labels() == ["E11", "E12", "E21", "E22"]
+    assert res.kernel == []
 
 
 def test_gns_decides_a_gram_hermitian_only_through_truncation():

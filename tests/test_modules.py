@@ -1,14 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fdq.errors import (AlgebraMismatch, DefectNotSmall, FdqError,
                         NotHermitian, PositivityRefuted, PrecisionExhausted,
                         RankMismatch, ShapeMismatch)
 from fdq.exprio import parse_series
-from fdq.matrices import (MatrixStarAlgebra, SeriesMatrix, nullspace,
-                          radical_quotient, reduce_coords)
+from fdq.matrices import (MatrixStarAlgebra, SeriesMatrix, _Divisor,
+                          nullspace, radical_quotient, rank_certified,
+                          reduce_coords, solve_in_ring)
 from fdq.modules import (AdjointableOp, GramVerdict, MoritaClassData,
                          MoritaVerdict, PreHilbertModule,
                          classical_limit_module,
@@ -203,6 +204,9 @@ def test_psd_check_decides_where_a_minor_is_lost(h, verdict):
 
 
 def test_psd_check_makes_at_most_d_cubed_products(monkeypatch):
+    """A row operation touches only the columns without a pivot, so rank
+    and radical make no more products than the PSD check, and a right-hand
+    side adds one per row operation and d (d + 1) / 2 to back-substitute."""
     products = 0
     real = FormalSeries.__mul__
 
@@ -211,12 +215,113 @@ def test_psd_check_makes_at_most_d_cubed_products(monkeypatch):
         products += 1
         return real(a, b)
 
+    def count(f, *args):
+        nonlocal products
+        products = 0
+        return f(*args), products
+
     d = 12
     h = SeriesMatrix([[ONE.scalar_mul(d + 1) if i == j else LAM
                        for j in range(d)] for i in range(d)], K)
     monkeypatch.setattr(FormalSeries, "__mul__", counting)
-    assert gram_psd_check(h) is GramVerdict.POSITIVE_DEFINITE
-    assert 0 < products <= d ** 3
+    verdict, psd = count(gram_psd_check, h)
+    assert verdict is GramVerdict.POSITIVE_DEFINITE
+    assert 0 < psd <= d ** 3
+    assert count(rank_certified, h) == (d, psd)
+    assert count(radical_quotient, h)[1] == psd
+    x, solve = count(solve_in_ring, h, [ONE] * d)
+    assert x is not None
+    assert solve == psd + d * (d - 1) // 2 + d * (d + 1) // 2
+
+
+def reference_ldl_psd_check(h):
+    """The Hermitian Schur-complement (LDL*) loop that decided positivity on
+    its own: NOT_PSD on a negative diagonal entry, or an off-diagonal entry
+    of valuation below every diagonal one (zero up to l^K counts as
+    valuation K); the pivot is the first diagonal entry of least valuation,
+    and an entry zero up to l^K is skipped, as its update vanishes."""
+    if not h.is_hermitian():
+        raise NotHermitian("Gram positivity needs a Hermitian matrix")
+    K = h.order
+    rows = [list(r) for r in h.rows]
+    left = list(range(h.nrows))
+    while left:
+        diag = []
+        for i in left:
+            if rows[i][i].sign() is Sign.NEGATIVE:
+                return GramVerdict.NOT_PSD
+            v = rows[i][i].valuation()
+            diag.append(K if v is None else v)
+        least = min(diag)
+        off = [rows[i][j].valuation() for i in left for j in left if i != j]
+        if any(v is not None and v < least for v in off):
+            return GramVerdict.NOT_PSD
+        if least == K:
+            return GramVerdict.POSITIVE_SEMIDEFINITE
+        p = left.pop(diag.index(least))
+        prow, divide = rows[p], _Divisor(rows[p][p])
+        for i in left:
+            row = rows[i]
+            if row[p].is_zero():
+                continue
+            factor = divide(row[p])
+            for j in left:
+                if not prow[j].is_zero():
+                    row[j] = row[j] - factor * prow[j]
+    return GramVerdict.POSITIVE_DEFINITE
+
+
+DIVIDEND_LOST = "dividend is zero only up to the truncation order"
+
+
+def radical_outcome(h, **kw):
+    """``radical_quotient(h, **kw)`` with every kernel entry's flag, or the
+    message of its PrecisionExhausted."""
+    try:
+        out = radical_quotient(h, **kw)
+    except PrecisionExhausted as exc:
+        return str(exc)
+    if out is None:
+        return None
+    kept, kernel = out
+    return kept, [(f, v, [e.tail_lost for e in v]) for f, v in kernel]
+
+
+# At K = 2, a = l^2 is zero with a lost tail.  Below the unit pivot the
+# update of a's row is zero with a lost tail, so the rank is not determined;
+# an update skipped without marking would leave an exact zero, and a
+# kernel.  Below the pivot l the update cannot be divided out, yet it is
+# zero mod l^2: W = [[l, a], [a, l]] is positive-definite, whatever a's tail.
+LOST2 = FormalSeries.lam(2, 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(hermitian_matrices(), exact_hermitian_matrices().map(
+    lambda case: case[0].reduce_order(case[1]))))
+@example(k3_matrix(["l^2", LOST3], [LOST3, "l^2"]))
+@example(SeriesMatrix([[FormalSeries.one(2), LOST2],
+                       [LOST2, FormalSeries.zero(2)]], 2))
+@example(SeriesMatrix([[FormalSeries.lam(1, 2), LOST2],
+                       [LOST2, FormalSeries.lam(1, 2)]], 2))
+def test_one_elimination_decides_positivity_and_the_radical(h):
+    """``gram_psd_check`` gives the verdict of the LDL* loop.  Where it is
+    not NOT_PSD, the Hermitian ``radical_quotient`` equals the plain one,
+    flags included, and refuses where it refuses, except that a dividend
+    zero only up to l^K no longer raises: such a refusal may become another
+    PrecisionExhausted, or an answer for a positive-definite h."""
+    verdict = gram_psd_check(h)
+    assert verdict is reference_ldl_psd_check(h)
+    got = radical_outcome(h, hermitian=True)
+    if verdict is GramVerdict.NOT_PSD:
+        assert got is None
+        return
+    ref = radical_outcome(h)
+    if ref == DIVIDEND_LOST and got != ref:
+        assert isinstance(got, str) or (
+            verdict is GramVerdict.POSITIVE_DEFINITE
+            and got == (list(range(h.nrows)), []))
+        return
+    assert got == ref
 
 
 # -- modules and rank-one operators ---------------------------------------------------
