@@ -170,6 +170,9 @@ class GNSResult:
     * ``gram``: their inner products omega(b_s* x b_t),
     * ``pi``: representation matrices of the requested generators,
     * ``cyclic``: coordinates of the class of the unit.
+
+    ``generators`` None stands for the matrix units, which are then built
+    on first read.
     """
 
     def __init__(self, algebra, omega, basis_indices, kernel, gram, generators,
@@ -179,9 +182,15 @@ class GNSResult:
         self.basis_indices = basis_indices
         self.kernel = kernel
         self.gram = gram
-        self.generators = generators
+        self._generators = generators
         self.pi = pi
         self.cyclic = cyclic
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            self._generators = self.algebra.basis()
+        return self._generators
 
     @property
     def dimension(self):
@@ -310,8 +319,7 @@ def gns_build(algebra: MatrixStarAlgebra,
                          for k in range(m) for q in range(r)]
                         for a in range(m) for p in range(r)], K)
           for i in range(m) for j in range(m)]
-    result = GNSResult(algebra, omega, kept, kernel, gram, algebra.basis(),
-                       pi, None)
+    result = GNSResult(algebra, omega, kept, kernel, gram, None, pi, None)
     result.cyclic = result.reduce_coords(algebra.to_coords(algebra.unit()))
     return result
 

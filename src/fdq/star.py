@@ -9,11 +9,21 @@ the truncation order.
 One kernel, ``_exp_terms``, applies exp(D) = sum_{k<K} D^k/k! for a
 constant-coefficient D = sum c_alpha d^alpha to a term map.  ``apply_equiv``
 runs it on an observable's terms with the generator's multi-indices (S, N
-and the deformed functionals delta_x o exp(D) all go through it).
-``star_multiply`` runs it on the tensor {exp_f + exp_g: c_f c_g} with one
-alpha = e_a + e_b per pairing entry L_ab, a list each spec builds once, and
-folds the image back with mu.  The kernel folds 1/k! into the contraction
-scalar: one scaled series product per contraction.
+and the deformed functionals delta_x o exp(D) all go through it).  The
+kernel folds 1/k! into the contraction scalar: one scaled series product per
+contraction.
+
+``star_multiply`` reads a monomial product table when every pairing entry is
+one exact term s l, as in every built-in product from K = 2 on: m_alpha *
+m_beta is then a fixed list of Gaussian-integer terms (the Groenewold-Moyal
+sum), walked once per spec, K and alpha + beta in Python ints and extended
+bilinearly.  Other pairings (lossy entries, entries of several terms or of
+another power of l, and every pairing at K = 1, where l is a zero whose tail
+is lost) take the kernel on the tensor {exp_f + exp_g: c_f c_g}, with one
+alpha = e_a + e_b per pairing entry L_ab, and fold the image back with mu.
+So do the rare products whose flags the table cannot tell (see
+``star_multiply``).
+
 ``check_star_axioms`` computes every monomial product it reads once, into a
 table, and decides associativity by a bilinear expansion over the table's
 Gaussian-integer vectors, not by two star products per triple.
@@ -24,19 +34,22 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm
+from math import factorial, lcm
 from operator import add
 
 from .errors import PrecisionExhausted, SignatureMismatch, TruncationMismatch
-from .observables import (PhaseSpaceSignature, PolyObservable, _derive,
-                          involution, monomials_up_to, poisson_bracket)
-from .series import FormalSeries, GaussianRational, _convolve, _order
+from .observables import (_EXPONENTS, PhaseSpaceSignature, PolyObservable,
+                          _derive, involution, monomials_up_to,
+                          poisson_bracket)
+from .series import (FormalSeries, GaussianRational, _convolve, _order,
+                     _over_lcm, _reduced)
 
 
 class StarProductSpec:
     """Constant-coefficient bidifferential exponential star product."""
 
-    __slots__ = ("signature", "order", "pairing", "name", "_contractions")
+    __slots__ = ("signature", "order", "pairing", "name", "_contractions",
+                 "_table")
 
     def __init__(self, signature, pairing, order=None, name="custom"):
         w = signature.width
@@ -62,6 +75,8 @@ class StarProductSpec:
         self._contractions = tuple(
             (((a, 1), (w + b, 1)), e) for a, row in enumerate(self.pairing)
             for b, e in enumerate(row) if not e.is_exact_zero())
+        # The monomial product table per order, filled by star_multiply.
+        self._table = {}
 
     def __eq__(self, other):
         if not isinstance(other, StarProductSpec):
@@ -266,13 +281,135 @@ def _accumulate(terms, e, c, prune):
     return False
 
 
+def _product_table(spec, K):
+    """spec's monomial product table at order K, made empty on first use:
+    (ops, den, D, rows).  ``ops`` lists (a, w + b, re, im) for each pairing
+    entry L_ab = (re + i im) l / den, D = den^(K-1) (K-1)! is the
+    denominator of every entry, and ``rows`` maps alpha + beta to the
+    entries of m_alpha * m_beta (see ``_monomial_walk``).  None when some
+    entry at order K is not one exact term s l: a lost tail (every entry at
+    K = 1), more than one term or another power of l."""
+    if K not in spec._table:
+        entries = [(a, b, e if e.order == K else e.reduce_order(K))
+                   for ((a, _), (b, _)), e in spec._contractions]
+        table = None
+        if all(not e.tail_lost and len(e._v) == 4 and not (e._v[0] or e._v[1])
+               for _, _, e in entries):
+            den = lcm(*[e._d for _, _, e in entries])
+            table = (tuple((a, b, e._v[2] * (den // e._d),
+                            e._v[3] * (den // e._d)) for a, b, e in entries),
+                     den, den ** (K - 1) * factorial(K - 1), {})
+        spec._table[K] = table
+    return spec._table[K]
+
+
+def _monomial_walk(key, table, K):
+    """The entries of m_alpha * m_beta for key = alpha + beta: exp(D) run
+    on x^key in Python ints, one (E, k, re, im) per output exponent E and
+    step k reached, (re + i im) l^k / D the term at x^E.
+    An entry whose nodes cancel is kept, so a product it shifts beyond l^K
+    is still flagged.  None when a node of the walk cancels: the series
+    kernel keeps such a node only when its tail is lost, so the flags below
+    it depend on f and g."""
+    ops, den, scale, _ = table
+    w = len(key) // 2
+    sums, nodes, k = {}, {key: (1, 0)}, 0
+    while True:
+        for d, (xr, xi) in nodes.items():
+            e = (tuple(map(add, d[:w], d[w:])), k)
+            re, im = sums.get(e, (0, 0))
+            sums[e] = (re + scale * xr, im + scale * xi)
+        k += 1
+        if k == K:
+            break
+        scale //= den * k
+        new = {}
+        for d, (xr, xi) in nodes.items():
+            for a, b, sr, si in ops:
+                ff = d[a] * d[b]
+                if ff:
+                    c = list(d)
+                    c[a] -= 1
+                    c[b] -= 1
+                    c = tuple(c)
+                    yr, yi = new.get(c, (0, 0))
+                    new[c] = (yr + ff * (sr * xr - si * xi),
+                              yi + ff * (sr * xi + si * xr))
+        if (0, 0) in new.values():
+            return None
+        if not new:
+            break
+        nodes = new
+    return tuple((_EXPONENTS.setdefault(e, e), k, re, im)
+                 for (e, k), (re, im) in sums.items())
+
+
+def _table_product(spec, f, g, K):
+    """f * g from the monomial product table, or None when spec has none at
+    K or a node of exp(D) might merge two term pairs whose top terms cancel
+    there (see ``star_multiply``)."""
+    table = _product_table(spec, K)
+    if table is None:
+        return None
+    rows = table[3]
+    n = 2 * K
+    df, vf = _over_lcm(f.terms.values())
+    dg, vg = _over_lcm(g.terms.values())
+    acc, lost, band = {}, set(), set()
+    for (e1, c1), a1 in zip(f.terms.items(), vf):
+        for (e2, c2), a2 in zip(g.terms.items(), vg):
+            key = e1 + e2
+            if key not in rows:
+                rows[key] = _monomial_walk(key, table, K)
+            row = rows[key]
+            if row is None:
+                return None
+            c = [0] * n
+            exact = not (_convolve(a1, a2, c) or c1.tail_lost or c2.tail_lost)
+            m = n
+            while m and not (c[m - 1] or c[m - 2]):
+                m -= 2
+            for e, k, er, ei in row:
+                a = acc.get(e)
+                if a is None:
+                    a = acc[e] = [0] * n
+                j = 2 * k
+                for i in range(0, min(m, n - j), 2):
+                    cr, ci = c[i], c[i + 1]
+                    a[j + i] += er * cr - ei * ci
+                    a[j + i + 1] += er * ci + ei * cr
+                if not exact or m + j > n:
+                    lost.add(e)
+                elif m + j == n and m > 2 and k:
+                    # c's top term lands on l^(K-1) at a node exp(D) goes
+                    # on from; a second exact pair there could cancel it.
+                    if (e, k) in band:
+                        return None
+                    band.add((e, k))
+    d = df * dg * table[2]
+    return PolyObservable(
+        spec.signature, {e: _reduced(K, e in lost, d, a) for e, a in acc.items()},
+        K, f.tail_lost or g.tail_lost)
+
+
 def star_multiply(spec: StarProductSpec, f: PolyObservable,
                   g: PolyObservable) -> PolyObservable:
     """Exact evaluation of f * g.
 
-    exp(P) runs on the tensor {exp_f + exp_g: c_f c_g} of width 2w, with one
-    contraction d_a (x) d_b per pairing entry L_ab; mu then folds each key
-    e back to e[:w] + e[w:].
+    When every pairing entry is one exact term s l, m_alpha * m_beta is a
+    fixed list of (output exponent, l^k, coefficient) entries, computed once
+    per spec, K and alpha + beta.  Each term pair then costs one convolution
+    c = c_f c_g and one shifted multiply-add per entry.  A coefficient has
+    lost its tail when an operand coefficient has, when c dropped a term, or
+    when an entry shifts c's top term to l^K or beyond.  That is the series
+    kernel's flag as long as no node of exp(D) holds two exact term pairs
+    whose top terms land on l^(K-1) there: the kernel flags the next step
+    only if their sum keeps that term.  Two such pairs on one (E, k) entry
+    send the product to the kernel, as do the other pairings.
+
+    The kernel runs exp(P) on the tensor {exp_f + exp_g: c_f c_g} of width
+    2w, with one contraction d_a (x) d_b per pairing entry L_ab; mu then
+    folds each key e back to e[:w] + e[w:].
     """
     if f.signature != spec.signature or g.signature != spec.signature:
         raise SignatureMismatch("operands must live on the spec's signature")
@@ -281,6 +418,9 @@ def star_multiply(spec: StarProductSpec, f: PolyObservable,
         f = f.reduce_order(K)
     if g.order != K:
         g = g.reduce_order(K)
+    product = _table_product(spec, f, g, K)
+    if product is not None:
+        return product
     w = spec.signature.width
     ops = spec._contractions if K == spec.order else [
         (alpha, e.reduce_order(K)) for alpha, e in spec._contractions]

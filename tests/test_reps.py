@@ -149,6 +149,22 @@ def w_of(rows, order=K):
     return MatrixFunctional(SeriesMatrix.from_scalar_rows(rows, order))
 
 
+def test_gns_builds_its_generators_on_first_read(monkeypatch):
+    # The generators are the m^2 matrix units; gns_build does not need them.
+    alg = MatrixStarAlgebra(2, K)
+    calls = []
+    basis = MatrixStarAlgebra.basis
+    monkeypatch.setattr(MatrixStarAlgebra, "basis",
+                        lambda self: calls.append(self) or basis(self))
+    res = gns_build(alg, w_of([[1, 0], [0, 1]]))
+    assert calls == []
+    assert res.generators == basis(alg) and len(calls) == 1
+    assert res.generators is res.generators and len(calls) == 1
+    again = GNSResult(alg, res.omega, res.basis_indices, res.kernel, res.gram,
+                      basis(alg), res.pi, res.cyclic)
+    assert again == res and again.to_json() == res.to_json()
+
+
 def test_gns_defining_representation():
     alg = MatrixStarAlgebra(2, K)
     res = gns_build(alg, w_of([[1, 0], [0, 0]]))

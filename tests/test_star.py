@@ -525,6 +525,104 @@ def test_kernel_step_five_matches_reference():
         assert _state(apply_equiv(op, h)) == _state(_ref_apply_equiv(op, h))
 
 
+@st.composite
+def _one_term_specs(draw, n, K):
+    """A custom pairing whose entries are 0 or s l, which the monomial
+    product table takes; nodes of exp(D) may cancel (1 * 1 + i * i = 0)."""
+    sig = PhaseSpaceSignature(n, draw(st.sampled_from(["real", "holo"])))
+    l = FormalSeries.lam(1, K)
+    return StarProductSpec(
+        sig, [[l.scalar_mul(draw(_SCALARS)) for _ in range(sig.width)]
+              for _ in range(sig.width)], K)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_star_multiply_matches_reference_on_table_hits(data):
+    # One spec object serves every product: the repeated f * g reads the
+    # entries f * g walked, and the product at K - 1 fills a second table.
+    n = data.draw(st.sampled_from([1, 2]))
+    K = data.draw(st.integers(1, 6))
+    spec = data.draw(st.one_of(_star_specs(n, K), _one_term_specs(n, K)))
+    f = _operand(data.draw, spec.signature, K)
+    g = _operand(data.draw, spec.signature, K)
+    pairs = [(f, g), (g, f), (f, g)]
+    if K > 1:
+        pairs.append((f.reduce_order(K - 1), g.reduce_order(K - 1)))
+    for a, b in pairs:
+        assert _state(star_multiply(spec, a, b)) == \
+            _state(_ref_star_multiply(spec, a, b))
+    # Every built-in pairing is one exact term s l per entry from K = 2 on.
+    if spec.name != "custom":
+        assert (spec._table[K] is not None) == (K > 1)
+
+
+def test_repeated_products_walk_no_new_monomial_pair(monkeypatch):
+    walks = []
+    walk = fdq.star._monomial_walk
+    monkeypatch.setattr(fdq.star, "_monomial_walk",
+                        lambda key, *args: walks.append(key) or walk(key, *args))
+    spec = wick(2, K)
+    assert spec._table == {}
+    f = obs("q1^2*p2 + (1 + l)*p1 - 2*q2*p2", n=2)
+    g = obs("q1*p1^2 + (i*l)*q2 + 3", n=2)
+    first = star_multiply(spec, f, g)
+    assert sorted(walks) == sorted(a + b for a in f.terms for b in g.terms)
+    star_multiply(spec, g, f)
+    walks.clear()
+    assert _state(star_multiply(spec, f, g)) == _state(first)
+    commutator(spec, f, g)
+    assert walks == []
+
+
+def test_merged_pairs_whose_top_terms_cancel_take_the_kernel():
+    # At K = 3 the node q1 (x) p1 of exp(D) holds -i/2 (4 + 4l) l from
+    # q1 p1 (x) q1 p1 and 2i (2 + l) l from q1^2 (x) p1^2; their l^2 terms
+    # cancel, and so do those at p1 (x) q1.  The next contraction thus keeps
+    # below l^3 and the constant term -l^2 is exact, though per term pair
+    # the top of 4 + 4l is shifted to l^3.  The table refuses the product.
+    K = 3
+    spec = weyl(1, K)
+    f = parse("q1*p1 + q1^2 + p1^2", 1, K)
+    g = parse("(4 + 4*l)*q1*p1 + (2 + l)*p1^2 + (2 + l)*q1^2", 1, K)
+    assert fdq.star._table_product(spec, f, g, K) is None
+    got = star_multiply(spec, f, g)
+    assert got.terms[(0, 0)] == FormalSeries.lam(2, K).scalar_mul(-1)
+    assert not any(c.tail_lost for c in got.terms.values())
+    assert _state(got) == _state(_ref_star_multiply(spec, f, g))
+
+
+def test_cancelled_table_entry_still_flags_its_shift():
+    # q1 p1 * q1 p1 has no l^1 term on weyl: the two contractions cancel.
+    # Shifted by l, the top of c = 1 + l still lands on l^2 = l^K, so the
+    # cancelled coefficient is a zero whose tail is lost.
+    K = 2
+    f, g = parse("q1*p1", 1, K), parse("(1 + l)*q1*p1", 1, K)
+    got = star_multiply(weyl(1, K), f, g)
+    assert list(got.terms) == [(2, 2)] and got.tail_lost
+    assert _state(got) == _state(_ref_star_multiply(weyl(1, K), f, g))
+
+
+def test_multi_term_pairing_counterexample_keeps_its_flags():
+    # A pairing with entries of two terms or of l^2 has no table, and the
+    # kernel flags the q1 p1^2 coefficient, which a bilinear sum of
+    # monomial products would leave exact.
+    K = 3
+    spec = StarProductSpec(SIG, [
+        [FormalSeries([0, Fraction(1, 2)], K), FormalSeries([0, 0, -1], K)],
+        [FormalSeries([0, 1, Fraction(1, 2)], K),
+         FormalSeries([0, 0, GaussianRational(0, 1)], K)]], K)
+    f = parse("(1/2 + 2*l + i*l^2)*q1^2*p1^2 + 1/2 + l^2", 1, K)
+    g = parse("q1*p1^2", 1, K)
+    got = star_multiply(spec, f, g)
+    assert spec._table == {K: None}
+    assert got.terms[(1, 2)] == FormalSeries([Fraction(1, 2), 0, 1], K)
+    assert {e for e, c in got.terms.items() if c.tail_lost} == \
+        {(1, 2), (1, 4), (2, 3), (3, 2)}
+    assert got.tail_lost
+    assert _state(got) == _state(_ref_star_multiply(spec, f, g))
+
+
 def _wave(K, generator, terms, tail_lost=False):
     sig = PhaseSpaceSignature(1, "wave")
     op = EquivOperatorSpec(sig, {(e,): c for e, c in generator.items()}, K)
