@@ -1,32 +1,35 @@
 """Differential operators with polynomial coefficients, in normal form.
 
-An operator is a finite sum c_alpha(x) d^alpha with the coefficient
-polynomials to the left of the derivative monomials.  Application to a
-polynomial is exact; composition uses the Leibniz rule and stays in normal
-form.  The formal adjoint is the integration-by-parts adjoint
-sum (-d)^alpha o conj(c_alpha).
+An operator is a finite sum c_alpha(x) d^alpha, coefficients to the left;
+as in PolyObservable, a coefficient that vanishes up to l^K is dropped and
+its lost tail flags the operator.  Application to a polynomial is exact.
+Composition and the formal adjoint act on the standard-ordered symbol, the
+term map {x^e xi^alpha: series} of sum c_alpha(x) xi^alpha, through
+``star._exp_terms`` (Waldmann, math/0408217), whose lambda-free walk ends
+when no xi is left:
+
+    sigma_{A o B} = mu o exp(sum_i d_{xi_i} (x) d_{x_i})(sigma_A (x) sigma_B)
+    sigma_{A*}(x, xi) = exp(sum_i d_{x_i} d_{xi_i}) conj sigma_A(x, -xi)
 """
 
 from __future__ import annotations
 
-from itertools import product
-from math import comb, prod
+from operator import add
 
 from .errors import SignatureMismatch
-from .observables import PolyObservable, _partial, involution
+from .observables import PolyObservable, _partial
 from .series import FormalSeries
+from .star import _accumulate, _exp_terms
 
 
 class DiffOperator:
-    """Normal-form differential operator over one signature.
+    """Normal-form differential operator over one signature: ``terms`` maps
+    derivative exponents to coefficient observables that have terms.  As for
+    PolyObservable, ``tail_lost`` is metadata, never part of equality."""
 
-    ``terms`` maps derivative exponent tuples to coefficient observables on
-    the same signature (zero coefficients dropped).
-    """
+    __slots__ = ("signature", "order", "terms", "tail_lost")
 
-    __slots__ = ("signature", "order", "terms")
-
-    def __init__(self, signature, terms, order=None):
+    def __init__(self, signature, terms, order=None, tail_lost=False):
         self.signature = signature
         clean = {}
         K = order
@@ -35,10 +38,13 @@ class DiffOperator:
                 raise SignatureMismatch("coefficient signature mismatch")
             if K is None:
                 K = coeff.order
-            if coeff.terms or coeff.tail_lost:
+            if coeff.terms:
                 clean[tuple(exp)] = coeff
+            else:
+                tail_lost = tail_lost or coeff.tail_lost
         self.order = K
         self.terms = clean
+        self.tail_lost = tail_lost
 
     @classmethod
     def zero(cls, signature, order):
@@ -65,9 +71,6 @@ class DiffOperator:
         return (self.signature == other.signature
                 and self.order == other.order and self.terms == other.terms)
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.terms.values())
-
     def __add__(self, other):
         if not isinstance(other, DiffOperator):
             return NotImplemented
@@ -76,79 +79,72 @@ class DiffOperator:
         terms = dict(self.terms)
         for exp, c in other.terms.items():
             terms[exp] = terms[exp] + c if exp in terms else c
-        return DiffOperator(self.signature, terms, self.order)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return DiffOperator(self.signature, terms, self.order,
+                            self.tail_lost or other.tail_lost)
 
     def __neg__(self):
         return DiffOperator(self.signature,
-                            {e: -c for e, c in self.terms.items()}, self.order)
-
-    def scale(self, series: FormalSeries):
-        return DiffOperator(self.signature,
-                            {e: c.scale(series) for e, c in self.terms.items()},
-                            self.order)
-
-    def scale_scalar(self, c):
-        return DiffOperator(self.signature,
-                            {e: p.scale_scalar(c) for e, p in self.terms.items()},
-                            self.order)
+                            {e: -c for e, c in self.terms.items()}, self.order,
+                            self.tail_lost)
 
     def apply(self, psi: PolyObservable) -> PolyObservable:
         if psi.signature != self.signature:
             raise SignatureMismatch("operand signature mismatch")
-        out = PolyObservable.zero(self.signature, self.order)
+        out = PolyObservable(self.signature, {}, self.order, self.tail_lost)
         for exp, coeff in self.terms.items():
-            term = _partial(psi, _pairs(exp))
+            term = _partial(psi, tuple((i, t) for i, t in enumerate(exp) if t))
             if term.terms or term.tail_lost:
                 out = out + coeff * term
         return out
 
     def compose(self, other: DiffOperator) -> DiffOperator:
-        """self o other in normal form via the Leibniz rule."""
+        """self o other: exp(sum_i d_{xi_i} (x) d_{x_i}) on the tensor of the
+        symbols.  As for observables, an exact-zero factor makes the product
+        an exact zero."""
         if self.signature != other.signature:
             raise SignatureMismatch("operator signatures differ")
-        terms = {}
-        for alpha, c in self.terms.items():
-            for beta, d in other.terms.items():
-                # d^alpha (d(x) .) = sum_{gamma <= alpha} C(alpha, gamma)
-                #                    (d^gamma d)(x) d^{alpha-gamma}
-                for gamma in _sub_multi_indices(alpha):
-                    dg = _partial(d, _pairs(gamma))
-                    if not dg.terms and not dg.tail_lost:
-                        continue
-                    mult = prod(map(comb, alpha, gamma))
-                    exp = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
-                    contrib = (c * dg).scale_scalar(mult)
-                    terms[exp] = terms[exp] + contrib if exp in terms else contrib
-        return DiffOperator(self.signature, terms, self.order)
+        if not all(a.terms or a.tail_lost for a in (self, other)):
+            return DiffOperator.zero(self.signature, self.order)
+        w = self.signature.width
+        right = _symbol(other)
+        tensor = {e1 + e2: c1 * c2 for e1, c1 in _symbol(self)
+                  for e2, c2 in right}
+        return _operator(self, tensor, [(w + i, 2 * w + i) for i in range(w)],
+                         (self, other))
 
     def formal_adjoint(self) -> DiffOperator:
-        """sum c_alpha d^alpha -> sum (-d)^alpha o conj(c_alpha), normal form.
-
-        Involutive and anti-multiplicative; realizes the inner-product adjoint
-        obtained by successive integration by parts.
-        """
-        out = DiffOperator.zero(self.signature, self.order)
-        for alpha, c in self.terms.items():
-            sign = (-1) ** sum(alpha)
-            deriv = DiffOperator.derivative_monomial(
-                self.signature, alpha, self.order)
-            mult = DiffOperator.multiplication(involution(c))
-            out = out + deriv.compose(mult).scale_scalar(sign)
-        return out
+        """sum c_alpha d^alpha -> sum (-d)^alpha o conj(c_alpha), the adjoint
+        by integration by parts, involutive and anti-multiplicative:
+        exp(sum_i d_{x_i} d_{xi_i}) on conj sigma(x, -xi), in normal form."""
+        w = self.signature.width
+        symbol = {e: -c.conjugate() if sum(e[w:]) % 2 else c.conjugate()
+                  for e, c in _symbol(self)}
+        return _operator(self, symbol, [(i, w + i) for i in range(w)], (self,))
 
 
-def _pairs(exp):
-    """The (index, times) pairs of d^exp that ``_partial`` takes."""
-    return tuple((i, t) for i, t in enumerate(exp) if t)
+def _symbol(op):
+    """op's symbol as (x^e xi^alpha, series) pairs, keys e + alpha."""
+    return [(e + alpha, c) for alpha, coeff in op.terms.items()
+            for e, c in coeff.terms.items()]
 
 
-def _sub_multi_indices(alpha):
-    """All gamma with 0 <= gamma <= alpha componentwise, the first index
-    running fastest."""
-    return (g[::-1] for g in product(*(range(a + 1) for a in alpha[::-1])))
+def _operator(op, symbol, pairs, operands):
+    """The operator (op's signature and order) of exp(sum d_a d_b) applied to
+    ``symbol``, with mu folding back a tensor's keys of width 4w.  Its flag
+    is what a symbol cannot hold: the operands' and their coefficients'."""
+    w = op.signature.width
+    one = FormalSeries.one(op.order)
+    grouped = {}
+    for e, c in _exp_terms(symbol, [(((a, 1), (b, 1)), one) for a, b in pairs],
+                           None, prune=False)[0].items():
+        if len(e) > 2 * w:
+            e = tuple(map(add, e[:2 * w], e[2 * w:]))
+        _accumulate(grouped.setdefault(e[w:], {}), e[:w], c, prune=False)
+    return DiffOperator(
+        op.signature, {alpha: PolyObservable(op.signature, terms, op.order)
+                       for alpha, terms in grouped.items()}, op.order,
+        any(a.tail_lost or any(c.tail_lost for c in a.terms.values())
+            for a in operands))
 
 
 def formal_adjoint(op: DiffOperator) -> DiffOperator:

@@ -11,7 +11,7 @@ constant-coefficient D = sum c_alpha d^alpha to a term map.  ``apply_equiv``
 runs it on an observable's terms with the generator's multi-indices (S, N
 and the deformed functionals delta_x o exp(D) all go through it).  The
 kernel folds 1/k! into the contraction scalar: one scaled series product per
-contraction.
+contraction.  ``diffops`` runs it without a step bound on operator symbols.
 
 ``star_multiply`` reads a monomial product table when every pairing entry is
 one exact term s l, as in every built-in product from K = 2 on: m_alpha *
@@ -233,11 +233,11 @@ def _exp_terms(terms, ops, K, prune):
     """Apply exp(D) = sum_{k<K} D^k/k! to a term map {exp: series}.
 
     D = sum_alpha c_alpha d^alpha is ``ops``, a list of (alpha, c_alpha) with
-    alpha a tuple of (variable index, times) pairs.  Every c_alpha is O(l), so
-    D^k starts at l^k and the sum stops at K, or earlier once D^k kills every
-    term.  Step k holds D^k/k!: a contraction is one ``scaled_product``
-    c_alpha * c * ff/k, ff the falling factorial of d^alpha, and a term is
-    absorbed unscaled.
+    alpha a tuple of (variable index, times) pairs.  The sum stops once D^k
+    kills every term, or at the step bound K: O(l) contractions pass the
+    order K, as D^k starts at l^k; lambda-free ones pass None.  Step k holds
+    D^k/k!: a contraction is one ``scaled_product`` c_alpha * c * ff/k, ff
+    the falling factorial of d^alpha, and a term is absorbed unscaled.
 
     Returns the image and whether a tail was lost outside it.  With ``prune``
     the arithmetic is PolyObservable's, generator by generator: a zero is
@@ -251,7 +251,7 @@ def _exp_terms(terms, ops, K, prune):
         for e, c in current.items():
             lost = _accumulate(result, e, c, prune) or lost
         k += 1
-        if not current or k >= K:
+        if not current or k == K:
             return result, lost
         new = {}
         for alpha, coeff in ops:
