@@ -10,13 +10,13 @@ row operation touches only columns without a pivot and cancels its own to
 an exact zero.  An exact zero annihilates every product, so an exact zero
 stays one, and a rank known exactly is decided.
 
-Matrix products run on the integer kernel of series products.  The vectors
-of each left row and each right column are rescaled once to the lcm of their
-denominators; each output entry is convolved over the inner index in Python
-ints and reduced once over D_row * D_col.  A term adds a value or a flag
-only when neither factor is an exact zero: it is flagged when a factor is
-lossy or a product term lands at l^K, so an entry equals the sum of its
-products taken one by one.
+Every sum of products s +- sum a_k b_k runs on one integer kernel: the
+factors are rescaled once, convolved into one Gaussian-integer accumulator
+and reduced once, with the value and flag of the sum taken term by term (a
+pair with an exact-zero factor adds nothing).  ``@`` sums over the inner
+index, a row update is one fused subtract, back-substitution and
+``reduce_coords`` take one sum per component, and the deformed product
+a b + l (a E) b shifts its second accumulator by one power of l.
 
 Products with matrix units have closed forms in ``MatrixStarAlgebra``, since
 an exact zero annihilates every product.  For E_s = E_ij, E_t = E_kl and the
@@ -28,10 +28,12 @@ give every entry the value and flag of the full product.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import (NotUnit, PrecisionExhausted, ShapeMismatch,
                      TruncationMismatch)
-from .series import (FormalSeries, GaussianRational, Sign, _convolve,
-                     _order, _over_lcm, _reduced)
+from .series import (FormalSeries, GaussianRational, Sign, _dot, _new,
+                     _order, _over_lcm, _reduced, _sum_of_products)
 
 
 class SeriesMatrix:
@@ -110,69 +112,57 @@ class SeriesMatrix:
                          for r in self.rows)
         return f"<matrix {self.nrows}x{self.ncols} [{body}]>"
 
-    def _check(self, other, need_same_shape=True):
+    def _check(self, other, product=False):
         if self.order != other.order:
             raise TruncationMismatch("matrix orders differ")
-        if need_same_shape and (self.nrows, self.ncols) != (other.nrows,
-                                                            other.ncols):
+        if product:
+            if self.ncols != other.nrows:
+                raise ShapeMismatch(
+                    f"cannot multiply {self.nrows}x{self.ncols} by "
+                    f"{other.nrows}x{other.ncols}")
+        elif (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeMismatch("matrix shapes differ")
 
     def __add__(self, other):
         self._check(other)
-        return SeriesMatrix(
-            [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.rows, other.rows)], self.order)
+        return _matrix([[a + b for a, b in zip(r1, r2)]
+                        for r1, r2 in zip(self.rows, other.rows)], self.order)
 
     def __sub__(self, other):
-        self._check(other)
-        return SeriesMatrix(
-            [[a - b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.rows, other.rows)], self.order)
+        return self + -other
 
     def __neg__(self):
-        return SeriesMatrix([[-a for a in r] for r in self.rows], self.order)
+        return _matrix([[-a for a in r] for r in self.rows], self.order)
+
+    def _sums(self, other):
+        """The entries of self @ other before their reduction, (D_row D_col,
+        accumulator, flag): rows and columns rescaled once to the lcm of their
+        denominators, one ``_dot`` over the inner index."""
+        self._check(other, product=True)
+        n = 2 * self.order
+        rows, cols = ([(_over_lcm(v), [e.tail_lost for e in v]) for v in vs]
+                      for vs in (self.rows, zip(*other.rows)))
+        return [[(da * db, acc, _dot(zip(av, af, bv, bf), acc))
+                 for (db, bv), bf in cols for acc in [[0] * n]]
+                for (da, av), af in rows]
 
     def __matmul__(self, other):
-        self._check(other, need_same_shape=False)
-        if self.ncols != other.nrows:
-            raise ShapeMismatch(
-                f"cannot multiply {self.nrows}x{self.ncols} by "
-                f"{other.nrows}x{other.ncols}")
         K = self.order
-        cols = [(col, *_over_lcm(col)) for col in zip(*other.rows)]
-        out = []
-        for row in self.rows:
-            da, scaled = _over_lcm(row)
-            # (k, scaled vector, flag) of each a_ik that is not an exact zero.
-            live = [(k, a, e.tail_lost) for k, (a, e)
-                    in enumerate(zip(scaled, row)) if a or e.tail_lost]
-            out_row = []
-            for col, db, b_vecs in cols:
-                acc = [0] * (2 * K)
-                lost = False
-                for k, a, a_lost in live:
-                    b, b_lost = b_vecs[k], col[k].tail_lost
-                    if b or b_lost:  # b_kj is not an exact zero
-                        lost = lost or a_lost or b_lost
-                        if a and b:
-                            lost = _convolve(a, b, acc) or lost
-                out_row.append(_reduced(K, lost, da * db, acc))
-            out.append(out_row)
-        return SeriesMatrix(out, K)
+        return _matrix([[_reduced(K, lost, d, acc) for d, acc, lost in row]
+                        for row in self._sums(other)], K)
 
     def scale(self, series):
-        return SeriesMatrix([[a * series for a in r] for r in self.rows],
-                            self.order)
+        return _matrix([[a * series for a in r] for r in self.rows],
+                       self.order)
 
     def scale_scalar(self, c):
-        return SeriesMatrix([[a.scalar_mul(c) for a in r] for r in self.rows],
-                            self.order)
+        return _matrix([[a.scalar_mul(c) for a in r] for r in self.rows],
+                       self.order)
 
     def adjoint(self):
         """Conjugate transpose."""
-        return SeriesMatrix(
-            [[self.rows[i][j].conjugate() for i in range(self.nrows)]
-             for j in range(self.ncols)], self.order)
+        return _matrix([[e.conjugate() for e in col]
+                        for col in zip(*self.rows)], self.order)
 
     def is_hermitian(self):
         return self.nrows == self.ncols and self == self.adjoint()
@@ -200,6 +190,15 @@ class SeriesMatrix:
             "type": "matrix",
             "rows": [[series_to_json(e) for e in r] for r in self.rows],
         }
+
+
+def _matrix(rows, K):
+    """A matrix operation's result: rows of order-K series of one length,
+    without the constructor's checks."""
+    m = _new(SeriesMatrix)
+    m.rows = tuple(map(tuple, rows))
+    m.nrows, m.ncols, m.order = len(m.rows), len(m.rows[0]), K
+    return m
 
 
 def matrix_from_json(obj, pointer=""):
@@ -320,18 +319,9 @@ def _echelonize(rows, ncols, divisors, certify_rank=True, hermitian=False):
             else:
                 factor = divide(e)
                 for j in cols:
-                    row[j] = row[j] - factor * prow[j]
+                    row[j] = _sum_of_products(row[j], [(factor, prow[j])],
+                                              negate=True)
             row[pj] = zero
-
-
-def _residual(row, x, pj, ncols):
-    """Sum of row[c] x[c] over the columns c < ncols other than pj.  Skipping
-    the exact zeros is a shortcut: their products are exact zeros."""
-    s = FormalSeries.zero(row[pj].order)
-    for c in range(ncols):
-        if c != pj and not (row[c].is_exact_zero() or x[c].is_exact_zero()):
-            s = s + row[c] * x[c]
-    return s
 
 
 def radical_quotient(mat: SeriesMatrix, hermitian=False):
@@ -354,17 +344,19 @@ def radical_quotient(mat: SeriesMatrix, hermitian=False):
     if len(divisors) < len(pivots):
         return None
     K, ncols = mat.order, mat.ncols
+    zero = FormalSeries.zero(K)
     kept = sorted(pj for _, pj in pivots)
     kernel = []
     for f in range(ncols):
         if f in kept:
             continue
-        vec = [FormalSeries.zero(K)] * ncols
+        vec = [zero] * ncols
         vec[f] = FormalSeries.one(K)
         for pi, pj in reversed(pivots):
-            s = _residual(rows[pi], vec, pj, ncols)
+            # vec[pj] = -(row . vec) / row[pj]; vec[pj] is still exact zero.
+            s = _sum_of_products(zero, zip(rows[pi], vec), negate=True)
             if not s.is_exact_zero():
-                vec[pj] = -divisors[pi, pj](s)
+                vec[pj] = divisors[pi, pj](s)
         kernel.append((f, vec))
     return kept, kernel
 
@@ -373,14 +365,9 @@ def reduce_coords(coords, kept, kernel):
     """Coordinates on ``kept`` of the class of ``coords`` modulo the kernel
     of ``radical_quotient``: subtracting coords[f] vec for each (f, vec)
     clears every free coordinate without a division."""
-    out = [coords[t] for t in kept]
-    for f, vec in kernel:
-        cf = coords[f]
-        if cf.is_exact_zero():
-            continue  # a shortcut: cf * vec[t] is an exact zero
-        for s, t in enumerate(kept):
-            out[s] = out[s] - cf * vec[t]
-    return out
+    return [_sum_of_products(coords[t], [(coords[f], vec[t])
+                                         for f, vec in kernel], negate=True)
+            for t in kept]
 
 
 def nullspace(mat: SeriesMatrix):
@@ -409,7 +396,8 @@ def _back_substitute(rows, pivots, divisors, ncols, col):
     x = [FormalSeries.zero(rows[0][col].order)] * ncols
     for pi, pj in reversed(pivots):
         row = rows[pi]
-        s = row[col] - _residual(row, x, pj, ncols)
+        # row[col] - row . x over the first ncols; x[pj] is still exact zero.
+        s = _sum_of_products(row[col], zip(row, x), negate=True)
         if s.is_exact_zero():
             continue
         divide = divisors[pi, pj]
@@ -517,7 +505,8 @@ class MatrixStarAlgebra:
         ident = SeriesMatrix.identity(self.m, self.order)
         if self.deform is None:
             return ident
-        return ident + self.deform.scale(FormalSeries.lam(1, self.order))
+        return ident + _matrix([[e.shift(1) for e in r]
+                                for r in self.deform.rows], self.order)
 
     def unit(self):
         """The star-unit: the identity for the plain product, C^-1 for the
@@ -537,11 +526,22 @@ class MatrixStarAlgebra:
                 for j in range(self.m)]
 
     def product(self, a, b):
-        plain = a @ b
+        """a b, or a b + l (a E) b reduced once per entry: the sum of (a E) b
+        is shifted by one power of l, flagged where its l^(K-1) term is
+        nonzero, as a * l is (at K = 1 wherever it is not an exact zero)."""
         if self.deform is None:
-            return plain
-        corr = (a @ self.deform @ b).scale(FormalSeries.lam(1, self.order))
-        return plain + corr
+            return a @ b
+        plain, K = a._sums(b), self.order  # the errors of a @ b come first
+
+        def entry(p, q):
+            (d, acc, lost), (e, corr, corr_lost) = p, q
+            m = lcm(d, e)
+            u, w = m // d, m // e
+            return _reduced(K, lost or corr_lost or any(corr[-2:]), m,
+                            [x * u + y * w for x, y in zip(acc, [0, 0] + corr)])
+
+        return _matrix([list(map(entry, *rows)) for rows in zip(
+            plain, (a @ self.deform)._sums(b))], K)
 
     def right_unit_coords(self, a, units):
         """Row-major coordinates of a x e_t for each basis index t in

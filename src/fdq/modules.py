@@ -3,8 +3,9 @@ rank-one operators, Rieffel induction, deformed projections, fullness, and
 the characteristic-class equivalence decision.
 
 Block matrices over the base algebra share two helpers: ``_block_product``
-adds x[i][k] * y[k][j] to an exact zero in order of k, and ``_flatten`` puts
-entry (r, c) of block (i, j) at row (i, r) and column (j, c).  Inner products
+adds x[i][k] * y[k][j] to an exact zero in order of k (one ``@`` of the
+flattened blocks over a plain algebra), and ``_flatten`` puts entry (r, c)
+of block (i, j) at row (i, r) and column (j, c).  Inner products
 (x* G) y, rank-one operators u (v* G), ``AdjointableOp.apply`` and the induced
 Gram of F (x)_B E, <x_i (x) phi_p, x_j (x) phi_q> = (G_E L(<x_i, x_j>_B))[p][q]
 for the left action L of B on E, are block products.
@@ -18,7 +19,7 @@ from fractions import Fraction
 from .errors import (AlgebraMismatch, DefectNotSmall, NotHermitian,
                      PositivityRefuted, PrecisionExhausted, RankMismatch,
                      ShapeMismatch)
-from .matrices import (MatrixStarAlgebra, SeriesMatrix, _echelonize,
+from .matrices import (MatrixStarAlgebra, SeriesMatrix, _echelonize, _matrix,
                        radical_quotient, reduce_coords, solve_in_ring)
 from .reps import ClassicalLimit, classical_limit_rep
 from .series import FormalSeries, GaussianRational
@@ -57,8 +58,18 @@ def gram_psd_check(h: SeriesMatrix) -> GramVerdict:
 def _block_product(alg, x, cols):
     """x y over ``alg`` for y given by its columns: entry (i, j) adds
     x[i][k] * cols[j][k] to an exact zero in order of k.  Given by columns, a
-    y without rows keeps its width: A e = 0 for A from a rank-0 module."""
-    zero = SeriesMatrix.zero(alg.m, alg.m, alg.order)
+    y without rows keeps its width: A e = 0 for A from a rank-0 module.  Over
+    a plain algebra that is one ``@`` of the flattened x and y, whose entries
+    have the values and flags of those sums, split into m x m blocks; the
+    loop stays for a deformed algebra, an empty shape and blocks that raise."""
+    m, K, n = alg.m, alg.order, len(cols[0]) if cols else 0
+    if alg.deform is None and x and n and all(
+            len(r) == n and all((b.nrows, b.ncols, b.order) == (m, m, K)
+                                for b in r) for r in (*x, *cols)):
+        rows = (_flatten(x, K) @ _flatten(list(zip(*cols)), K)).rows
+        return [[_matrix([r[j * m:j * m + m] for r in rows[i * m:i * m + m]],
+                         K) for j in range(len(cols))] for i in range(len(x))]
+    zero = SeriesMatrix.zero(m, m, K)
     return [[sum((alg.product(xi[k], b) for k, b in enumerate(col)), zero)
              for col in cols] for xi in x]
 

@@ -184,6 +184,38 @@ def _convolve(a, b, acc):
     return len(a) + len(b) > n + 2
 
 
+def _dot(terms, acc):
+    """acc += a * b over ``terms`` (a, a_lost, b, b_lost) of trimmed vectors
+    and flags; returns the flag that ``*`` and ``+`` would give: a pair with
+    an exact-zero factor (an empty vector without a flag) adds nothing, and
+    any other adds its flags and one when a term lands at l^K or beyond."""
+    lost = False
+    for a, a_lost, b, b_lost in terms:
+        if (a or a_lost) and (b or b_lost):
+            lost = lost or a_lost or b_lost
+            if a and b:
+                lost = _convolve(a, b, acc) or lost
+    return lost
+
+
+def _sum_of_products(start, pairs, negate=False):
+    """start + sum of a * b over the series ``pairs`` (a, b), or start - sum
+    with ``negate``, reduced once: the value and flag of adding the products
+    one by one, and ``start`` itself when every pair has an exact-zero
+    factor."""
+    pairs = [(a, b) for a, b in pairs
+             if (a._v or a.tail_lost) and (b._v or b.tail_lost)]
+    if not pairs:
+        return start
+    d = lcm(start._d, *[a._d * b._d for a, b in pairs])
+    acc = [x * w for w in [d // start._d] for x in start._v]
+    acc += [0] * (2 * start.order - len(acc))
+    u = -d if negate else d
+    lost = _dot([([x * w for x in a._v], a.tail_lost, b._v, b.tail_lost)
+                 for a, b in pairs for w in [u // (a._d * b._d)]], acc)
+    return _reduced(start.order, lost or start.tail_lost, d, acc)
+
+
 class FormalSeries:
     """Truncated formal power series: K coefficients indexed by the power of l.
 

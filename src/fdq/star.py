@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial, lcm
 from operator import add
@@ -151,6 +152,12 @@ _PAIRINGS = {
 
 
 def _builtin(name, n, order, chart="real"):
+    """One spec per (name, n, K, chart), its product table shared."""
+    return _builtin_spec(name, n, _order(order), chart)
+
+
+@lru_cache(maxsize=64)
+def _builtin_spec(name, n, order, chart):
     sig = PhaseSpaceSignature(n, chart)
     l = FormalSeries.lam(1, order)
     pairing = [[FormalSeries.zero(order)] * sig.width

@@ -1,6 +1,7 @@
 import json
 import operator
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,12 +14,12 @@ from fdq.functionals import two_term_scan
 from fdq.matrices import (MatrixStarAlgebra, SeriesMatrix,
                           matrix_from_json, nullspace,
                           one_plus_adjoint_times_self_invertible,
-                          radical_quotient, rank_certified,
+                          radical_quotient, rank_certified, reduce_coords,
                           series_matrix_inverse, solve_in_ring)
 from fdq.modules import (GramVerdict, PreHilbertModule, fedosov_project,
                          fullness_check, gram_psd_check, rieffel_tensor)
 from fdq.reps import GNSResult, MatrixFunctional, gns_build
-from fdq.series import FormalSeries, GaussianRational, Sign
+from fdq.series import FormalSeries, GaussianRational, Sign, _sum_of_products
 
 K = 4
 LAM = FormalSeries.lam(1, K)
@@ -807,9 +808,10 @@ def unit_loop_coords(algebra, a, units):
 @contextmanager
 def earlier_product_rule():
     """Products as they were before an exact zero annihilated them: the
-    earlier series product, ``@`` as the triple loop over it, and the GNS
-    Gram and a x e_t as full products, which the earlier closed forms
-    matched in value and flag."""
+    earlier series product, ``@`` as the triple loop over it, sums of
+    products as the loops over it (``step_by_step``), and the GNS Gram and
+    a x e_t as full products, which the earlier closed forms matched in
+    value and flag."""
     saved = (FormalSeries.scaled_product, SeriesMatrix.__matmul__,
              reps._gram_and_witnesses, MatrixStarAlgebra.right_unit_coords)
     FormalSeries.scaled_product = FormalSeries.__mul__ = \
@@ -818,12 +820,83 @@ def earlier_product_rule():
     reps._gram_and_witnesses = unit_loop_gram_and_witnesses
     MatrixStarAlgebra.right_unit_coords = unit_loop_coords
     try:
-        yield
+        with step_by_step():
+            yield
     finally:
         FormalSeries.scaled_product = FormalSeries.__mul__ = saved[0]
         SeriesMatrix.__matmul__ = saved[1]
         reps._gram_and_witnesses = saved[2]
         MatrixStarAlgebra.right_unit_coords = saved[3]
+
+
+# -- sums of products in one pass against the step-by-step loops ---------------------
+#
+# The loops that the integer accumulate kernel (``_sum_of_products``) and the
+# one-pass deformed product replaced, kept as references.
+
+
+def reference_sum_of_products(start, pairs, negate=False):
+    """start - factor * y (the row update) or start +- sum of row[c] x[c]
+    (``_residual``), one series product, negation and sum at a time,
+    skipping a pair with an exact-zero factor as those loops did."""
+    for a, b in pairs:
+        if not (a.is_exact_zero() or b.is_exact_zero()):
+            start = start - a * b if negate else start + a * b
+    return start
+
+
+def reference_reduce_coords(coords, kept, kernel):
+    """out[s] - cf * vec[t] for each (f, vec) whose cf is not an exact
+    zero, one product and difference at a time."""
+    out = [coords[t] for t in kept]
+    for f, vec in kernel:
+        cf = coords[f]
+        if cf.is_exact_zero():
+            continue
+        for s, t in enumerate(kept):
+            out[s] = out[s] - cf * vec[t]
+    return out
+
+
+def reference_product(self, a, b):
+    """a b + (a E b) l as three ``@``, a scale by l and a sum."""
+    plain = a @ b
+    if self.deform is None:
+        return plain
+    corr = (a @ self.deform @ b).scale(FormalSeries.lam(1, self.order))
+    return plain + corr
+
+
+def reference_one_plus_l_deform(self):
+    ident = SeriesMatrix.identity(self.m, self.order)
+    if self.deform is None:
+        return ident
+    return ident + self.deform.scale(FormalSeries.lam(1, self.order))
+
+
+@contextmanager
+def step_by_step():
+    """The matrix layer with its sums of products taken one term at a
+    time: the row update, the residuals, ``reduce_coords`` and the deformed
+    product as the loops above."""
+    import fdq.matrices as matrices
+    import fdq.modules as modules
+
+    saved = (matrices._sum_of_products, matrices.reduce_coords,
+             MatrixStarAlgebra.product, MatrixStarAlgebra.one_plus_l_deform)
+    matrices._sum_of_products = reference_sum_of_products
+    matrices.reduce_coords = reps.reduce_coords = modules.reduce_coords = \
+        reference_reduce_coords
+    MatrixStarAlgebra.product = reference_product
+    MatrixStarAlgebra.one_plus_l_deform = reference_one_plus_l_deform
+    try:
+        yield
+    finally:
+        matrices._sum_of_products = saved[0]
+        matrices.reduce_coords = reps.reduce_coords = \
+            modules.reduce_coords = saved[1]
+        MatrixStarAlgebra.product = saved[2]
+        MatrixStarAlgebra.one_plus_l_deform = saved[3]
 
 
 def split(result):
@@ -1190,3 +1263,140 @@ def test_the_exactness_check_sees_dropped_and_kept_flags():
                if before.rows[s][t].tail_lost
                and not low.rows[s][t].tail_lost]
     assert len(dropped) == 14  # all but the two entries C_ii W_11
+
+
+def rational_entry(draw, k):
+    """``entry_kinds`` over a denominator 1-6, shifted by l^0-2."""
+    e = entry_kinds(draw, k).scalar_mul(Fraction(1, draw(st.integers(1, 6))))
+    return e.shift(draw(st.sampled_from([0, 0, 1, 2])))
+
+
+def state(x):
+    """Value, flag and order of a series, down to its integers."""
+    return x.order, x._d, x._v, x.tail_lost
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_sum_of_products_matches_the_step_by_step_sum(data):
+    """start +- sum of a * b is start +- a_1 * b_1 +- ... taken in order
+    with ``*``, ``-`` and ``+``: the same integers and flag, and ``start``
+    itself when every pair has an exact-zero factor."""
+    k = data.draw(st.integers(1, 6))
+    start = rational_entry(data.draw, k)
+    pairs = [(rational_entry(data.draw, k), rational_entry(data.draw, k))
+             for _ in range(data.draw(st.integers(0, 4)))]
+    negate = data.draw(st.booleans())
+    want = start
+    for a, b in pairs:
+        want = want - a * b if negate else want + a * b
+    got = _sum_of_products(start, iter(pairs), negate)
+    assert state(got) == state(want)
+    if all(a.is_exact_zero() or b.is_exact_zero() for a, b in pairs):
+        assert got is start
+
+
+def test_sum_of_products_flags_by_the_product_rules():
+    lossy_zero = FormalSeries((), K, tail_lost=True)
+    top = FormalSeries.lam(K - 1, K)
+    # An exact-zero factor adds nothing, even against a lossy factor.
+    assert _sum_of_products(ONE, [(ZERO, lossy_zero)]) is ONE
+    # A lossy-zero factor flags; so does a term dropped at l^K.
+    assert _sum_of_products(ONE, [(lossy_zero, ONE)]).tail_lost
+    got = _sum_of_products(ONE, [(top, LAM)], negate=True)
+    assert got == ONE and got.tail_lost
+    # The start's own flag is kept.
+    assert _sum_of_products(ONE.lossy(), [(LAM, LAM)]).tail_lost
+
+
+def matrix_of(draw, k, nrows, ncols):
+    return SeriesMatrix([[rational_entry(draw, k) for _ in range(ncols)]
+                         for _ in range(nrows)], k)
+
+
+@st.composite
+def step_cases(draw):
+    """(function, builder of its arguments) for each routine whose sums of
+    products now run in one pass: K 1-6, exact zeros, lossy zeros, lossy
+    entries and denominators."""
+    name = draw(st.sampled_from(["radical", "hermitian", "solve", "inverse",
+                                 "psd", "reduce", "product", "unit"]))
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
+    if name in ("radical", "solve"):
+        mat = matrix_of(draw, k, n, draw(st.integers(1, 4)))
+        if name == "radical":
+            return radical_quotient, lambda: (mat,)
+        rhs = [rational_entry(draw, k) for _ in range(n)]
+        return solve_in_ring, lambda: (mat, rhs)
+    if name == "inverse":
+        mat = matrix_of(draw, k, n, n) + SeriesMatrix.identity(n, k)
+        return series_matrix_inverse, lambda: (mat,)
+    if name in ("hermitian", "psd"):
+        y = matrix_of(draw, k, n, n)
+        h = y.adjoint() @ y if draw(st.booleans()) else y + y.adjoint()
+        if name == "psd":
+            return gram_psd_check, lambda: (h,)
+        return (lambda h: radical_quotient(h, hermitian=True)), lambda: (h,)
+    if name == "reduce":
+        mat = matrix_of(draw, k, draw(st.integers(1, 4)), n)
+        coords = [rational_entry(draw, k) for _ in range(n)]
+
+        def reduce(mat, coords):
+            try:
+                kept, kernel = radical_quotient(mat)
+            except PrecisionExhausted:
+                return None
+            return reduce_coords(coords, kept, kernel)
+
+        return reduce, lambda: (mat, coords)
+    m = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["none", "exact", "lossy"]))
+    deform = unit_algebra(draw, m, k, kind).deform
+    if name == "unit":
+        return (lambda alg: alg.one_plus_l_deform()), lambda: (
+            MatrixStarAlgebra(m, k, deform=deform),)
+    a, b = matrix_of(draw, k, m, m), matrix_of(draw, k, m, m)
+    return (lambda alg, a, b: alg.product(a, b)), lambda: (
+        MatrixStarAlgebra(m, k, deform=deform), a, b)
+
+
+@settings(max_examples=600, deadline=None)
+@given(step_cases())
+def test_one_pass_sums_match_the_step_by_step_loops(case):
+    """Every value, flag, error class and message of the elimination, the
+    residuals, ``reduce_coords`` and the deformed product is the one the
+    loops over ``*``, ``-`` and ``+`` give."""
+    f, build = case
+    new = run(f, build)
+    with step_by_step():
+        old = run(f, build)
+    assert new == old
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_deformed_product_matches_three_products_at_every_order(k):
+    """A dense deformed product with lossy entries against a b + (a E b) l,
+    entry by entry; at K = 1 the l-term is a zero whose tail is lost."""
+    m = 3
+    e = SeriesMatrix([[FormalSeries([i - j, 1, i * j], k, i == j)
+                       for j in range(m)] for i in range(m)], k)
+    a = SeriesMatrix([[FormalSeries([Fraction(i + 1, j + 2), 0, 1], k)
+                       for j in range(m)] for i in range(m)], k)
+    b = SeriesMatrix([[FormalSeries([1, Fraction(j, 3)], k, i == 0)
+                       if i != j else FormalSeries.zero(k)
+                       for j in range(m)] for i in range(m)], k)
+    alg = MatrixStarAlgebra(m, k, deform=e)
+    got, want = alg.product(a, b), reference_product(alg, a, b)
+    assert [[state(x) for x in r] for r in got.rows] == \
+        [[state(x) for x in r] for r in want.rows]
+    # Exact constants and E = c l^(K-1): only the shift of (a E b)_ij can
+    # flag an entry, and it does where (a E b)_ij is not zero.
+    c = SeriesMatrix.from_scalar_rows([[1, 0, 2], [0, 0, 0], [3, 0, 1]], k)
+    top = FormalSeries.lam(k - 1, k)
+    alg = MatrixStarAlgebra(m, k, deform=SeriesMatrix(
+        [[top.scalar_mul(i + j) for j in range(m)] for i in range(m)], k))
+    got, want = alg.product(c, c), reference_product(alg, c, c)
+    assert [[state(x) for x in r] for r in got.rows] == \
+        [[state(x) for x in r] for r in want.rows]
+    assert flags(got) == [[True, False, True], [False] * 3, [True, False, True]]

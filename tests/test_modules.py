@@ -11,7 +11,7 @@ from fdq.matrices import (MatrixStarAlgebra, SeriesMatrix, _Divisor,
                           nullspace, radical_quotient, rank_certified,
                           reduce_coords, solve_in_ring)
 from fdq.modules import (AdjointableOp, GramVerdict, MoritaClassData,
-                         MoritaVerdict, PreHilbertModule,
+                         MoritaVerdict, PreHilbertModule, _block_product,
                          classical_limit_module,
                          fedosov_project, fullness_check, gram_psd_check,
                          hermitian_class_check, idempotent_equivalence_verify,
@@ -203,27 +203,37 @@ def test_psd_check_decides_where_a_minor_is_lost(h, verdict):
     assert gram_psd_check(h) is verdict
 
 
+def count_convolutions(monkeypatch):
+    """A counter of the series products the integer kernel convolves: each
+    ``*`` of two nonzero series and each pair a sum of products or ``@``
+    feeds it."""
+    import fdq.series as series
+
+    calls = []
+    real = series._convolve
+
+    def counting(a, b, acc):
+        calls.append(None)
+        return real(a, b, acc)
+
+    monkeypatch.setattr(series, "_convolve", counting)
+    return calls
+
+
 def test_psd_check_makes_at_most_d_cubed_products(monkeypatch):
     """A row operation touches only the columns without a pivot, so rank
     and radical make no more products than the PSD check, and a right-hand
-    side adds one per row operation and d (d + 1) / 2 to back-substitute."""
-    products = 0
-    real = FormalSeries.__mul__
-
-    def counting(a, b):
-        nonlocal products
-        products += 1
-        return real(a, b)
+    side adds one per row operation and d (d + 1) / 2 to back-substitute.
+    Every entry below is nonzero, so each product is one convolution."""
+    calls = count_convolutions(monkeypatch)
 
     def count(f, *args):
-        nonlocal products
-        products = 0
-        return f(*args), products
+        del calls[:]
+        return f(*args), len(calls)
 
     d = 12
     h = SeriesMatrix([[ONE.scalar_mul(d + 1) if i == j else LAM
                        for j in range(d)] for i in range(d)], K)
-    monkeypatch.setattr(FormalSeries, "__mul__", counting)
     verdict, psd = count(gram_psd_check, h)
     assert verdict is GramVerdict.POSITIVE_DEFINITE
     assert 0 < psd <= d ** 3
@@ -979,6 +989,53 @@ def test_block_products_match_the_hand_rolled_loops(case):
     assert outcome(adjoint.apply, y) == outcome(reference_apply, adjoint, y)
 
 
+def reference_block_product(alg, x, cols):
+    """``_block_product`` as the per-block loop: entry (i, j) adds
+    x[i][k] * cols[j][k] to an exact zero, one algebra product and sum at a
+    time."""
+    zero = SeriesMatrix.zero(alg.m, alg.m, alg.order)
+    return [[sum((alg.product(xi[k], b) for k, b in enumerate(col)), zero)
+             for col in cols] for xi in x]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_block_product_matches_the_per_block_loop(data):
+    """M1 or M2, plain or deformed by a lossy E, K 1-6, inner rank 0-3,
+    zero to three block rows and columns; now and then a block of the wrong
+    shape or order, or a ragged column, whose error must be the loop's."""
+    draw = data.draw
+    k, m, rank = draw(st.integers(1, 6)), draw(st.integers(1, 2)), \
+        draw(st.integers(0, 3))
+
+    def block(size=m, order=k):
+        return SeriesMatrix([[block_entry(draw, order) for _ in range(size)]
+                             for _ in range(size)], order)
+
+    alg = MatrixStarAlgebra(m, k, deform=block() if draw(st.booleans())
+                            else None)
+    x = [[block() for _ in range(rank)] for _ in range(draw(st.integers(0, 3)))]
+    cols = [[block() for _ in range(rank)]
+            for _ in range(draw(st.integers(0, 3)))]
+    flaw = draw(st.sampled_from([None] * 6 + ["shape", "order", "ragged"]))
+    target = x if draw(st.booleans()) else cols
+    if flaw and any(target) and rank:
+        row = draw(st.sampled_from([r for r in target if r]))
+        if flaw == "ragged":
+            row.pop()
+        else:
+            row[draw(st.integers(0, rank - 1))] = block(
+                *((3 - m, k) if flaw == "shape" else (m, k + 1)))
+
+    def result(f):
+        try:
+            return exact_form(f(alg, x, cols))
+        except (FdqError, IndexError) as exc:  # a ragged column indexes out
+            return type(exc), str(exc)
+
+    assert result(_block_product) == result(reference_block_product)
+
+
 def test_operator_from_a_rank_zero_module_sends_its_vector_to_zero():
     op = AdjointableOp([[], []], [], SCALARS)
     assert op.apply([]) == reference_apply(op, []) == [smat(ZERO)] * 2
@@ -987,22 +1044,16 @@ def test_operator_from_a_rank_zero_module_sends_its_vector_to_zero():
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_rank_one_makes_two_r_squared_products_per_operator(monkeypatch, r):
     """w = v* G once, then u_i w_l: 2 r^2 algebra products for each of
-    Theta_{psi,phi} and its adjoint, not r^2 (r + 1)."""
-    products = 0
-    real = MatrixStarAlgebra.product
-
-    def counting(self, a, b):
-        nonlocal products
-        products += 1
-        return real(self, a, b)
-
+    Theta_{psi,phi} and its adjoint, not r^2 (r + 1).  Over M1 with no zero
+    entry each algebra product is one convolution."""
     mod = scalar_module([[ONE + LAM if i == j else LAM for j in range(r)]
                          for i in range(r)])
     psi = [smat(ONE + LAM.scalar_mul(k)) for k in range(r)]
     phi = [smat(LAM - ONE.scalar_mul(k)) for k in range(r)]
     want = reference_rank_one(psi, phi, mod)
-    monkeypatch.setattr(MatrixStarAlgebra, "product", counting)
+    calls = count_convolutions(monkeypatch)
     theta = rank_one(psi, phi, mod)
+    products = len(calls)
     assert exact_form(theta) == exact_form(want)
     assert products == 2 * (2 * r * r)
 

@@ -10,7 +10,7 @@ from fdq.exprio import observable_text, parse
 from fdq.observables import (PhaseSpaceSignature, PolyObservable, involution,
                              monomials_up_to, poisson_bracket, to_holomorphic,
                              to_real)
-from fdq.series import FormalSeries, GaussianRational
+from fdq.series import DEFAULT_ORDER, FormalSeries, GaussianRational
 from fdq.star import (AxiomReport, EquivOperatorSpec, StarProductSpec,
                       apply_equiv, check_star_axioms, commutator,
                       identity_op, op_n, op_s, star_exponential_beta,
@@ -562,6 +562,7 @@ def test_repeated_products_walk_no_new_monomial_pair(monkeypatch):
     walk = fdq.star._monomial_walk
     monkeypatch.setattr(fdq.star, "_monomial_walk",
                         lambda key, *args: walks.append(key) or walk(key, *args))
+    fdq.star._builtin_spec.cache_clear()  # a fresh spec, its table empty
     spec = wick(2, K)
     assert spec._table == {}
     f = obs("q1^2*p2 + (1 + l)*p1 - 2*q2*p2", n=2)
@@ -572,6 +573,37 @@ def test_repeated_products_walk_no_new_monomial_pair(monkeypatch):
     walks.clear()
     assert _state(star_multiply(spec, f, g)) == _state(first)
     commutator(spec, f, g)
+    assert walks == []
+
+
+def test_builtin_specs_are_reused_within_a_process():
+    assert weyl(1, 4) is weyl(1, 4)
+    assert wick(2, None) is wick(2, DEFAULT_ORDER)
+    specs = [weyl(1, 4), wick(1, 4), std(1, 4), weyl(2, 4), weyl(1, 3),
+             wick(1, 4, chart="holo")]
+    assert len({id(s) for s in specs}) == len(specs)
+    assert fdq.star.builtin_spec("wick", 1, 4) is wick(1, 4)
+
+
+def test_a_repeated_star_call_walks_no_monomial_pair(monkeypatch):
+    import io
+
+    from fdq.cli import run_command
+
+    walks = []
+    walk = fdq.star._monomial_walk
+    monkeypatch.setattr(fdq.star, "_monomial_walk",
+                        lambda key, *args: walks.append(key) or walk(key, *args))
+
+    def star_call():
+        out = io.StringIO()
+        assert run_command(["star", "--n", "2", "--K", "5", "q1^2*p2 + p1",
+                            "p1*q2^2 + q1"], out=out, err=io.StringIO()) == 0
+        return out.getvalue()
+
+    first = star_call()
+    walks.clear()
+    assert star_call() == first
     assert walks == []
 
 
