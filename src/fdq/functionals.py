@@ -3,7 +3,9 @@
 Every functional here is a point evaluation composed with the exponential of
 a constant-coefficient operator: omega = delta_x o exp(D).  That class holds
 the delta functionals and their positive deformations and is closed under the
-deformation construction used throughout.
+deformation construction used throughout.  The scan and the Cauchy-Schwarz
+check read omega(m_alpha * m_beta) off a table per (spec, functional, K), at
+most ``_BOUND`` series in all; a sum c_f c_g over it flags as ``_dot`` does.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from math import factorial
 from .errors import InvalidWeights, PositivityRefuted, SignatureMismatch
 from .observables import (PolyObservable, eval_at_point, involution,
                           monomials_up_to)
-from .series import GR_I, FormalSeries, GaussianRational, Sign
+from .series import GR_I, FormalSeries, GaussianRational, Sign, _sum_of_products
 from .star import apply_equiv, op_s, star_multiply
+
+_BOUND, _TABLES = 1 << 15, {}
 
 
 class Functional:
@@ -47,6 +51,9 @@ class Functional:
                 and self.base_point == other.base_point
                 and self.pre_operator == other.pre_operator)
 
+    def __hash__(self):
+        return hash((self.signature, self.base_point, self.pre_operator))
+
 
 def delta(signature, point=None):
     """The evaluation functional at the given point (origin by default)."""
@@ -73,6 +80,39 @@ def evaluate(w: Functional, f: PolyObservable) -> FormalSeries:
     if w.pre_operator is not None:
         f = apply_equiv(w.pre_operator, f)
     return eval_at_point(f, w.base_point)
+
+
+def _table(w, spec, K, keys):
+    """(spec, w, K)'s table filled at ``keys``; its key holds the tail flags."""
+    key = (w, spec.signature, K, tuple((a, e, e.tail_lost) for a, e in
+           spec._contractions), w.pre_operator and frozenset(
+               e for e, c in w.pre_operator.generator.items() if c.tail_lost))
+    table = _TABLES.get(key, {})
+    new = keys - table.keys()
+    if sum(map(len, _TABLES.values())) + len(new) > _BOUND:
+        _TABLES.clear()
+    m = {e: PolyObservable.monomial(spec.signature, e, K)
+         for e in set().union(*new)}
+    table.update({(a, b): evaluate(w, star_multiply(spec, m[a], m[b]))
+                  for a, b in new})
+    if table and len(table) <= _BOUND:
+        _TABLES[key] = table
+    return table
+
+
+def _omega(w, spec, f, g):
+    """omega(f * g) off the table: product then evaluate's value and errors."""
+    if f.signature != spec.signature or g.signature != spec.signature:
+        raise SignatureMismatch("operands must live on the spec's signature")
+    if spec.signature != w.signature:
+        raise SignatureMismatch("functional and observable signatures differ")
+    K = min(spec.order, f.order, g.order)
+    L = min(K, w.pre_operator.order) if w.pre_operator else K
+    table = _table(w, spec, K, {(a, b) for a in f.terms for b in g.terms})
+    return _sum_of_products(FormalSeries((), L, f.tail_lost or g.tail_lost), [
+        (c.reduce_order(L), _sum_of_products(FormalSeries.zero(L), [
+            (table[a, b], d.reduce_order(L)) for b, d in g.terms.items()]))
+        for a, c in f.terms.items()])
 
 
 class PositivityReport:
@@ -147,13 +187,14 @@ def two_term_scan(gram, label, pair_label) -> list:
 
 def positivity_scan(w: Functional, spec, max_degree) -> PositivityReport:
     """omega(conj(f) * f) over the monomials m of degree <= max_degree and
-    the two-term combinations m_a + u m_b, read off the monomial Gram."""
+    m_a + u m_b, read off a Gram of table entries (see above), flags and all."""
     from .exprio import observable_text
 
     monos = monomials_up_to(spec.signature, max_degree, spec.order)
-    conj = [involution(m) for m in monos]
-    gram = [[evaluate(w, star_multiply(spec, ma, mb)) for mb in monos]
-            for ma in conj]
+    exps = [next(iter(m.terms)) for m in monos]
+    conj = [next(iter(involution(m).terms)) for m in monos]
+    table = _table(w, spec, spec.order, {(a, b) for a in conj for b in exps})
+    gram = [[table[a, b] for b in exps] for a in conj]
     rows = two_term_scan(
         gram, lambda t: observable_text(monos[t]),
         lambda s, t, u: observable_text(monos[s] + monos[t].scale_scalar(u)))
@@ -165,12 +206,11 @@ def cauchy_schwarz_check(w: Functional, spec, a: PolyObservable,
     """Sign of omega(a* x a) omega(b* x b) - |omega(a* x b)|^2.
 
     Also verifies omega(a* x b) = conj(omega(b* x a)); a violation refutes
-    positivity of the functional and raises PositivityRefuted.
-    """
-    wa = evaluate(w, star_multiply(spec, involution(a), a))
-    wb = evaluate(w, star_multiply(spec, involution(b), b))
-    wab = evaluate(w, star_multiply(spec, involution(a), b))
-    wba = evaluate(w, star_multiply(spec, involution(b), a))
+    positivity of the functional and raises PositivityRefuted.  Each value
+    is one sum on the table, flagged per pair by ``_dot`` and by a and b."""
+    ca, cb = involution(a), involution(b)
+    wa, wb = _omega(w, spec, ca, a), _omega(w, spec, cb, b)
+    wab, wba = _omega(w, spec, ca, b), _omega(w, spec, cb, a)
     if wab != wba.conjugate():
         raise PositivityRefuted(
             "omega(a* x b) != conj(omega(b* x a)) on the given pair")

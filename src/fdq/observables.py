@@ -253,13 +253,14 @@ def _derive(exp, alpha):
 
 def _partial(f, alpha):
     """d^alpha f, alpha a tuple of (index, times) pairs: each surviving
-    term is scaled once by its falling factorial.  That is ``_derive``,
-    inlined with an early exit, so a term the derivative kills costs no
-    call."""
+    term is scaled once by its falling factorial.  ``_derive`` inlined; a
+    term the first pair kills costs one comparison and no call."""
     if not alpha:
         return f
-    terms = {}
+    (i0, t0), terms = alpha[0], {}
     for exp, c in f.terms.items():
+        if exp[i0] < t0:
+            continue
         ff = 1
         for i, t in alpha:
             if exp[i] < t:

@@ -131,6 +131,10 @@ class EquivOperatorSpec:
                 and self.order == other.order
                 and self.generator == other.generator)
 
+    def __hash__(self):
+        return hash((self.signature, self.order,
+                     frozenset(self.generator.items())))
+
     def __repr__(self):
         return f"<equiv-op {self.name} n={self.signature.n} K={self.order}>"
 

@@ -1,20 +1,24 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdq.errors import InvalidWeights, PositivityRefuted, TruncationMismatch
 from fdq.exprio import observable_text, parse, parse_series, series_text
-from fdq.functionals import (PositivityCertificate, PositivityReport,
-                             cauchy_schwarz_check, deform_delta, delta,
-                             evaluate, positivity_scan, two_term_scan,
-                             verify_certificate, wick_value_oracle)
+from fdq import functionals
+from fdq.functionals import (Functional, PositivityCertificate,
+                             PositivityReport, _omega, cauchy_schwarz_check,
+                             deform_delta, delta, evaluate, positivity_scan,
+                             two_term_scan, verify_certificate,
+                             wick_value_oracle)
 from fdq.observables import (PhaseSpaceSignature, PolyObservable,
                              eval_at_point, involution, monomials_up_to,
                              to_holomorphic)
 from fdq.series import FormalSeries, GaussianRational, Sign
-from fdq.star import StarProductSpec, star_multiply, std, weyl, wick
+from fdq.star import (EquivOperatorSpec, StarProductSpec, op_s, star_multiply,
+                      std, weyl, wick)
 
 K = 6
 SIG = PhaseSpaceSignature(1, "real")
@@ -282,6 +286,272 @@ def test_cs_refutes_hermiticity_violation():
     w = delta(SIG, (GaussianRational(0, 1), 0))
     with pytest.raises(PositivityRefuted):
         cauchy_schwarz_check(w, W, obs("1"), obs("q1"))
+
+
+# -- the omega(m_alpha * m_beta) tables --------------------------------------------------------
+
+
+def reference_cauchy_schwarz_check(w, spec, a, b):
+    """The check as four star products, each evaluated."""
+    wa = evaluate(w, star_multiply(spec, involution(a), a))
+    wb = evaluate(w, star_multiply(spec, involution(b), b))
+    wab = evaluate(w, star_multiply(spec, involution(a), b))
+    wba = evaluate(w, star_multiply(spec, involution(b), a))
+    if wab != wba.conjugate():
+        raise PositivityRefuted(
+            "omega(a* x b) != conj(omega(b* x a)) on the given pair")
+    return (wa * wb - wab * wab.conjugate()).sign()
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+
+
+def product_then_evaluate(w, spec, f, g):
+    return evaluate(w, star_multiply(spec, f, g))
+
+
+def gaussians(draw):
+    small = st.integers(-2, 2)
+    return GaussianRational(Fraction(draw(small), draw(st.integers(1, 3))),
+                            draw(small))
+
+
+@st.composite
+def specs_and_functionals(draw):
+    """weyl, wick on either chart, std or a custom pairing whose entries may
+    have lost their tails, at K = 1..4; with a delta at the origin, a delta
+    at a real or a complex point or, on the real chart, a deformed delta at
+    the origin or a point, its order at, above or below K."""
+    n = draw(st.sampled_from([1, 2]))
+    k = draw(st.sampled_from([1, 2, 3, 3, 4, 4]))
+    kind = draw(st.sampled_from(["weyl", "wick", "wick-holo", "std",
+                                 "custom"]))
+    if kind == "custom":
+        sig = PhaseSpaceSignature(n, draw(st.sampled_from(["real", "holo"])))
+        spec = StarProductSpec(sig, [[FormalSeries(
+            [0] + [gaussians(draw) for _ in range(k - 1)], k,
+            tail_lost=draw(st.integers(0, 3)) == 2)
+            for _ in range(sig.width)] for _ in range(sig.width)], k)
+    elif kind == "wick-holo":
+        spec = wick(n, k, chart="holo")
+    else:
+        spec = {"weyl": weyl, "wick": wick, "std": std}[kind](n, k)
+    sig = spec.signature
+    where, point = draw(st.sampled_from(["origin", "real", "complex"])), None
+    if where != "origin":
+        point = [gaussians(draw) for _ in range(sig.width)]
+        if where == "real":
+            point = [x.re for x in point]
+    if sig.chart == "real" and draw(st.booleans()):
+        return spec, deform_delta(sig, point, draw(st.sampled_from(
+            [k, k, k + 1, max(k - 1, 1)])))
+    return spec, delta(sig, point)
+
+
+@st.composite
+def observables(draw, sig, k):
+    """One to three terms of low degree (now and then none) whose
+    coefficients, mostly at order k, may have lost their tails, as may the
+    observable."""
+    k = draw(st.sampled_from([k, k, k, k + 1, max(k - 1, 1)]))
+    terms = {}
+    for _ in range(0 if draw(st.integers(0, 15)) == 7
+                   else draw(st.integers(1, 3))):
+        exp = [0] * sig.width
+        for _ in range(draw(st.integers(1 if terms else 0,
+                                        3 if sig.n == 1 else 2))):
+            exp[draw(st.integers(0, sig.width - 1))] += 1
+        lead = GaussianRational(draw(st.sampled_from([1, -1, 2, -3])),
+                                draw(st.integers(-1, 1)))
+        terms[tuple(exp)] = FormalSeries(
+            [lead] + [gaussians(draw) for _ in range(draw(st.integers(0, k)))],
+            k, tail_lost=draw(st.integers(0, 3)) == 2)
+    return PolyObservable(sig, terms, k, draw(st.integers(0, 7)) == 3)
+
+
+@st.composite
+def cs_cases(draw):
+    """(w, spec, a, b); b is sometimes a multiple of a, and now and then a
+    functional or an operand lives on another signature."""
+    spec, w = draw(specs_and_functionals())
+    sig = spec.signature
+    other = PhaseSpaceSignature(3 - sig.n, sig.chart)
+    if draw(st.integers(0, 15)) == 7:
+        w = delta(other)
+    a = draw(observables(other if draw(st.integers(0, 15)) == 7 else sig,
+                         spec.order))
+    if draw(st.integers(0, 7)) == 5:
+        b = a.scale_scalar(gaussians(draw))
+    else:
+        b = draw(observables(other if draw(st.integers(0, 15)) == 7 else sig,
+                             spec.order))
+    return w, spec, a, b
+
+
+def test_cauchy_schwarz_on_the_tables_matches_four_products():
+    """Verdicts, refusals and every other error agree with the four-product
+    check, and each table sum has the value and the error of product then
+    evaluate; some draws refute positivity and some reach each sign."""
+    seen = Counter()
+
+    @settings(max_examples=300)
+    @given(cs_cases())
+    @example((D0, weyl(1, 4), parse("1 + q1", 1, 4), parse("p1", 1, 4)))
+    @example((deform_delta(SIG, (1, 2), 2), weyl(1, 4),
+              parse("1 + q1*p1 + l", 1, 6), parse("p1^2 - i*q1", 1, 5)))
+    def check(case):
+        w, spec, a, b = case
+        want = outcome(reference_cauchy_schwarz_check, w, spec, a, b)
+        assert outcome(cauchy_schwarz_check, w, spec, a, b) == want
+        for f, g in ((involution(a), b), (b, a), (involution(b), b)):
+            assert outcome(_omega, w, spec, f, g) \
+                == outcome(product_then_evaluate, w, spec, f, g)
+        seen[want if isinstance(want, Sign) else want[0]] += 1
+
+    check()
+    assert all(seen[v] for v in (PositivityRefuted, *Sign)), seen
+
+
+def scanned_and_per_entry_grams(w, spec, degree):
+    """(value, denominator, vector, flag) of each Gram entry the scan reads,
+    and of omega(m_a* x m_b) computed entry by entry."""
+    grams = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functionals, "two_term_scan",
+                   lambda gram, *_: grams.append(gram) or [])
+        positivity_scan(w, spec, degree)
+    monos = monomials_up_to(spec.signature, degree, spec.order)
+    want = [[evaluate(w, star_multiply(spec, involution(ma), mb))
+             for mb in monos] for ma in monos]
+    got, = grams
+    return [[[(v.order, v._d, v._v, v.tail_lost) for v in row]
+             for row in gram] for gram in (got, want)]
+
+
+def test_scan_gram_is_the_per_entry_products():
+    """The Gram the scan reads off the table has the value, denominator,
+    vector and flag of omega(m_a* x m_b) computed entry by entry; some
+    entries have lost their tails."""
+    lossy = Counter()
+
+    @settings(max_examples=60)
+    @given(specs_and_functionals(), st.integers(0, 2))
+    def check(case, degree):
+        spec, w = case
+        got, want = scanned_and_per_entry_grams(w, spec, degree)
+        assert got == want
+        lossy[any(v[3] for row in got for v in row)] += 1
+
+    check()
+    assert lossy[True] and lossy[False]
+
+
+def lossy_twin(c):
+    """c with its tail marked lost: equal to c, flagged."""
+    return FormalSeries([c.coeff(r) for r in range(c.order)], c.order,
+                        tail_lost=True)
+
+
+def test_flag_only_twins_get_their_own_tables():
+    """A spec or a pre-operator equal to another but for lost tails, with
+    the same zero entries, is read off its own table, so each scan has the
+    per-entry flags."""
+    spec, w = weyl(1, 4), deform_delta(SIG, (1, 2), 4)
+    op = w.pre_operator
+    twins = [(StarProductSpec(SIG, [[e if e.is_zero() else lossy_twin(e)
+                                     for e in row] for row in spec.pairing],
+                              4), w),
+             (spec, Functional(SIG, (1, 2), EquivOperatorSpec(
+                 SIG, {e: lossy_twin(c) for e, c in op.generator.items()},
+                 4)))]
+    exact, _ = scanned_and_per_entry_grams(w, spec, 2)
+    for twin_spec, twin_w in twins:
+        assert twin_spec == spec and twin_w == w
+        got, want = scanned_and_per_entry_grams(twin_w, twin_spec, 2)
+        assert got == want != exact
+
+
+def test_warm_cauchy_schwarz_multiplies_and_transports_nothing(monkeypatch):
+    sig = PhaseSpaceSignature(2)
+    w = deform_delta(sig, (1, 0, Fraction(1, 2), -1), 4)
+    a, b = parse("q1*p2 + (1+l)*q2 - i", 2, 4), parse("p1^2 - l*q1*q2", 2, 4)
+    spec = weyl(2, 4)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    want = cauchy_schwarz_check(w, spec, a, b)
+    for name in ("star_multiply", "apply_equiv"):
+        monkeypatch.setattr(functionals, name,
+                            counted(name, getattr(functionals, name)))
+    cold = deform_delta(sig, (0, 0, 0, 1), 4)
+    cauchy_schwarz_check(cold, spec, a, b)
+    assert calls["star_multiply"] and calls["apply_equiv"]
+    calls.clear()
+    assert cauchy_schwarz_check(w, spec, a, b) is want
+    assert not calls
+
+
+def test_equal_functionals_hash_equal_and_share_one_table(monkeypatch):
+    sig = PhaseSpaceSignature(2)
+    x = (1, GaussianRational(0, 1), Fraction(1, 2), 0)
+    assert hash(delta(sig, x)) == hash(delta(sig, x))
+    x = (1, -2, Fraction(1, 2), 0)
+    w1, w2 = deform_delta(sig, x, 4), deform_delta(sig, x, 4)
+    assert w1 is not w2 and w1 == w2 and hash(w1) == hash(w2)
+    gen = op_s(2, 4).generator
+    flipped = EquivOperatorSpec(sig, dict(reversed(gen.items())), 4)
+    assert list(flipped.generator) != list(gen)
+    assert flipped == op_s(2, 4) and hash(flipped) == hash(op_s(2, 4))
+    monkeypatch.setattr(functionals, "_TABLES", {})
+    a, b = parse("q1*p2 + (1+l)*q2 - i", 2, 4), parse("p1^2 - l*q1*q2", 2, 4)
+    cauchy_schwarz_check(w1, weyl(2, 4), a, b)
+    table, = functionals._TABLES.values()
+    filled = len(table)
+    cauchy_schwarz_check(w2, weyl(2, 4), a, b)
+    assert filled and [len(t) for t in functionals._TABLES.values()] == [filled]
+
+
+def test_table_store_stays_within_its_bound(monkeypatch):
+    """With the bound at 8 series the tables of two functionals never hold
+    more than 8, they are emptied at least once, a sum needing more than 8
+    entries at once is still right, and a repeat of a sum whose entries the
+    store holds multiplies nothing and empties nothing."""
+    monkeypatch.setattr(functionals, "_BOUND", 8)
+    monkeypatch.setattr(functionals, "_TABLES", {})
+    calls = Counter()
+    monkeypatch.setattr(functionals, "star_multiply",
+                        lambda *args: calls.update([0]) or star_multiply(*args))
+    spec = wick(1, 4)
+    pool = [parse(t, 1, 4) for t in
+            ("q1", "p1^2 + l", "q1*p1 - i*q1", "q1^3 + p1 + 1/2")]
+    sizes, warm = [], 0
+    for f in pool:
+        for g in pool:
+            for w in (deform_delta(SIG, (1, 2), 3), delta(SIG, (0, 1))):
+                want = evaluate(w, star_multiply(spec, f, g))
+                assert _omega(w, spec, f, g) == want
+                held = sum(len(t) for t in functionals._TABLES.values())
+                assert held <= 8
+                sizes.append(held)
+                table = functionals._TABLES.get(next(
+                    (k for k in functionals._TABLES if k[0] == w), None), {})
+                if all((a, b) in table for a in f.terms for b in g.terms):
+                    calls.clear()
+                    assert _omega(w, spec, f, g) == want and not calls
+                    assert held == sum(
+                        len(t) for t in functionals._TABLES.values())
+                    warm += 1
+    assert any(b < a for a, b in zip(sizes, sizes[1:])) and warm
 
 
 # -- certificates ----------------------------------------------------------------------------------
