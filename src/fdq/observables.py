@@ -389,20 +389,16 @@ def eval_at_point(f: PolyObservable, point) -> FormalSeries:
         c.tail_lost for c in terms.values()), scale * d ** top, acc)
 
 
+def _exponents_of_degree(width, d):
+    """All exponent vectors of total degree d, in descending order."""
+    if width == 1:
+        return [(d,)]
+    return [(e,) + rest for e in range(d, -1, -1)
+            for rest in _exponents_of_degree(width - 1, d - e)]
+
+
 def monomials_up_to(signature, degree, order=None):
     """All monomial observables of total degree <= degree, in graded-lex order."""
-    w = signature.width
-    exps = []
-    for d in range(degree + 1):
-        batch = []
-
-        def rec_deg(prefix, remaining, slots):
-            if slots == 1:
-                batch.append(tuple(prefix + [remaining]))
-                return
-            for e in range(remaining + 1):
-                rec_deg(prefix + [e], remaining - e, slots - 1)
-
-        rec_deg([], d, w)
-        exps.extend(sorted(batch, reverse=True))
-    return [PolyObservable.monomial(signature, e, order) for e in exps]
+    return [PolyObservable.monomial(signature, e, order)
+            for d in range(degree + 1)
+            for e in _exponents_of_degree(signature.width, d)]

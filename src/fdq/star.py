@@ -24,9 +24,11 @@ alpha = e_a + e_b per pairing entry L_ab, and fold the image back with mu.
 So do the rare products whose flags the table cannot tell (see
 ``star_multiply``).
 
-``check_star_axioms`` computes every monomial product it reads once, into a
-table, and decides associativity by a bilinear expansion over the table's
-Gaussian-integer vectors, not by two star products per triple.
+``check_star_axioms`` reads every monomial product once, as sparse integer
+entries {(E, k): (re, im)}: the table's row for alpha + beta when the spec
+has one, else the terms of star_multiply.  All five checks compare entries
+over one denominator, and associativity is a bilinear expansion of them,
+not two star products per triple.  Only a witness becomes an observable.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ from operator import add
 
 from .errors import PrecisionExhausted, SignatureMismatch, TruncationMismatch
 from .observables import (_EXPONENTS, PhaseSpaceSignature, PolyObservable,
-                          _derive, involution, monomials_up_to,
-                          poisson_bracket)
+                          _derive, _exponents_of_degree, involution)
 from .series import (FormalSeries, GaussianRational, _convolve, _order,
                      _over_lcm, _reduced)
 
@@ -355,6 +356,13 @@ def _monomial_walk(key, table, K):
                  for (e, k), (re, im) in sums.items())
 
 
+def _row(table, key, K):
+    """The table's row for key = alpha + beta, walked on first read."""
+    if key not in table[3]:
+        table[3][key] = _monomial_walk(key, table, K)
+    return table[3][key]
+
+
 def _table_product(spec, f, g, K):
     """f * g from the monomial product table, or None when spec has none at
     K or a node of exp(D) might merge two term pairs whose top terms cancel
@@ -362,17 +370,13 @@ def _table_product(spec, f, g, K):
     table = _product_table(spec, K)
     if table is None:
         return None
-    rows = table[3]
     n = 2 * K
     df, vf = _over_lcm(f.terms.values())
     dg, vg = _over_lcm(g.terms.values())
     acc, lost, band = {}, set(), set()
     for (e1, c1), a1 in zip(f.terms.items(), vf):
         for (e2, c2), a2 in zip(g.terms.items(), vg):
-            key = e1 + e2
-            if key not in rows:
-                rows[key] = _monomial_walk(key, table, K)
-            row = rows[key]
+            row = _row(table, e1 + e2, K)
             if row is None:
                 return None
             c = [0] * n
@@ -530,6 +534,22 @@ class AxiomReport:
         return f"<AxiomReport {self.spec_name} degree={self.sample_degree} {status}>"
 
 
+def _monomial_product(spec, a, b):
+    """m_a * m_b at the spec's K as (d, {(E, k): (re, im)}), no entry 0 and
+    (re + i im) l^k / d the term at x^E: the table's row for a + b, or when
+    there is none, star_multiply's terms.  Only flags differ; none is kept."""
+    K = spec.order
+    table = _product_table(spec, K)
+    row = None if table is None else _row(table, a + b, K)
+    if row is not None:
+        return table[2], {(e, k): (re, im) for e, k, re, im in row if re or im}
+    p = star_multiply(spec, *(PolyObservable.monomial(spec.signature, e, K)
+                              for e in (a, b)))
+    d, vs = _over_lcm(p.terms.values())
+    return d, {(e, k // 2): (v[k], v[k + 1]) for e, v in zip(p.terms, vs)
+               for k in range(0, len(v), 2) if v[k] or v[k + 1]}
+
+
 def check_star_axioms(spec, sample_degree=3):
     """Exhaustive verification on all monomials up to sample_degree.
 
@@ -539,77 +559,90 @@ def check_star_axioms(spec, sample_degree=3):
     its first failing tuple in graded-lex order.  C_1 is read from the l^1
     coefficients, so K = 1 raises PrecisionExhausted, and is compared with
     the Poisson bracket, so a spec on the fock or wave chart, which has
-    none, raises SignatureMismatch; both before any product is computed.
+    none, raises SignatureMismatch.  A negative degree raises ValueError.
+    All three come before any product is computed.
 
-    Every monomial product is computed once, into a table: the N^2 products
-    of the sample monomials, which the first four checks read, and m_e * m_k
-    and m_i * m_e for each exponent e in their support above the degree.
-    Values mod l^K are bilinear and associativity compares values only, so
-    (m_i m_j) m_k is sum_e T_ij[e] (m_e * m_k) and m_i (m_j m_k) is
-    sum_e T_jk[e] (m_i * m_e): the table's coefficients are put over one
-    denominator D and both sides are compared as integer vectors over D^2.
+    Each monomial product is read once (``_monomial_product``): the N^2 of
+    the sample monomials, which the first four checks read, and m_e * m_c
+    and m_a * m_e for each exponent e in their support above the degree.
+    Every check compares their integer entries over one denominator D.
+    Values mod l^K are bilinear, so (m_a m_b) m_c is sum_e T_ab[e] (m_e *
+    m_c) and m_a (m_b m_c) is sum_e T_bc[e] (m_a * m_e), both over D^2.
     """
     from .exprio import observable_text
 
-    sig, K = spec.signature, spec.order
+    sig, K, n = spec.signature, spec.order, spec.signature.n
     if sig.chart not in ("real", "holo"):
         raise SignatureMismatch("correspondence_c1 needs the Poisson bracket, "
                                 f"which chart {sig.chart!r} does not have")
     if K < 2:
         raise PrecisionExhausted("correspondence_c1 needs K >= 2: the l^1 "
                                  "coefficient is not stored at K = 1")
-    monos = monomials_up_to(sig, sample_degree, K)
-    table = [[star_multiply(spec, f, g) for g in monos] for f in monos]
-    index = {e: i for i, m in enumerate(monos) for e in m.terms}
-    # monos[0] is 1, and conj(monos[i]) is again a monomial: monos[bar[i]].
-    bar = [index[e] for m in monos for e in involution(m).terms]
-    i_one = GaussianRational(0, 1)
+    if sample_degree < 0:
+        raise ValueError("sample_degree must be >= 0")
+    exps = [e for d in range(sample_degree + 1)  # graded-lex
+            for e in _exponents_of_degree(sig.width, d)]
+    P = {(a, b): _monomial_product(spec, a, b) for a in exps for b in exps}
+    for e in {e for _, p in P.values() for e, _ in p} - set(exps):
+        for a in exps:
+            P[e, a] = _monomial_product(spec, e, a)
+            P[a, e] = _monomial_product(spec, a, e)
+    D = lcm(*[d for d, _ in P.values()])
+    T = {key: {ek: (re * (D // d), im * (D // d))
+               for ek, (re, im) in p.items()} for key, (d, p) in P.items()}
+    # conj(m_a) is m_bar(a): the exponent halves swap on the holo chart.
+    real = sig.chart == "real"
+    bar = (lambda e: e) if real else (lambda e: e[n:] + e[:n])
 
-    exps = list(index)
-    products = {(a, b): table[i][j] for i, a in enumerate(exps)
-                for j, b in enumerate(exps)}
-    for e in {e for row in table for p in row for e in p.terms} - index.keys():
-        m = PolyObservable.monomial(sig, e, K)
-        for a, mono in zip(exps, monos):
-            products[e, a] = star_multiply(spec, m, mono)
-            products[a, e] = star_multiply(spec, mono, m)
-    D = lcm(*[c._d for p in products.values() for c in p.terms.values()])
-    vec = {key: [(e, [x * (D // c._d) for x in c._v])
-                 for e, c in p.terms.items()] for key, p in products.items()}
+    def at(p, j):
+        return {e: x for (e, k), x in p.items() if k == j}
 
-    def expand(outer, inner):
-        """sum_e outer[e] * vec[inner(e)] as {exp: nonzero vector over D^2}."""
+    def c1_fails(a, b):
+        """T_ab - T_ba at l^1 is not i{m_a, m_b}: i c on the real chart and
+        2c on the holo one, c x^(a+b-e_r-e_(n+r)) for each r."""
+        diff = at(T[a, b], 1)
+        for e, (re, im) in at(T[b, a], 1).items():
+            xr, xi = diff.get(e, (0, 0))
+            diff[e] = (xr - re, xi - im)
+        ab, bracket = tuple(map(add, a, b)), {}
+        for r in range(n):
+            c = (a[r] * b[n + r] - a[n + r] * b[r]) * D
+            if c:
+                e = tuple(x - (j % n == r) for j, x in enumerate(ab))
+                bracket[e] = (0, c) if real else (2 * c, 0)
+        return {e: x for e, x in diff.items() if x != (0, 0)} != bracket
+
+    def expand(outer, row):
+        """sum_e outer[e] * row(e) as {(E, k): nonzero value over D^2}."""
         acc = {}
-        for e, v in outer:
-            for d, u in vec[inner(e)]:
-                a = acc.get(d)
-                if a is None:
-                    a = acc[d] = [0] * (2 * K)
-                _convolve(v, u, a)
-        return {d: a for d, a in acc.items() if any(a)}
+        for (e, k1), (xr, xi) in outer.items():
+            for (d, k2), (yr, yi) in row(e).items():
+                if k1 + k2 < K:
+                    ar, ai = acc.get((d, k1 + k2), (0, 0))
+                    acc[d, k1 + k2] = (ar + xr * yr - xi * yi,
+                                       ai + xr * yi + xi * yr)
+        return {key: x for key, x in acc.items() if x != (0, 0)}
 
     def first_failure(fails, arity=2):
-        for idx in iproduct(range(len(monos)), repeat=arity):
+        for idx in iproduct(exps, repeat=arity):
             if fails(*idx):
-                text = ", ".join(observable_text(monos[i]) for i in idx)
+                text = ", ".join(observable_text(
+                    PolyObservable.monomial(sig, e, K)) for e in idx)
                 return (False, text if arity == 1 else f"({text})")
         return (True, None)
 
+    z = exps[0]  # the exponent of 1
     return AxiomReport(spec.name, sample_degree, {
         "unit": first_failure(
-            lambda j: table[0][j] != monos[j] or table[j][0] != monos[j], 1),
+            lambda a: not T[z, a] == T[a, z] == {(a, 0): (D, 0)}, 1),
         "correspondence_c0": first_failure(
-            lambda i, j: table[i][j].lambda_coefficient(0)
-            != (monos[i] * monos[j]).lambda_coefficient(0)),
-        "correspondence_c1": first_failure(
-            lambda i, j: table[i][j].lambda_coefficient(1)
-            - table[j][i].lambda_coefficient(1)
-            != poisson_bracket(monos[i], monos[j]).lambda_coefficient(0)
-            .scale_scalar(i_one)),
+            lambda a, b: at(T[a, b], 0) != {tuple(map(add, a, b)): (D, 0)}),
+        "correspondence_c1": first_failure(c1_fails),
         "hermitian": first_failure(
-            lambda i, j: involution(table[i][j]) != table[bar[j]][bar[i]]),
+            lambda a, b: {(bar(e), k): (re, -im)
+                          for (e, k), (re, im) in T[a, b].items()}
+            != T[bar(b), bar(a)]),
         "associativity": first_failure(
-            lambda i, j, k:
-            expand(vec[exps[i], exps[j]], lambda e: (e, exps[k]))
-            != expand(vec[exps[j], exps[k]], lambda e: (exps[i], e)), 3),
+            lambda a, b, c: expand(T[a, b], lambda e: T[e, c])
+            != expand(T[b, c], lambda e: T[a, e]), 3),
     })

@@ -1,5 +1,7 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,8 @@ from fdq.exprio import observable_text, parse
 from fdq.observables import (PhaseSpaceSignature, PolyObservable, involution,
                              monomials_up_to, poisson_bracket, to_holomorphic,
                              to_real)
-from fdq.series import DEFAULT_ORDER, FormalSeries, GaussianRational
+from fdq.series import (DEFAULT_ORDER, FormalSeries, GaussianRational,
+                        _convolve)
 from fdq.star import (AxiomReport, EquivOperatorSpec, StarProductSpec,
                       apply_equiv, check_star_axioms, commutator,
                       identity_op, op_n, op_s, star_exponential_beta,
@@ -777,16 +780,21 @@ def test_axioms_reject_a_chart_without_a_bracket(chart, order, monkeypatch):
 @pytest.mark.parametrize("spec", [W, ST, wick(1, K, chart="holo")],
                          ids=["weyl", "std", "holo-wick"])
 def test_axiom_battery_reads_one_product_table(spec, monkeypatch):
-    calls = []
+    calls, products = [], []
+    entries = fdq.star._monomial_product
 
-    def counting(s, f, g):
-        calls.append((f, g))
-        return star_multiply(s, f, g)
+    def counting(s, a, b):
+        calls.append((a, b))
+        return entries(s, a, b)
 
-    monkeypatch.setattr(fdq.star, "star_multiply", counting)
+    monkeypatch.setattr(fdq.star, "_monomial_product", counting)
+    monkeypatch.setattr(fdq.star, "star_multiply",
+                        lambda *args: products.append(args))
     check_star_axioms(spec, 2)
+    monkeypatch.undo()
     # Each monomial product once: the N^2 of the sample monomials, then
     # m_e * m_k and m_i * m_e for every e of higher degree in their support.
+    # Every one is a row of the spec's table, so nothing is multiplied.
     monos = monomials_up_to(spec.signature, 2, K)
     support = {e for f in monos for g in monos
                for e in star_multiply(spec, f, g).terms}
@@ -794,6 +802,7 @@ def test_axiom_battery_reads_one_product_table(spec, monkeypatch):
     N = len(monos)
     assert len(set(calls)) == len(calls) == N * N + 2 * N * len(extra)
     assert spec is not W or len(calls) == 144
+    assert products == []
 
 
 def _perturbed(a, b, delta):
@@ -807,6 +816,20 @@ def _perturbed(a, b, delta):
     return product
 
 
+def _perturbed_entries(a, b, e, k):
+    """The battery's monomial products with l^k x^e added to m_a * m_b: the
+    entries of the product ``_perturbed`` gives with delta = l^k x^e."""
+    entries = fdq.star._monomial_product
+
+    def product(spec, x, y):
+        d, p = entries(spec, x, y)
+        if (x, y) == (a, b):
+            re, im = p.get((e, k), (0, 0))
+            p = {**p, (e, k): (re + d, im)}
+        return d, p
+    return product
+
+
 @pytest.mark.parametrize("pair", [((3, 0), (0, 1)), ((0, 1), (3, 0)),
                                   ((2, 2), (1, 0))],
                          ids=["q3-p", "p-q3", "q2p2-q"])
@@ -816,11 +839,13 @@ def test_associativity_reads_the_products_above_the_degree(spec, pair,
     # One product of a degree-3 or -4 monomial is wrong, so every product of
     # two sample monomials is right and only associativity can see it.  Its
     # first witness is the one a plain loop over triples finds with the
-    # same product.
+    # same product on observables.
+    monkeypatch.setattr(fdq.star, "_monomial_product",
+                        _perturbed_entries(*pair, (1, 0), 2))
+    report = check_star_axioms(spec, 2)
+    monkeypatch.undo()
     delta = PolyObservable.monomial(SIG, (1, 0), K, FormalSeries.lam(2, K))
     product = _perturbed(*pair, delta)
-    monkeypatch.setattr(fdq.star, "star_multiply", product)
-    report = check_star_axioms(spec, 2)
     monos = monomials_up_to(SIG, 2, K)
     witness = next(
         "(" + ", ".join(observable_text(m) for m in triple) + ")"
@@ -828,11 +853,220 @@ def test_associativity_reads_the_products_above_the_degree(spec, pair,
         if product(spec, product(spec, *triple[:2]), triple[2])
         != product(spec, triple[0], product(spec, *triple[1:])))
     assert report.checks["associativity"] == (False, witness)
-    monkeypatch.undo()
     assert {name: check for name, check in report.checks.items()
             if name != "associativity"} == \
         {name: check for name, check in check_star_axioms(spec, 2)
          .checks.items() if name != "associativity"}
+
+
+# The battery as it ran on PolyObservables: every monomial product from
+# star_multiply, and the checks on observables and their coefficient vectors.
+def observable_check_star_axioms(spec, sample_degree=3):
+    """Exhaustive verification on all monomials up to sample_degree.
+
+    Bilinearity makes monomial verification a complete proof at that degree:
+    unit law, C_0(f,g) = fg, antisymmetric C_1 = i{f,g}, the Hermitian
+    property, and associativity on all monomial triples.  Each check reports
+    its first failing tuple in graded-lex order.  C_1 is read from the l^1
+    coefficients, so K = 1 raises PrecisionExhausted, and is compared with
+    the Poisson bracket, so a spec on the fock or wave chart, which has
+    none, raises SignatureMismatch; both before any product is computed.
+
+    Every monomial product is computed once, into a table: the N^2 products
+    of the sample monomials, which the first four checks read, and m_e * m_k
+    and m_i * m_e for each exponent e in their support above the degree.
+    Values mod l^K are bilinear and associativity compares values only, so
+    (m_i m_j) m_k is sum_e T_ij[e] (m_e * m_k) and m_i (m_j m_k) is
+    sum_e T_jk[e] (m_i * m_e): the table's coefficients are put over one
+    denominator D and both sides are compared as integer vectors over D^2.
+    """
+    sig, K = spec.signature, spec.order
+    if sig.chart not in ("real", "holo"):
+        raise SignatureMismatch("correspondence_c1 needs the Poisson bracket, "
+                                f"which chart {sig.chart!r} does not have")
+    if K < 2:
+        raise PrecisionExhausted("correspondence_c1 needs K >= 2: the l^1 "
+                                 "coefficient is not stored at K = 1")
+    monos = monomials_up_to(sig, sample_degree, K)
+    table = [[star_multiply(spec, f, g) for g in monos] for f in monos]
+    index = {e: i for i, m in enumerate(monos) for e in m.terms}
+    # monos[0] is 1, and conj(monos[i]) is again a monomial: monos[bar[i]].
+    bar = [index[e] for m in monos for e in involution(m).terms]
+    i_one = GaussianRational(0, 1)
+
+    exps = list(index)
+    products = {(a, b): table[i][j] for i, a in enumerate(exps)
+                for j, b in enumerate(exps)}
+    for e in {e for row in table for p in row for e in p.terms} - index.keys():
+        m = PolyObservable.monomial(sig, e, K)
+        for a, mono in zip(exps, monos):
+            products[e, a] = star_multiply(spec, m, mono)
+            products[a, e] = star_multiply(spec, mono, m)
+    D = lcm(*[c._d for p in products.values() for c in p.terms.values()])
+    vec = {key: [(e, [x * (D // c._d) for x in c._v])
+                 for e, c in p.terms.items()] for key, p in products.items()}
+
+    def expand(outer, inner):
+        """sum_e outer[e] * vec[inner(e)] as {exp: nonzero vector over D^2}."""
+        acc = {}
+        for e, v in outer:
+            for d, u in vec[inner(e)]:
+                a = acc.get(d)
+                if a is None:
+                    a = acc[d] = [0] * (2 * K)
+                _convolve(v, u, a)
+        return {d: a for d, a in acc.items() if any(a)}
+
+    def first_failure(fails, arity=2):
+        for idx in iproduct(range(len(monos)), repeat=arity):
+            if fails(*idx):
+                text = ", ".join(observable_text(monos[i]) for i in idx)
+                return (False, text if arity == 1 else f"({text})")
+        return (True, None)
+
+    return AxiomReport(spec.name, sample_degree, {
+        "unit": first_failure(
+            lambda j: table[0][j] != monos[j] or table[j][0] != monos[j], 1),
+        "correspondence_c0": first_failure(
+            lambda i, j: table[i][j].lambda_coefficient(0)
+            != (monos[i] * monos[j]).lambda_coefficient(0)),
+        "correspondence_c1": first_failure(
+            lambda i, j: table[i][j].lambda_coefficient(1)
+            - table[j][i].lambda_coefficient(1)
+            != poisson_bracket(monos[i], monos[j]).lambda_coefficient(0)
+            .scale_scalar(i_one)),
+        "hermitian": first_failure(
+            lambda i, j: involution(table[i][j]) != table[bar[j]][bar[i]]),
+        "associativity": first_failure(
+            lambda i, j, k:
+            expand(vec[exps[i], exps[j]], lambda e: (e, exps[k]))
+            != expand(vec[exps[j], exps[k]], lambda e: (exps[i], e)), 3),
+    })
+
+
+def _custom_entry(K, c1, c2, lossy):
+    """c1 l + c2 l^2 at order K; l^2 at K = 2 is dropped with a lost tail."""
+    return FormalSeries([0, c1, c2], K, tail_lost=lossy)
+
+
+_GAUSS = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def axiom_cases(draw):
+    """(spec, degree): a built-in, or a custom pairing on the real or holo
+    chart with entries at l, at l^2, of both and lossy, or the real pairing
+    s l d_q(x)d_q + t l d_p(x)d_p + u l d_q(x)d_p + v l d_p(x)d_q with
+    st + uv = 0, whose walk on q p (x) q p cancels at its constant node."""
+    family = draw(st.sampled_from(["builtin", "holo-wick", "custom",
+                                   "cancelling"]))
+    K = draw(st.integers(2, 6 if family in ("builtin", "holo-wick") else 4))
+    if family == "builtin":
+        n = draw(st.integers(1, 2))
+        kind = draw(st.sampled_from(["weyl", "wick", "std"]))
+        return (fdq.star.builtin_spec(kind, n, K),
+                draw(st.integers(1, 3 if n == 1 else 2)))
+    if family == "holo-wick":
+        return wick(1, K, chart="holo"), draw(st.integers(1, 3))
+    if family == "cancelling":
+        s, t, u = (draw(_GAUSS.filter(bool)) for _ in range(3))
+        v = -(s * t) * u.inverse()
+        pairing = [[FormalSeries.lam(1, K).scalar_mul(c) for c in row]
+                   for row in ((s, u), (v, t))]
+        return StarProductSpec(SIG, pairing, K, "cancelling"), 2
+    chart = draw(st.sampled_from(["real", "holo"]))
+    pairing = [[_custom_entry(K, draw(_GAUSS), draw(_GAUSS), draw(st.booleans()))
+                if draw(st.booleans()) else FormalSeries.zero(K)
+                for _ in range(2)] for _ in range(2)]
+    return (StarProductSpec(PhaseSpaceSignature(1, chart), pairing, K),
+            draw(st.integers(1, 2)))
+
+
+def test_axiom_battery_matches_the_observable_battery():
+    """The battery on integer entries writes the report of the battery on
+    observables, over specs that read the table's rows, specs without a
+    table, rows that are None and specs that fail C_1 or Hermitian."""
+    seen = Counter()
+
+    @settings(max_examples=120)
+    @given(axiom_cases())
+    def check(case):
+        spec, degree = case
+        got = check_star_axioms(spec, degree).to_json()
+        # The rows the battery read, before star_multiply reads more.
+        table = fdq.star._product_table(spec, spec.order)
+        rows = set() if table is None else set(table[3].values())
+        assert got == observable_check_star_axioms(spec, degree).to_json()
+        seen["no table"] += table is None
+        seen["table rows"] += bool(rows - {None})
+        seen["None row"] += None in rows
+        for name in ("correspondence_c1", "hermitian"):
+            seen[name] += not got["checks"][name]["passed"]
+
+    check()
+    assert all(seen[k] for k in ("no table", "table rows", "None row",
+                                 "correspondence_c1", "hermitian")), seen
+
+
+def _as_fractions(d, entries):
+    return {key: (Fraction(re, d), Fraction(im, d))
+            for key, (re, im) in entries.items()}
+
+
+@pytest.mark.parametrize("spec", [
+    W, WK, ST, wick(2, 3, chart="holo"), _CORRUPTED,
+    StarProductSpec(SIG, [[FormalSeries.zero(K), FormalSeries(
+        [0, GaussianRational(0, Fraction(1, 2)), Fraction(1, 3)], K)],
+        [FormalSeries.zero(K), FormalSeries.zero(K)]], K)],
+    ids=["weyl", "wick", "std", "holo-wick-n2", "corrupted", "two-terms"])
+def test_monomial_product_entries_are_the_star_product(spec):
+    # Table row or star_multiply, the entries are the product's nonzero
+    # coefficients; a row's entries that sum to 0, as at l^1 of
+    # q1 p1 * q1 p1 under weyl, are dropped.
+    exps = [e for m in monomials_up_to(spec.signature, 2, K) for e in m.terms]
+    for a, b in iproduct(exps, repeat=2):
+        got = _as_fractions(*fdq.star._monomial_product(spec, a, b))
+        product = star_multiply(spec, *(PolyObservable.monomial(
+            spec.signature, e, K) for e in (a, b)))
+        assert got == {(e, k): (x.re, x.im) for e, c in product.terms.items()
+                       for k, x in enumerate(c.coeffs) if x}
+    table = fdq.star._product_table(W, K)
+    qp = (1, 1)
+    assert any(not (re or im) for _, _, re, im in
+               fdq.star._row(table, qp + qp, K))
+
+
+@pytest.mark.parametrize("degree", [-1, -5])
+def test_axioms_refuse_a_negative_degree(degree, monkeypatch):
+    # Zero monomials would pass every check vacuously.
+    def fail(*args):
+        raise AssertionError("a product was computed")
+
+    for name in ("star_multiply", "_monomial_product", "_monomial_walk"):
+        monkeypatch.setattr(fdq.star, name, fail)
+    with pytest.raises(ValueError, match="sample_degree must be >= 0"):
+        check_star_axioms(weyl(1, 4), degree)
+
+
+@pytest.mark.parametrize("spec, error", [
+    (StarProductSpec(PhaseSpaceSignature(1, "fock"),
+                     [[FormalSeries.lam(1, K)]], K), SignatureMismatch),
+    (StarProductSpec(PhaseSpaceSignature(1, "fock"),
+                     [[FormalSeries.lam(1, 1)]], 1), SignatureMismatch),
+    (weyl(1, 1), PrecisionExhausted),
+    (_holo_flat(1), PrecisionExhausted)],
+    ids=["fock", "fock-K1", "weyl-K1", "holo-K1"])
+def test_axioms_refuse_before_any_product(spec, error, monkeypatch):
+    # A chart without a bracket first, then K = 1, then a negative degree:
+    # each before any product is read or computed.
+    def fail(*args):
+        raise AssertionError("a product was computed")
+
+    for name in ("star_multiply", "_monomial_product", "_monomial_walk"):
+        monkeypatch.setattr(fdq.star, name, fail)
+    for degree in (2, -1):
+        with pytest.raises(error):
+            check_star_axioms(spec, degree)
 
 
 def reference_pairing(kind, n, K, chart):
